@@ -20,7 +20,7 @@ import numpy as np
 
 from .chained import GcmiConfig, gcmi_impute, initial_fill
 from .data import ColumnSchema, DataMatrix, matrix_from_array, read_csv
-from .errors import DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .seeding import spawn_rng
 from .simulate import AmputationSpec, SyntheticSpec, ampute, gen_synthetic
 
@@ -84,11 +84,11 @@ class MethodSpec:
 
     def __post_init__(self):
         if self.kind not in METHOD_KINDS:
-            raise ValueError(f"method kind must be one of {METHOD_KINDS}")
+            raise ConfigError(f"method kind must be one of {METHOD_KINDS}")
         if not self.name:
             self.name = self.kind
         if self.kind == "external" and not self.path:
-            raise ValueError("external methods need a results path")
+            raise ConfigError("external methods need a results path")
 
 
 @dataclass
@@ -106,18 +106,18 @@ class BenchmarkSpec:
 
     def validate(self) -> None:
         if self.mc_repeats < 1:
-            raise ValueError("mc_repeats must be at least 1")
+            raise ConfigError("mc_repeats must be at least 1")
         if not self.methods:
-            raise ValueError("method list must be non-empty")
+            raise ConfigError("method list must be non-empty")
         if not self.mechanisms:
-            raise ValueError("mechanism list must be non-empty")
+            raise ConfigError("mechanism list must be non-empty")
 
 
 @dataclass
 class BenchmarkRow:
     method: str
     mechanism: str
-    rate: float
+    rate: float  # share of cells the mechanism deleted, mean over repeats
     mean_rmse: float
     sd_rmse: float
     se_rmse: float
@@ -215,13 +215,18 @@ def _external_result(method: MethodSpec, mech_label: str, repeat: int, dm_truth:
     return ext.values
 
 
-def _run_repeat(spec: BenchmarkSpec, repeat: int) -> list[tuple[str, str, float]]:
-    """All (method, mechanism) scores for one Monte Carlo repeat."""
+def _run_repeat(
+    spec: BenchmarkSpec, repeat: int
+) -> tuple[list[tuple[str, str, float]], dict[str, float]]:
+    """All (method, mechanism) scores for one Monte Carlo repeat, and the
+    share of cells each mechanism deleted."""
     truth = _load_truth(spec, repeat)
     out = []
+    deleted = {}
     for i, mech in enumerate(spec.mechanisms):
         mech_seed = int(spawn_rng(spec.seed, 200, repeat, i).integers(0, 2**63))
         mask = ampute(truth.values, replace(mech, seed=mech_seed))
+        deleted[mech.label] = float(mask.mean())
         if not mask.any():
             out.extend((m.name, mech.label, 0.0) for m in spec.methods)
             continue
@@ -243,7 +248,7 @@ def _run_repeat(spec: BenchmarkSpec, repeat: int) -> list[tuple[str, str, float]
                 truth.values, imputed, mask, schema=truth.schema, normalized=spec.normalized
             )
             out.append((method.name, mech.label, score))
-    return out
+    return out, deleted
 
 
 def run_benchmark(spec: BenchmarkSpec) -> BenchmarkTable:
@@ -256,11 +261,13 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkTable:
         per_repeat = [_run_repeat(spec, r) for r in range(spec.mc_repeats)]
 
     raw: dict[tuple[str, str], list[float]] = {}
-    for scores in per_repeat:
+    deleted: dict[str, list[float]] = {}
+    for scores, fractions in per_repeat:
         for method, mech, value in scores:
             raw.setdefault((method, mech), []).append(value)
+        for mech, frac in fractions.items():
+            deleted.setdefault(mech, []).append(frac)
 
-    mech_rates = {m.label: _nominal_rate(m) for m in spec.mechanisms}
     rows = []
     for method in spec.methods:
         for mech in spec.mechanisms:
@@ -271,7 +278,7 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkTable:
                 BenchmarkRow(
                     method=method.name,
                     mechanism=mech.label,
-                    rate=mech_rates[mech.label],
+                    rate=float(np.mean(deleted[mech.label])),
                     mean_rmse=float(values.mean()),
                     sd_rmse=sd,
                     se_rmse=sd / np.sqrt(n) if n > 1 else 0.0,
@@ -280,10 +287,3 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkTable:
             )
     return BenchmarkTable(rows=rows, raw=raw)
 
-
-def _nominal_rate(mech: AmputationSpec) -> float:
-    if mech.mechanism == "mcar":
-        return float(mech.rate)
-    if mech.mechanism == "mar":
-        return 0.5  # expected rate when logits are centred
-    return float(mech.b0)

@@ -30,6 +30,7 @@ from .data import (
     write_csv,
 )
 from .errors import (
+    ConfigError,
     InsufficientDataError,
     ShapeError,
     UnimputableColumnError,
@@ -57,15 +58,15 @@ class GcmiConfig:
 
     def validate(self) -> None:
         if self.max_chain_iters < 1:
-            raise ValueError("max_chain_iters must be at least 1")
+            raise ConfigError("max_chain_iters must be at least 1")
         if self.m_imputations < 1:
-            raise ValueError("m_imputations must be at least 1")
+            raise ConfigError("m_imputations must be at least 1")
         if self.column_parallelism not in PARALLELISM_MODES:
-            raise ValueError(f"column_parallelism must be one of {PARALLELISM_MODES}")
+            raise ConfigError(f"column_parallelism must be one of {PARALLELISM_MODES}")
         if self.initial_fill != "mean_mode":
-            raise ValueError("initial_fill supports only 'mean_mode'")
+            raise ConfigError("initial_fill supports only 'mean_mode'")
         if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+            raise ConfigError("workers must be at least 1")
         self.train.validate()
 
 

@@ -194,6 +194,8 @@ def parse_config(data: dict) -> RunConfig:
         threads=int(data.get("threads", 1)),
         output_dir=str(data.get("output_dir", ".")),
     )
+    if cfg.threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {cfg.threads}")
     train_section = dict(data.get("train", {}))
     train_section.setdefault("seed", cfg.seed)
     cfg.train = _dataclass_from("train", train_section, TrainConfig)

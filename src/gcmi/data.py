@@ -212,6 +212,13 @@ def read_csv(
                 values[i, j] = float(tok)
             else:
                 values[i, j] = code[tok]
+        if kind == "continuous":
+            bad = np.flatnonzero(~np.isfinite(values[:, j]) & ~mask[:, j])
+            if bad.size:
+                i = int(bad[0])
+                raise DataError(
+                    f"{path}: line {i + 2}, column {name!r}: non-finite value {col_tokens[i]!r}"
+                )
         schema.append(col_schema)
 
     dm = DataMatrix(schema, values, mask)

@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientDataError, NumericError, ShapeError
+from .errors import ConfigError, InsufficientDataError, NumericError, ShapeError
 from .losses import (
     GEN_TARGET,
     REAL_TARGET,
-    binary_cross_entropy_clipped,
+    accuracy_penalty_grad,
     discriminator_loss,
     generator_loss,
 )
@@ -35,6 +35,7 @@ from .nn import (
     adam_step,
     _backward_from_cache,
     _forward_cache,
+    _hidden_buffers,
     forward,
     mlp_new,
 )
@@ -72,18 +73,18 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.lr_generator <= 0 or self.lr_discriminator <= 0:
-            raise ValueError("learning rates must be positive")
+            raise ConfigError("learning rates must be positive")
         if self.l2 < 0:
-            raise ValueError("l2 must be non-negative")
+            raise ConfigError("l2 must be non-negative")
         for name in ("gen_iters_per_cycle", "disc_iters_per_cycle", "batch_size", "max_epochs"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive")
         if self.acc_penalty_weight < 0:
-            raise ValueError("acc_penalty_weight must be non-negative")
+            raise ConfigError("acc_penalty_weight must be non-negative")
         if self.noise_dim < 1:
-            raise ValueError("noise_dim must be at least 1")
+            raise ConfigError("noise_dim must be at least 1")
         if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be at least 1")
+            raise ConfigError("early_stop_patience must be at least 1")
 
 
 @dataclass
@@ -184,19 +185,63 @@ def _encode_target(x_target: np.ndarray, kind: str, n_levels: int | None):
     raise ValueError(f"unknown column kind {kind!r}")
 
 
+class _Workspace:
+    """Buffers one fit reuses on every update: the conditioning, noise and
+    target rows of a minibatch, the generator input (cond | z), the
+    discriminator inputs (cond | target) and (cond | fake), the hidden
+    activations of the generator and of the discriminator's real and fake
+    passes, the gradients each network carries between its hidden layers,
+    and the parameter gradients of both networks."""
+
+    def __init__(self, gen: Mlp, disc: Mlp, batch: int, cond_width: int):
+        self.cond = np.empty((batch, cond_width))
+        self.z = np.empty((batch, gen.input_dim - cond_width))
+        self.target = np.empty((batch, disc.input_dim - cond_width))
+        self.gen_in = np.empty((batch, gen.input_dim))
+        self.real_in = np.empty((batch, disc.input_dim))
+        self.fake_in = np.empty((batch, disc.input_dim))
+        self.gen_hidden = _hidden_buffers(gen, batch)
+        self.real_hidden = _hidden_buffers(disc, batch)
+        self.fake_hidden = _hidden_buffers(disc, batch)
+        self.gen_deltas = _hidden_buffers(gen, batch)
+        self.disc_deltas = _hidden_buffers(disc, batch)
+        self.gen_grads = ParamGrads.zeros_like(gen)
+        self.disc_grads = ParamGrads.zeros_like(disc)
+        self.disc_grads_fake = ParamGrads.zeros_like(disc)
+
+
+def _fill(buf: np.ndarray, cond: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Write (cond | tail) into ``buf`` and return it."""
+    width = cond.shape[1]
+    buf[:, :width] = cond
+    buf[:, width:] = tail
+    return buf
+
+
 def _disc_grads(
     disc: Mlp,
     real_inputs: np.ndarray,
     fake_inputs: np.ndarray,
+    ws: _Workspace | None = None,
 ) -> tuple[float, ParamGrads]:
-    """Loss and parameter gradients for one discriminator update."""
-    d_real, real_acts = _forward_cache(disc, real_inputs)
-    d_fake, fake_acts = _forward_cache(disc, fake_inputs)
+    """Loss and parameter gradients for one discriminator update.
+
+    The real and fake passes are backpropagated separately and their
+    gradients then added, into ``ws`` when given.
+    """
+    if ws is None:
+        real_hidden = fake_hidden = deltas = None
+        grads, grads_fake = ParamGrads.zeros_like(disc), ParamGrads.zeros_like(disc)
+    else:
+        real_hidden, fake_hidden, deltas = ws.real_hidden, ws.fake_hidden, ws.disc_deltas
+        grads, grads_fake = ws.disc_grads, ws.disc_grads_fake
+    d_real, real_acts = _forward_cache(disc, real_inputs, real_hidden)
+    d_fake, fake_acts = _forward_cache(disc, fake_inputs, fake_hidden)
     loss = discriminator_loss(d_real, d_fake)
     g_real = (d_real - REAL_TARGET) / d_real.shape[0]
     g_fake = d_fake / d_fake.shape[0]
-    grads, _ = _backward_from_cache(disc, real_acts, d_real, g_real)
-    grads_fake, _ = _backward_from_cache(disc, fake_acts, d_fake, g_fake)
+    _backward_from_cache(disc, real_acts, d_real, g_real, grads, False, deltas)
+    _backward_from_cache(disc, fake_acts, d_fake, g_fake, grads_fake, False, deltas)
     return loss, grads.accumulate(grads_fake)
 
 
@@ -208,34 +253,30 @@ def _gen_grads(
     z: np.ndarray,
     acc_weight: float,
     kind: str,
+    ws: _Workspace | None = None,
 ) -> tuple[float, float, ParamGrads]:
     """Adversarial + accuracy loss and generator gradients for one update.
 
     Backpropagates through the frozen discriminator into the generated
-    values and from there through the generator.
+    values and from there through the generator.  The discriminator's own
+    parameter gradients are never formed.  Inputs and gradients are built
+    in ``ws`` when given.
     """
-    n = cond.shape[0]
-    gen_inputs = np.hstack([cond, z])
-    fake, gen_acts = _forward_cache(gen, gen_inputs)
-    disc_inputs = np.hstack([cond, fake])
-    d_fake, disc_acts = _forward_cache(disc, disc_inputs)
+    n, width = cond.shape
+    if ws is None:
+        ws = _Workspace(gen, disc, n, width)
+    fake, gen_acts = _forward_cache(gen, _fill(ws.gen_in, cond, z), ws.gen_hidden)
+    d_fake, disc_acts = _forward_cache(disc, _fill(ws.fake_in, cond, fake), ws.fake_hidden)
 
     adv_loss = generator_loss(d_fake)
     d_out_grad = (d_fake - GEN_TARGET) / n
-    _, disc_in_grads = _backward_from_cache(disc, disc_acts, d_fake, d_out_grad)
-    fake_grad = disc_in_grads[:, cond.shape[1] :].copy()
-
-    if kind == "continuous":
-        pen = float(np.mean((fake - target_enc) ** 2))
-        fake_grad += acc_weight * 2.0 * (fake - target_enc) / n
-    else:
-        clipped = np.clip(fake, 1e-12, 1.0 - 1e-12)
-        pen_rows = binary_cross_entropy_clipped(target_enc, fake).sum(axis=1)
-        pen = float(np.mean(pen_rows))
-        fake_grad += acc_weight * (clipped - target_enc) / (clipped * (1.0 - clipped)) / n
-
-    grads, _ = _backward_from_cache(gen, gen_acts, fake, fake_grad)
-    return adv_loss, pen, grads
+    disc_in_grads = _backward_from_cache(
+        disc, disc_acts, d_fake, d_out_grad, None, True, ws.disc_deltas
+    )
+    pen, pen_grad = accuracy_penalty_grad(target_enc, fake, kind, acc_weight)
+    fake_grad = disc_in_grads[:, width:] + pen_grad
+    _backward_from_cache(gen, gen_acts, fake, fake_grad, ws.gen_grads, False, ws.gen_deltas)
+    return adv_loss, pen, ws.gen_grads
 
 
 def _minibatch(rng: np.random.Generator, n: int, batch: int) -> np.ndarray:
@@ -287,22 +328,30 @@ def train_gcin(
 
     rng = np.random.default_rng([seed, 2])
     batch = min(cfg.batch_size, n_obs)
+    ws = _Workspace(gen, disc, batch, cond.shape[1])
     trace = TrainTrace()
     best_total = np.inf
     stall = 0
     gen_done = 0
     cycle = 0
 
+    def draw() -> None:
+        # one minibatch: its rows of cond and target, then fresh noise
+        idx = _minibatch(rng, n_obs, batch)
+        np.take(cond, idx, axis=0, out=ws.cond)
+        np.take(target_enc, idx, axis=0, out=ws.target)
+        rng.standard_normal(out=ws.z)
+
     while gen_done < cfg.max_epochs:
         disc_losses = []
         for _ in range(cfg.disc_iters_per_cycle):
-            idx = _minibatch(rng, n_obs, batch)
-            z = rng.standard_normal((idx.size, k))
-            fake = forward(gen, np.hstack([cond[idx], z]))
+            draw()
+            fake, _ = _forward_cache(gen, _fill(ws.gen_in, ws.cond, ws.z), ws.gen_hidden)
             loss, grads = _disc_grads(
                 disc,
-                np.hstack([cond[idx], target_enc[idx]]),
-                np.hstack([cond[idx], fake]),
+                _fill(ws.real_in, ws.cond, ws.target),
+                _fill(ws.fake_in, ws.cond, fake),
+                ws,
             )
             adam_step(disc, grads, disc_opt)
             disc_losses.append(loss)
@@ -310,10 +359,9 @@ def train_gcin(
         gen_losses = []
         pens = []
         for _ in range(min(cfg.gen_iters_per_cycle, cfg.max_epochs - gen_done)):
-            idx = _minibatch(rng, n_obs, batch)
-            z = rng.standard_normal((idx.size, k))
+            draw()
             adv, pen, grads = _gen_grads(
-                gen, disc, cond[idx], target_enc[idx], z, cfg.acc_penalty_weight, kind
+                gen, disc, ws.cond, ws.target, ws.z, cfg.acc_penalty_weight, kind, ws
             )
             adam_step(gen, grads, gen_opt)
             gen_losses.append(adv)

@@ -45,6 +45,10 @@ def generator_loss(d_fake: np.ndarray) -> float:
     return float(0.5 * np.mean((d_fake - GEN_TARGET) ** 2))
 
 
+def _cross_entropy(x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    return -x * np.log(x_hat) - (1.0 - x) * np.log(1.0 - x_hat)
+
+
 def accuracy_penalty(x, x_hat, kind: str):
     """Supervised penalty on generated values for observed targets.
 
@@ -61,16 +65,33 @@ def accuracy_penalty(x, x_hat, kind: str):
             raise ValueError("binary accuracy penalty requires x in {0, 1}")
         if not np.all((x_hat > 0.0) & (x_hat < 1.0)):
             raise ValueError("binary accuracy penalty requires x_hat in the open interval (0, 1)")
-        out = -x * np.log(x_hat) - (1.0 - x) * np.log(1.0 - x_hat)
+        out = _cross_entropy(x, x_hat)
     else:
         raise ValueError(f"unknown kind {kind!r}; expected 'continuous' or 'binary'")
     return float(out) if out.ndim == 0 else out
 
 
-def binary_cross_entropy_clipped(x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-    """Cross-entropy with x_hat clamped into (0, 1); training-loop variant."""
-    x_hat = np.clip(x_hat, _LOG_EPS, 1.0 - _LOG_EPS)
-    return -x * np.log(x_hat) - (1.0 - x) * np.log(1.0 - x_hat)
+def accuracy_penalty_grad(
+    target: np.ndarray, generated: np.ndarray, kind: str, weight: float = 1.0
+) -> tuple[float, np.ndarray]:
+    """Batch accuracy penalty of a generator head and its gradient.
+
+    ``target`` and ``generated`` are (n, width).  Returns the penalty
+    averaged over the n rows and ``weight`` times its gradient w.r.t.
+    ``generated``.  continuous (width 1): squared error.  binary and
+    categorical (sigmoid heads, one column per level): cross-entropy
+    summed over the row's columns, with ``generated`` clamped into
+    [1e-12, 1 - 1e-12].
+    """
+    n = generated.shape[0]
+    if kind == "continuous":
+        diff = generated - target
+        return float(np.mean(diff**2)), weight * 2.0 * diff / n
+    if kind in ("binary", "categorical"):
+        clipped = np.clip(generated, _LOG_EPS, 1.0 - _LOG_EPS)
+        pen = float(np.mean(_cross_entropy(target, clipped).sum(axis=1)))
+        return pen, weight * (clipped - target) / (clipped * (1.0 - clipped)) / n
+    raise ValueError(f"unknown kind {kind!r}; expected 'continuous', 'binary' or 'categorical'")
 
 
 @dataclass

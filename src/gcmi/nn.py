@@ -16,7 +16,7 @@ from the (in_dim, out_dim) matrix of each layer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +35,24 @@ CHECKPOINT_VERSION = 1
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, _SIGMOID_CLIP, 1.0 - _SIGMOID_CLIP)
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    out /= 1.0 + e
+    return np.clip(out, _SIGMOID_CLIP, 1.0 - _SIGMOID_CLIP, out=out)
+
+
+def _pack(first: list[np.ndarray], second: list[np.ndarray]):
+    """Copy ``first[i]``, ``second[i]`` pairs back to back into one flat
+    float64 buffer; returns the buffer and two lists of views shaped like
+    the inputs."""
+    parts = [np.asarray(a, dtype=float) for pair in zip(first, second) for a in pair]
+    flat = np.concatenate([a.ravel() for a in parts])
+    views, start = [], 0
+    for a in parts:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return flat, views[0::2], views[1::2]
 
 
 @dataclass
@@ -48,12 +60,15 @@ class Mlp:
     """Feed-forward net: ReLU hidden layers, configurable output head.
 
     ``weights[i]`` has shape (in_i, out_i) and ``biases[i]`` shape (out_i,);
-    consecutive layer dimensions chain.
+    consecutive layer dimensions chain.  All parameters live in one flat
+    buffer, ``params`` (layer by layer, weights then biases); ``weights``
+    and ``biases`` are views into it, so write them in place.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     output_activation: str
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.weights or len(self.weights) != len(self.biases):
@@ -67,6 +82,11 @@ class Mlp:
                 raise NumericError(f"layer {i}: non-finite parameters")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"unknown output_activation {self.output_activation!r}")
+        self.params, self.weights, self.biases = _pack(self.weights, self.biases)
+
+    def __reduce__(self):
+        # rebuild through __init__ so a copy or unpickled net is packed again
+        return (Mlp, (self.weights, self.biases, self.output_activation))
 
     @property
     def input_dim(self) -> int:
@@ -81,36 +101,40 @@ class Mlp:
         return [w.shape[1] for w in self.weights[:-1]]
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.output_activation,
-        )
+        return Mlp(self.weights, self.biases, self.output_activation)
 
 
 @dataclass
 class ParamGrads:
-    """Per-layer gradients, shape-congruent with the owning Mlp."""
+    """Per-layer gradients, shape-congruent with the owning Mlp and packed
+    into one flat buffer, ``flat``, laid out like ``Mlp.params``."""
 
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat, self.d_weights, self.d_biases = _pack(self.d_weights, self.d_biases)
+
+    def __reduce__(self):
+        return (ParamGrads, (self.d_weights, self.d_biases))
+
+    @classmethod
+    def zeros_like(cls, mlp: Mlp) -> "ParamGrads":
+        return cls([np.zeros_like(w) for w in mlp.weights], [np.zeros_like(b) for b in mlp.biases])
 
     def accumulate(self, other: "ParamGrads") -> "ParamGrads":
-        for dw, ow in zip(self.d_weights, other.d_weights):
-            dw += ow
-        for db, ob in zip(self.d_biases, other.d_biases):
-            db += ob
+        self.flat += other.flat
         return self
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments plus hyperparameters for one Mlp."""
+    """Bias-corrected Adam moments, flat and laid out like ``Mlp.params``,
+    plus hyperparameters for one Mlp."""
 
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     learning_rate: float
     l2_coeff: float = 0.0
     beta1: float = 0.9
@@ -158,13 +182,30 @@ def _check_inputs(mlp: Mlp, inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def _forward_cache(mlp: Mlp, inputs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass returning the output and every layer input (post-ReLU)."""
+def _hidden_buffers(mlp: Mlp, batch: int) -> list[np.ndarray]:
+    """One uninitialised (batch, width) array per hidden layer of ``mlp``.
+
+    ``_forward_cache`` can keep its activations in such a list, and
+    ``_backward_from_cache`` the gradients it carries between layers, so
+    that a training loop reuses them instead of allocating arrays of that
+    size on every update.
+    """
+    return [np.empty((batch, width)) for width in mlp.hidden_dims]
+
+
+def _forward_cache(
+    mlp: Mlp, inputs: np.ndarray, hidden: list[np.ndarray] | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Forward pass returning the output and every layer input (post-ReLU).
+
+    The hidden activations are written into ``hidden`` when it is given
+    (see ``_hidden_buffers``); the output is always a new array.
+    """
     acts = [inputs]
     a = inputs
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = a @ w
+        z = np.matmul(a, w, out=None if hidden is None or i == last else hidden[i])
         z += b
         if i < last:
             a = np.maximum(z, 0.0, out=z)
@@ -206,18 +247,36 @@ def _backward_from_cache(
     acts: list[np.ndarray],
     out: np.ndarray,
     output_grads: np.ndarray,
-) -> tuple[ParamGrads, np.ndarray]:
+    grads: ParamGrads | None,
+    input_grads: bool,
+    hidden: list[np.ndarray] | None = None,
+) -> np.ndarray | None:
+    """Backpropagate ``output_grads`` through a cached forward pass.
+
+    Writes the parameter gradients into ``grads`` unless it is None, and
+    returns the gradient w.r.t. the inputs if ``input_grads`` asks for it
+    (None otherwise); work that neither needs is skipped.  The gradients
+    w.r.t. the hidden activations go into ``hidden`` when it is given; it
+    must not be the list holding ``acts``.
+    """
     delta = _output_delta(out, output_grads, mlp.output_activation)
-    n_layers = len(mlp.weights)
-    d_weights: list[np.ndarray] = [np.empty(0)] * n_layers
-    d_biases: list[np.ndarray] = [np.empty(0)] * n_layers
-    for i in range(n_layers - 1, -1, -1):
-        d_weights[i] = acts[i].T @ delta
-        d_biases[i] = delta.sum(axis=0)
-        delta = delta @ mlp.weights[i].T
+    for i in range(len(mlp.weights) - 1, -1, -1):
+        if grads is not None:
+            np.matmul(acts[i].T, delta, out=grads.d_weights[i])
+            np.sum(delta, axis=0, out=grads.d_biases[i])
+        if i == 0 and not input_grads:
+            return None
+        w = mlp.weights[i]
+        buf = None if hidden is None or i == 0 else hidden[i - 1]
+        if w.shape[1] == 1:
+            # delta @ w.T is an outer product here; einsum forms it with the
+            # same bits and at a fraction of the cost of a matmul call
+            delta = np.einsum("i,j->ij", delta[:, 0], w[:, 0], out=buf)
+        else:
+            delta = np.matmul(delta, w.T, out=buf)
         if i > 0:
             delta *= acts[i] > 0
-    return ParamGrads(d_weights, d_biases), delta
+    return delta
 
 
 def backward(mlp: Mlp, inputs: np.ndarray, output_grads: np.ndarray) -> ParamGrads:
@@ -242,7 +301,8 @@ def backward_with_input_grads(
             f"got {output_grads.shape}"
         )
     out, acts = _forward_cache(mlp, inputs)
-    return _backward_from_cache(mlp, acts, out, output_grads)
+    grads = ParamGrads.zeros_like(mlp)
+    return grads, _backward_from_cache(mlp, acts, out, output_grads, grads, True)
 
 
 def adam_new(
@@ -261,10 +321,8 @@ def adam_new(
     if l2_coeff < 0:
         raise ValueError("l2_coeff must be non-negative")
     return AdamState(
-        m_weights=[np.zeros_like(w) for w in mlp.weights],
-        v_weights=[np.zeros_like(w) for w in mlp.weights],
-        m_biases=[np.zeros_like(b) for b in mlp.biases],
-        v_biases=[np.zeros_like(b) for b in mlp.biases],
+        m=np.zeros_like(mlp.params),
+        v=np.zeros_like(mlp.params),
         learning_rate=learning_rate,
         l2_coeff=l2_coeff,
         beta1=beta1,
@@ -274,32 +332,39 @@ def adam_new(
 
 
 def adam_step(mlp: Mlp, grads: ParamGrads, state: AdamState) -> tuple[Mlp, AdamState]:
-    """One bias-corrected Adam update on grad + l2_coeff * param, in place."""
+    """One bias-corrected Adam update on grad + l2_coeff * param, in place,
+    vectorised over the whole network's flat parameter buffer."""
     if len(grads.d_weights) != len(mlp.weights):
         raise ShapeError("gradient layer count does not match network")
-    state.step_count += 1
-    t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
-    lr, eps, l2 = state.learning_rate, state.epsilon, state.l2_coeff
-    for i in range(len(mlp.weights)):
-        for param, grad, m, v in (
-            (mlp.weights[i], grads.d_weights[i], state.m_weights[i], state.v_weights[i]),
-            (mlp.biases[i], grads.d_biases[i], state.m_biases[i], state.v_biases[i]),
-        ):
+    layers = zip(mlp.weights, mlp.biases, grads.d_weights, grads.d_biases)
+    for i, (w, b, dw, db) in enumerate(layers):
+        for grad, param in ((dw, w), (db, b)):
             if grad.shape != param.shape:
                 raise ShapeError(
                     f"layer {i}: gradient shape {grad.shape} != parameter shape {param.shape}"
                 )
-            if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grads.flat).all():
+        for i, (dw, db) in enumerate(zip(grads.d_weights, grads.d_biases)):
+            if not (np.isfinite(dw).all() and np.isfinite(db).all()):
                 raise NumericError(f"non-finite gradient in layer {i}")
-            g = grad + l2 * param if l2 else grad
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * np.square(g)
-            param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = state.beta1, state.beta2
+    lr, eps, l2 = state.learning_rate, state.epsilon, state.l2_coeff
+    param, m, v = mlp.params, state.m, state.v
+    g = grads.flat + l2 * param if l2 else grads.flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * np.square(g)
+    # lr * (m / bc1) / (sqrt(v / bc2) + eps), in place and in that order
+    step = m / (1.0 - b1**t)
+    step *= lr
+    denom = v / (1.0 - b2**t)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    param -= step
     return mlp, state
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .seeding import spawn_rng
 
 # Default outcome coefficients for the 15-column synthetic table.
@@ -44,17 +44,17 @@ class SyntheticSpec:
 
     def validate(self) -> None:
         if self.n < 1 or self.p < 2:
-            raise ValueError("need n >= 1 and p >= 2")
+            raise ConfigError("need n >= 1 and p >= 2")
         if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+            raise ConfigError("sigma2 must be positive")
         if not (-1.0 / (self.p - 1) < self.rho < 1.0):
-            raise ValueError(
+            raise ConfigError(
                 f"equicorrelation requires rho in (-1/(p-1), 1); got rho={self.rho}, p={self.p}"
             )
         if self.noise_sd < 0:
-            raise ValueError("noise_sd must be non-negative")
+            raise ConfigError("noise_sd must be non-negative")
         if self.alpha is not None and len(self.alpha) != self.p:
-            raise ValueError(f"alpha must have length p={self.p}")
+            raise ConfigError(f"alpha must have length p={self.p}")
 
 
 @dataclass
@@ -77,11 +77,11 @@ class AmputationSpec:
 
     def validate(self) -> None:
         if self.mechanism not in MECHANISMS:
-            raise ValueError(f"mechanism must be one of {MECHANISMS}")
+            raise ConfigError(f"mechanism must be one of {MECHANISMS}")
         if self.layout not in LAYOUTS:
-            raise ValueError(f"layout must be one of {LAYOUTS}")
+            raise ConfigError(f"layout must be one of {LAYOUTS}")
         if self.mechanism == "mcar" and not (0.0 <= self.rate <= 1.0):
-            raise ValueError("MCAR rate must lie in [0, 1]")
+            raise ConfigError("MCAR rate must lie in [0, 1]")
 
     @property
     def label(self) -> str:

@@ -132,6 +132,30 @@ class TestRunBenchmark:
         means = [row.mean_rmse for row in table.rows if row.method == "mean"]
         assert max(means) - min(means) < 0.15 * np.mean(means)
 
+    def test_rate_is_realised_deleted_share(self, monkeypatch):
+        import gcmi.benchmark
+
+        drawn = {}
+        real_ampute = gcmi.benchmark.ampute
+
+        def recording_ampute(values, spec):
+            mask = real_ampute(values, spec)
+            drawn.setdefault(spec.label, []).append(float(mask.mean()))
+            return mask
+
+        monkeypatch.setattr(gcmi.benchmark, "ampute", recording_ampute)
+        spec = tiny_spec(
+            data=SyntheticSpec(n=200, p=5, rho=0.3),
+            mechanisms=[AmputationSpec("mar"), AmputationSpec("mnar")],
+            mc_repeats=3,
+        )
+        table = run_benchmark(spec)
+        assert len(table.rows) == 2
+        for row in table.rows:
+            assert 0.0 < row.rate < 1.0
+            assert len(drawn[row.mechanism]) == 3
+            assert row.rate == float(np.mean(drawn[row.mechanism]))
+
     def test_se_matches_two_pass_computation(self):
         spec = tiny_spec(mc_repeats=6)
         table = run_benchmark(spec)

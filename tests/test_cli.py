@@ -143,6 +143,43 @@ class TestExitCodes:
         assert run(["--config", str(bad), "simulate"]) == 1
 
 
+class TestBadArgumentsExitCleanly:
+    """Out-of-range arguments end in an exit code and one line on stderr."""
+
+    @staticmethod
+    def assert_one_line(capsys):
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.fixture()
+    def complete_csv(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n1,2\n3,4\n5,6\n")
+        return path
+
+    def test_ampute_rate_out_of_range(self, tmp_path, complete_csv, capsys):
+        argv = ["--output-dir", str(tmp_path), "ampute", str(complete_csv), "--rate", "2"]
+        assert run(argv) == 1
+        self.assert_one_line(capsys)
+
+    def test_simulate_zero_rows(self, tmp_path, capsys):
+        assert run(["--output-dir", str(tmp_path), "simulate", "--n", "0"]) == 1
+        self.assert_one_line(capsys)
+
+    def test_zero_threads(self, tmp_path, complete_csv, capsys):
+        argv = ["--output-dir", str(tmp_path), "--threads", "0", "impute", str(complete_csv)]
+        assert run(argv) == 1
+        self.assert_one_line(capsys)
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_non_finite_input_cell_is_data_error(self, tmp_path, token, capsys):
+        path = tmp_path / "x.csv"
+        path.write_text(f"a,b\n1,2\n3,{token}\n5,\n")
+        assert run(["--output-dir", str(tmp_path), "impute", str(path)]) == 2
+        self.assert_one_line(capsys)
+
+
 class TestConfigParsing:
     def test_empty_config_is_valid_with_documented_defaults(self):
         cfg = parse_config({})

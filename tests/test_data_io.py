@@ -67,6 +67,17 @@ class TestReadCsv:
             read_csv(write(tmp_path, "a\nx\ny\nz\n"), schema_hints={"a": "binary"})
 
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "Infinity"])
+    def test_non_finite_continuous_cell_rejected(self, tmp_path, token):
+        path = write(tmp_path, f"a,b\n1.0,2.0\n3.0,4.0\n{token},5.0\n")
+        with pytest.raises(DataError) as err:
+            read_csv(path)
+        message = str(err.value)
+        assert str(path) in message
+        assert "line 4" in message
+        assert "'a'" in message
+
+
 class TestWriteCsv:
     def test_round_trip_values_and_mask(self, tmp_path):
         text = "a,b,c\n1.5,yes,red\n,no,green\n2.5,,blue\n"

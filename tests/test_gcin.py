@@ -14,8 +14,9 @@ from gcmi import (
     train_gcin,
 )
 from gcmi.gcin import _disc_grads, _gen_grads
-from gcmi.losses import binary_cross_entropy_clipped, discriminator_loss, generator_loss
-from gcmi.nn import forward, mlp_new
+from gcmi.losses import accuracy_penalty, discriminator_loss, generator_loss
+from gcmi.nn import ParamGrads, adam_new, adam_step, backward_with_input_grads, forward, mlp_new
+from gcmi.seeding import canonical_seed
 
 FAST = TrainConfig(max_epochs=150, batch_size=64, noise_dim=4, seed=0)
 
@@ -75,7 +76,8 @@ class TestComposedGradients:
         if kind == "continuous":
             pen = float(np.mean((fake - target) ** 2))
         else:
-            pen = float(np.mean(binary_cross_entropy_clipped(target, fake).sum(axis=1)))
+            clipped = np.clip(fake, 1e-12, 1.0 - 1e-12)
+            pen = float(np.mean(accuracy_penalty(target, clipped, "binary").sum(axis=1)))
         return adv + lam * pen
 
     @pytest.mark.parametrize("kind,seed", [("continuous", 0), ("binary", 1), ("continuous", 2)])
@@ -207,6 +209,106 @@ class TestTrainGcin:
         absurd = TrainConfig(max_epochs=60, lr_generator=1e150, batch_size=16, seed=0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
             train_gcin(X, X.sum(axis=1), "continuous", absurd)
+
+
+def reference_train(X, y, kind, cfg, n_levels=None):
+    """A plain training loop from the public nn functions, with the same
+    RNG draws and the same real-then-fake discriminator order as
+    ``train_gcin``; it runs whole cycles and never stops early."""
+    X = np.asarray(X, dtype=float)
+    n, width = X.shape
+    if kind == "continuous":
+        col = y[:, None]
+        target = (col - col.mean(axis=0)) / col.std(axis=0)
+    elif kind == "binary":
+        target = y[:, None].copy()
+    else:
+        target = np.zeros((n, n_levels))
+        target[np.arange(n), y.astype(int)] = 1.0
+    cond = (X - X.mean(axis=0)) / X.std(axis=0)
+    seed = canonical_seed(cfg.seed)
+    k = cfg.noise_dim
+    hidden = scale_architecture(n, width + 1)
+    head = "identity" if kind == "continuous" else "sigmoid"
+    gen = mlp_new(width + k, hidden, target.shape[1], head, seed=seed)
+    disc = mlp_new(width + target.shape[1], hidden, 1, "scaled_sigmoid_0_2", seed=seed ^ 1)
+    gen_opt = adam_new(gen, cfg.lr_generator, cfg.l2)
+    disc_opt = adam_new(disc, cfg.lr_discriminator, cfg.l2)
+    rng = np.random.default_rng([seed, 2])
+    batch = min(cfg.batch_size, n)
+
+    def draw():
+        idx = np.arange(n) if batch >= n else rng.choice(n, size=batch, replace=False)
+        return cond[idx], target[idx], rng.standard_normal((idx.size, k))
+
+    for _ in range(cfg.max_epochs // cfg.gen_iters_per_cycle):
+        for _ in range(cfg.disc_iters_per_cycle):
+            c, t, z = draw()
+            real_in = np.hstack([c, t])
+            fake_in = np.hstack([c, forward(gen, np.hstack([c, z]))])
+            d_real = forward(disc, real_in)
+            d_fake = forward(disc, fake_in)
+            real, _ = backward_with_input_grads(disc, real_in, (d_real - 2.0) / batch)
+            fake, _ = backward_with_input_grads(disc, fake_in, d_fake / batch)
+            summed = ParamGrads(
+                [a + b for a, b in zip(real.d_weights, fake.d_weights)],
+                [a + b for a, b in zip(real.d_biases, fake.d_biases)],
+            )
+            adam_step(disc, summed, disc_opt)
+        for _ in range(cfg.gen_iters_per_cycle):
+            c, t, z = draw()
+            gen_in = np.hstack([c, z])
+            fake = forward(gen, gen_in)
+            disc_in = np.hstack([c, fake])
+            d_fake = forward(disc, disc_in)
+            _, d_in = backward_with_input_grads(disc, disc_in, (d_fake - 1.0) / batch)
+            lam = cfg.acc_penalty_weight
+            if kind == "continuous":
+                pen_grad = lam * 2.0 * (fake - t) / batch
+            else:
+                p = np.clip(fake, 1e-12, 1.0 - 1e-12)
+                pen_grad = lam * (p - t) / (p * (1.0 - p)) / batch
+            grads, _ = backward_with_input_grads(gen, gen_in, d_in[:, width:] + pen_grad)
+            adam_step(gen, grads, gen_opt)
+    return gen, disc
+
+
+class TestTrainGcinMatchesReferenceLoop:
+    """``train_gcin`` must reproduce the plain loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kind,n_levels,n_rows",
+        [
+            ("continuous", None, 300),
+            ("binary", None, 300),
+            ("categorical", 3, 300),
+            ("continuous", None, 40),  # fewer rows than the batch: every row, every update
+        ],
+    )
+    def test_weights_bit_identical(self, kind, n_levels, n_rows):
+        rng = np.random.default_rng(29)
+        X = rng.normal(size=(n_rows, 4))
+        if kind == "continuous":
+            y = X @ np.array([1.0, -0.5, 0.25, 0.0]) + rng.normal(size=n_rows)
+        elif kind == "binary":
+            y = (X[:, 0] + rng.normal(size=n_rows) > 0).astype(float)
+        else:
+            y = np.digitize(X[:, 0], [-0.5, 0.5]).astype(float)
+        cfg = TrainConfig(
+            max_epochs=24,
+            gen_iters_per_cycle=6,
+            disc_iters_per_cycle=3,
+            batch_size=64,
+            noise_dim=3,
+            early_stop_patience=1000,
+            seed=5,
+        )
+        pair, trace = train_gcin(X, y, kind, cfg, n_levels=n_levels)
+        gen, disc = reference_train(X, y, kind, cfg, n_levels)
+        assert len(trace) == 4
+        for trained, reference in ((pair.generator, gen), (pair.discriminator, disc)):
+            for a, b in zip(trained.weights + trained.biases, reference.weights + reference.biases):
+                assert a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -16,6 +16,7 @@ from gcmi import (
     generator_loss,
     optimal_discriminator,
 )
+from gcmi.losses import accuracy_penalty_grad
 
 
 def random_dist_pair(rng, size):
@@ -125,6 +126,44 @@ class TestAccuracyPenalty:
     def test_vectorized(self):
         out = accuracy_penalty(np.array([0.0, 1.0]), np.array([0.5, 0.5]), "binary")
         assert np.allclose(out, np.log(2.0))
+
+
+class TestAccuracyPenaltyGrad:
+    @pytest.mark.parametrize("kind,width", [("continuous", 1), ("binary", 1), ("categorical", 3)])
+    def test_gradient_matches_finite_differences(self, kind, width):
+        rng = np.random.default_rng(37)
+        n, weight = 7, 0.7
+        if kind == "continuous":
+            target = rng.normal(size=(n, width))
+            generated = rng.normal(size=(n, width))
+        else:
+            target = (rng.random((n, width)) < 0.5).astype(float)
+            generated = rng.uniform(0.05, 0.95, size=(n, width))
+        _, grad = accuracy_penalty_grad(target, generated, kind, weight)
+        h = 1e-6
+        for idx in np.ndindex(*generated.shape):
+            up, down = generated.copy(), generated.copy()
+            up[idx] += h
+            down[idx] -= h
+            fd = weight * (
+                accuracy_penalty_grad(target, up, kind)[0]
+                - accuracy_penalty_grad(target, down, kind)[0]
+            ) / (2 * h)
+            assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+    def test_value_is_row_mean_of_elementwise_penalty(self):
+        target = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        generated = np.array([[0.2, 0.7, 0.1], [0.6, 0.3, 0.1]])
+        value, _ = accuracy_penalty_grad(target, generated, "categorical")
+        expected = accuracy_penalty(target, generated, "binary").sum(axis=1).mean()
+        assert value == pytest.approx(expected)
+        value, _ = accuracy_penalty_grad(target[:, :1], generated[:, :1], "continuous")
+        expected = accuracy_penalty(target[:, :1], generated[:, :1], "continuous").mean()
+        assert value == pytest.approx(expected)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            accuracy_penalty_grad(np.zeros((2, 1)), np.zeros((2, 1)), "ordinal")
 
 
 class TestDiscreteDist:

@@ -1,6 +1,9 @@
 """Network building blocks: forward/backward against finite differences,
 Adam closed forms, determinism, output ranges, checkpoint round trip."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +247,25 @@ class TestAdam:
             adam_step(mlp, backward(mlp, x, g), state)
             results.append(np.concatenate([w.ravel() for w in mlp.weights]))
         assert np.array_equal(results[0], results[1])
+
+
+class TestFlatParameters:
+    def test_weights_and_biases_are_views_of_params(self):
+        mlp = mlp_new(3, [4], 2, "identity", 1)
+        mlp.params[:] = 0.0
+        assert all(not w.any() for w in mlp.weights + mlp.biases)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+    def test_copies_keep_their_own_flat_buffer(self, clone):
+        mlp = mlp_new(3, [4], 2, "identity", 1)
+        twin = clone(mlp)
+        state = adam_new(twin, learning_rate=0.1)
+        grads = backward(twin, np.ones((2, 3)), np.ones((2, 2)))
+        adam_step(twin, clone(grads), state)
+        assert twin.weights[0].base is twin.params
+        assert not np.array_equal(twin.weights[0], mlp.weights[0])
+        assert np.array_equal(twin.params, np.concatenate([a.ravel() for a in (
+            twin.weights[0], twin.biases[0], twin.weights[1], twin.biases[1])]))
 
 
 class TestCheckpoint:
