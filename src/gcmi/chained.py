@@ -17,7 +17,7 @@ import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -257,7 +257,7 @@ def _run_chain(
     if not cols:
         return filled.values, trace
 
-    chain_cfg = GcmiConfig(**{**_shallow_config_dict(cfg), "seed": chain_seed})
+    chain_cfg = replace(cfg, seed=chain_seed)
     current = filled.values
     best = current
     best_score = np.inf
@@ -279,18 +279,6 @@ def _run_chain(
     else:
         trace.stop_reason = "max_iters"
     return best, trace
-
-
-def _shallow_config_dict(cfg: GcmiConfig) -> dict:
-    return {
-        "max_chain_iters": cfg.max_chain_iters,
-        "m_imputations": cfg.m_imputations,
-        "column_parallelism": cfg.column_parallelism,
-        "train": cfg.train,
-        "initial_fill": cfg.initial_fill,
-        "seed": cfg.seed,
-        "workers": cfg.workers,
-    }
 
 
 def gcmi_impute(dm: DataMatrix, cfg: GcmiConfig | None = None) -> ImputationResult:
@@ -366,7 +354,7 @@ def save_result(result: ImputationResult, out_dir: str | Path, stem: str = "impu
     manifest = {
         "m_imputations": result.m,
         "chain_seeds": result.chain_seeds,
-        "config": _config_dict(result.config),
+        "config": asdict(result.config),
         "traces": [
             {
                 "gamma_num": t.gamma_num,
@@ -386,8 +374,3 @@ def save_result(result: ImputationResult, out_dir: str | Path, stem: str = "impu
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     paths.append(manifest_path)
     return paths
-
-
-def _config_dict(cfg: GcmiConfig) -> dict:
-    out = asdict(cfg)
-    return out

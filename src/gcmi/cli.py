@@ -175,6 +175,12 @@ def _cmd_ampute(args, cfg: RunConfig) -> int:
     if dm.mask.any():
         raise DataError(f"{input_path}: amputation input must be complete")
     mask = ampute(dm.values, spec)
+    for col, emptied in zip(dm.schema, mask.all(axis=0).tolist()):
+        if emptied:
+            raise DataError(
+                f"{input_path}: {spec.label} deletes every cell of column {col.name!r}; "
+                "no files written"
+            )
     amputed = DataMatrix(list(dm.schema), np.where(mask, np.nan, dm.values), mask)
     prefix = args.out_prefix or job.out_prefix
     out = _out_dir(cfg)

@@ -10,6 +10,7 @@ a boolean mask (True = missing).
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import warnings
 from dataclasses import dataclass
@@ -122,19 +123,50 @@ def matrix_from_array(
     return DataMatrix(schema, values, mask)
 
 
-def _try_float(token: str) -> float | None:
-    try:
-        return float(token)
-    except ValueError:
-        return None
+def _parse_column(
+    path: Path, name: str, tokens: list[str], miss: np.ndarray, hint: str | None
+) -> tuple[ColumnSchema, np.ndarray]:
+    """Schema and values of one column whose observed cells are ``~miss``.
 
-
-def _infer_kind(observed: list[str]) -> str:
-    if all(_try_float(tok) is not None for tok in observed):
-        return "continuous"
-    if len(set(observed)) == 2:
-        return "binary"
-    return "categorical"
+    A column is continuous when every observed token parses as a float
+    (one ``np.array(..., dtype=float)`` attempt), otherwise coded by its
+    sorted distinct tokens; ``hint`` overrides the inference.
+    """
+    values = np.full(len(tokens), np.nan)
+    observed = [tok for tok, m in zip(tokens, miss.tolist()) if not m]
+    if not observed:
+        kind = "continuous" if hint is None else hint
+        return ColumnSchema(name, kind, ("0", "1") if kind == "binary" else ()), values
+    parsed = None
+    if hint in (None, "", "continuous"):
+        try:
+            parsed = np.array(observed, dtype=float)
+        except ValueError:
+            if hint == "continuous":
+                for tok in observed:
+                    try:
+                        float(tok)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: column {name!r} hinted continuous but {tok!r} is not numeric"
+                        ) from None
+    if parsed is not None:
+        values[~miss] = parsed
+        bad = np.flatnonzero(~np.isfinite(values) & ~miss)
+        if bad.size:
+            i = int(bad[0])
+            raise DataError(
+                f"{path}: line {i + 2}, column {name!r}: non-finite value {tokens[i]!r}"
+            )
+        return ColumnSchema(name, "continuous"), values
+    levels = tuple(sorted(set(observed)))
+    kind = hint or ("binary" if len(levels) == 2 else "categorical")
+    if kind == "binary" and len(levels) != 2:
+        raise DataError(f"{path}: column {name!r} hinted binary but has {len(levels)} levels")
+    col = ColumnSchema(name, kind, levels)
+    code = {lev: i for i, lev in enumerate(levels)}
+    values[~miss] = list(map(code.__getitem__, observed))
+    return col, values
 
 
 def read_csv(
@@ -159,67 +191,26 @@ def read_csv(
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        p = len(header)
         rows: list[list[str]] = []
         for lineno, row in enumerate(reader, start=2):
-            if not row and len(header) == 1:
+            if not row and p == 1:
                 row = [""]  # blank line in a one-column file is a missing cell
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: line {lineno} has {len(row)} fields, expected {len(header)}"
-                )
-            rows.append([tok.strip() for tok in row])
+            if len(row) != p:
+                raise DataError(f"{path}: line {lineno} has {len(row)} fields, expected {p}")
+            rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
 
-    n, p = len(rows), len(header)
-    values = np.full((n, p), np.nan)
-    mask = np.zeros((n, p), dtype=bool)
+    n = len(rows)
+    values = np.empty((n, p))
+    mask = np.empty((n, p), dtype=bool)
     schema: list[ColumnSchema] = []
-    for j, name in enumerate(header):
-        col_tokens = [row[j] for row in rows]
-        observed = [tok for tok in col_tokens if tok not in missing]
-        if not observed:
-            kind = hints.get(name, "continuous")
-            schema.append(
-                ColumnSchema(name, kind, ("0", "1") if kind == "binary" else ())
-            )
-            mask[:, j] = True
-            continue
-        kind = hints.get(name) or _infer_kind(observed)
-        if kind == "continuous":
-            parsed = []
-            for tok in observed:
-                val = _try_float(tok)
-                if val is None:
-                    raise DataError(
-                        f"{path}: column {name!r} hinted continuous but {tok!r} is not numeric"
-                    )
-                parsed.append(val)
-            levels: tuple[str, ...] = ()
-            col_schema = ColumnSchema(name, "continuous")
-        else:
-            levels = tuple(sorted(set(observed)))
-            if kind == "binary" and len(levels) != 2:
-                raise DataError(
-                    f"{path}: column {name!r} hinted binary but has {len(levels)} levels"
-                )
-            col_schema = ColumnSchema(name, kind, levels)
-        code = {lev: float(i) for i, lev in enumerate(levels)}
-        for i, tok in enumerate(col_tokens):
-            if tok in missing:
-                mask[i, j] = True
-            elif kind == "continuous":
-                values[i, j] = float(tok)
-            else:
-                values[i, j] = code[tok]
-        if kind == "continuous":
-            bad = np.flatnonzero(~np.isfinite(values[:, j]) & ~mask[:, j])
-            if bad.size:
-                i = int(bad[0])
-                raise DataError(
-                    f"{path}: line {i + 2}, column {name!r}: non-finite value {col_tokens[i]!r}"
-                )
-        schema.append(col_schema)
+    for j, (name, column) in enumerate(zip(header, zip(*rows))):
+        tokens = list(map(str.strip, column))
+        mask[:, j] = list(map(missing.__contains__, tokens))
+        col, values[:, j] = _parse_column(path, name, tokens, mask[:, j], hints.get(name))
+        schema.append(col)
 
     dm = DataMatrix(schema, values, mask)
     logger.info(
@@ -232,34 +223,74 @@ def read_csv(
     return dm
 
 
-def _format_cell(value: float, col: ColumnSchema) -> str:
-    if col.kind == "continuous":
-        return repr(float(value))
-    return col.levels[int(value)]
+# Rows formatted and written per block: bounds the writers' memory.
+_BLOCK_ROWS = 4096
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer spells it inside a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def _csv_lines(columns: list[list[str]], n: int) -> str:
+    """``n`` CSV lines from per-column lists of already quoted fields."""
+    if not columns:
+        return "\r\n" * n
+    lines = map(",".join, zip(*columns))
+    if len(columns) == 1:  # csv.writer quotes a row whose only field is empty
+        lines = ('""' if line == "" else line for line in lines)
+    return "\r\n".join(lines) + "\r\n"
+
+
+def _write_table(path: str | Path, names: list[str], n_rows: int, block) -> None:
+    """Header plus ``n_rows`` rows; ``block(s, e)`` gives rows s:e as columns of fields."""
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_lines([[_csv_field(name)] for name in names], 1))
+        for s in range(0, n_rows, _BLOCK_ROWS):
+            e = min(s + _BLOCK_ROWS, n_rows)
+            fh.write(_csv_lines(block(s, e), e - s))
 
 
 def write_csv(dm: DataMatrix, path: str | Path) -> None:
-    """Write a DataMatrix as CSV; missing cells become empty fields."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([c.name for c in dm.schema])
-        for i in range(dm.n_rows):
-            writer.writerow(
-                [
-                    "" if dm.mask[i, j] else _format_cell(dm.values[i, j], col)
-                    for j, col in enumerate(dm.schema)
-                ]
-            )
+    """Write a DataMatrix as CSV; missing cells become empty fields.
+
+    Continuous cells are written as ``repr(float)``, coded cells as their
+    level strings.
+    """
+    # per coded column: its quoted levels by code, then "" for a missing cell
+    level_fields = [
+        None if col.kind == "continuous" else [*map(_csv_field, col.levels), ""]
+        for col in dm.schema
+    ]
+
+    def block(s: int, e: int) -> list[list[str]]:
+        columns = []
+        for j, table in enumerate(level_fields):
+            miss = dm.mask[s:e, j]
+            if table is None:
+                cells = list(map(repr, dm.values[s:e, j].tolist()))
+                for i in np.flatnonzero(miss).tolist():
+                    cells[i] = ""
+            else:
+                codes = np.where(miss, len(table) - 1, dm.values[s:e, j]).astype(int)
+                cells = list(map(table.__getitem__, codes.tolist()))
+            columns.append(cells)
+        return columns
+
+    _write_table(path, [c.name for c in dm.schema], dm.n_rows, block)
 
 
 def write_mask_csv(mask: np.ndarray, names: list[str], path: str | Path) -> None:
     """Companion 0/1 mask file (1 = missing), same header as the values."""
     mask = np.asarray(mask, dtype=bool)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in mask:
-            writer.writerow(["1" if cell else "0" for cell in row])
+    digits = ("0", "1")
+
+    def block(s: int, e: int) -> list[list[str]]:
+        return [list(map(digits.__getitem__, col)) for col in mask[s:e].T.tolist()]
+
+    _write_table(path, names, len(mask), block)
 
 
 @dataclass

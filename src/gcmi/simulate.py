@@ -155,18 +155,26 @@ def ampute_mar(
 
     The conditioning columns stay fully observed.  ``beta`` is
     (len(cond_cols), len(target_cols)); unspecified coefficients draw from
-    Unif[-1, 1].
+    Unif[-1, 1].  A table too narrow for the named columns, or with no
+    target column left, raises ConfigError.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
     cond_cols = tuple(cond_cols)
+    need = max(cond_cols, default=-1) + 1
     if target_cols is None:
+        named = f"cond_cols {cond_cols}"
+        if len(set(cond_cols)) >= need:
+            need += 1  # room for at least one target column
         target_cols = tuple(j for j in range(p) if j not in cond_cols)
-    target_cols = tuple(target_cols)
+    else:
+        target_cols = tuple(target_cols)
+        named = f"cond_cols {cond_cols} and target_cols {target_cols}"
+        need = max(need, max(target_cols, default=-1) + 1)
     if set(cond_cols) & set(target_cols):
         raise ValueError("conditioning and target columns must be disjoint")
-    if max(cond_cols, default=-1) >= p or max(target_cols, default=-1) >= p:
-        raise ShapeError("column index out of range")
+    if p < need:
+        raise ConfigError(f"MAR {named} need at least {need} columns; the table has {p}")
     rng = spawn_rng(seed, 11)
     if beta is None:
         beta = rng.uniform(-1.0, 1.0, size=(len(cond_cols), len(target_cols)))

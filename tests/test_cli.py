@@ -172,6 +172,40 @@ class TestBadArgumentsExitCleanly:
         assert run(argv) == 1
         self.assert_one_line(capsys)
 
+    def test_mar_on_too_narrow_table(self, tmp_path, complete_csv, capsys):
+        argv = ["--output-dir", str(tmp_path), "ampute", str(complete_csv), "--mechanism", "mar"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == (
+            "configuration error: MAR cond_cols (0, 1, 2, 3) need at least 5 columns; "
+            "the table has 2"
+        )
+        assert not list(tmp_path.glob("amputed_*"))
+
+    def test_benchmark_mar_on_too_narrow_table(self, tmp_path, capsys):
+        cfg = {
+            "benchmark": {
+                "synthetic": {"n": 30, "p": 3},
+                "mechanisms": [{"mechanism": "mar"}],
+                "methods": [{"kind": "mean"}],
+                "mc_repeats": 2,
+            },
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["--config", str(cfg_path), "--output-dir", str(tmp_path), "benchmark"]
+        assert run(argv) == 1
+        self.assert_one_line(capsys)
+
+    def test_mnar_deleting_a_whole_column_writes_nothing(self, tmp_path, complete_csv, capsys):
+        # the default MNAR line clamp(-1.5 + 3 x, 0, 1) deletes every value above 0.83
+        argv = ["--output-dir", str(tmp_path), "ampute", str(complete_csv), "--mechanism", "mnar"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "column 'a'" in err
+        assert not list(tmp_path.glob("amputed_*"))
+
     @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
     def test_non_finite_input_cell_is_data_error(self, tmp_path, token, capsys):
         path = tmp_path / "x.csv"

@@ -7,6 +7,7 @@ from scipy import stats
 
 from gcmi import (
     AmputationSpec,
+    ConfigError,
     SyntheticSpec,
     ampute,
     ampute_mar,
@@ -145,6 +146,25 @@ class TestMar:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
             ampute_mar(np.zeros((10, 6)), cond_cols=(0, 1, 2, 3), target_cols=(3, 4))
+
+    @pytest.mark.parametrize(
+        "p, kwargs, message",
+        [
+            (2, {}, "MAR cond_cols (0, 1, 2, 3) need at least 5 columns; the table has 2"),
+            (4, {}, "MAR cond_cols (0, 1, 2, 3) need at least 5 columns; the table has 4"),
+            (
+                5,
+                {"target_cols": (5,)},
+                "MAR cond_cols (0, 1, 2, 3) and target_cols (5,) need at least 6 columns; "
+                "the table has 5",
+            ),
+        ],
+        ids=["two_columns", "no_target_column", "target_out_of_range"],
+    )
+    def test_too_narrow_table_names_the_columns(self, p, kwargs, message):
+        with pytest.raises(ConfigError) as err:
+            ampute_mar(np.zeros((10, p)), **kwargs)
+        assert str(err.value) == message
 
     def test_beta_shape_checked(self):
         with pytest.raises(Exception):
