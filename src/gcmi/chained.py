@@ -35,7 +35,7 @@ from .errors import (
     ShapeError,
     UnimputableColumnError,
 )
-from .gcin import TrainConfig, impute_column, train_gcin, with_seed
+from .gcin import TrainConfig, impute_column, train_gcin
 from .seeding import spawn_rng
 
 # Columns with fewer observed rows than this fall back to the initial fill.
@@ -206,7 +206,7 @@ def _refit_column(
         cond[~miss],
         values[~miss, j],
         col.kind,
-        with_seed(cfg.train, seed),
+        replace(cfg.train, seed=seed),
         n_levels=len(col.levels) if col.kind == "categorical" else None,
         column_index=j,
     )

@@ -132,10 +132,15 @@ def _parse_column(
     (one ``np.array(..., dtype=float)`` attempt), otherwise coded by its
     sorted distinct tokens; ``hint`` overrides the inference.
     """
+    if hint not in (None, "", *KINDS):
+        raise DataError(
+            f"{path}: column {name!r} has unknown kind {hint!r} in schema_hints; "
+            f"expected one of {', '.join(KINDS)}"
+        )
     values = np.full(len(tokens), np.nan)
     observed = [tok for tok, m in zip(tokens, miss.tolist()) if not m]
-    if not observed:
-        kind = "continuous" if hint is None else hint
+    if not observed and hint != "categorical":
+        kind = hint or "continuous"
         return ColumnSchema(name, kind, ("0", "1") if kind == "binary" else ()), values
     parsed = None
     if hint in (None, "", "continuous"):
@@ -163,6 +168,11 @@ def _parse_column(
     kind = hint or ("binary" if len(levels) == 2 else "categorical")
     if kind == "binary" and len(levels) != 2:
         raise DataError(f"{path}: column {name!r} hinted binary but has {len(levels)} levels")
+    if len(levels) < 2:
+        raise DataError(
+            f"{path}: column {name!r} has {len(levels)} distinct level(s); "
+            "a binary or categorical column needs at least 2"
+        )
     col = ColumnSchema(name, kind, levels)
     code = {lev: i for i, lev in enumerate(levels)}
     values[~miss] = list(map(code.__getitem__, observed))

@@ -15,7 +15,7 @@ are renormalised at sampling time.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from .nn import (
     adam_new,
     adam_step,
     _backward_from_cache,
+    _delta_buffers,
     _forward_cache,
     _hidden_buffers,
     forward,
@@ -187,62 +188,61 @@ def _encode_target(x_target: np.ndarray, kind: str, n_levels: int | None):
 
 class _Workspace:
     """Buffers one fit reuses on every update: the conditioning, noise and
-    target rows of a minibatch, the generator input (cond | z), the
-    discriminator inputs (cond | target) and (cond | fake), the hidden
-    activations of the generator and of the discriminator's real and fake
-    passes, the gradients each network carries between its hidden layers,
-    and the parameter gradients of both networks."""
+    target rows of a minibatch, the generator input (cond | z | 1), the
+    stacked discriminator input with rows (cond | target | 1) on top of
+    rows (cond | fake | 1), the hidden activations and the gradients carried
+    between hidden layers of both networks, and both networks' parameter
+    gradients.  ``fake_in``, ``fake_hidden`` and ``fake_deltas`` view the
+    fake half of the discriminator's buffers, for the generator step."""
 
     def __init__(self, gen: Mlp, disc: Mlp, batch: int, cond_width: int):
         self.cond = np.empty((batch, cond_width))
         self.z = np.empty((batch, gen.input_dim - cond_width))
         self.target = np.empty((batch, disc.input_dim - cond_width))
-        self.gen_in = np.empty((batch, gen.input_dim))
-        self.real_in = np.empty((batch, disc.input_dim))
-        self.fake_in = np.empty((batch, disc.input_dim))
+        self.gen_in = np.ones((batch, gen.input_dim + 1))
+        self.disc_in = np.ones((2 * batch, disc.input_dim + 1))
         self.gen_hidden = _hidden_buffers(gen, batch)
-        self.real_hidden = _hidden_buffers(disc, batch)
-        self.fake_hidden = _hidden_buffers(disc, batch)
-        self.gen_deltas = _hidden_buffers(gen, batch)
-        self.disc_deltas = _hidden_buffers(disc, batch)
+        self.disc_hidden = _hidden_buffers(disc, 2 * batch)
+        self.gen_deltas = _delta_buffers(gen, batch)
+        self.disc_deltas = _delta_buffers(disc, 2 * batch)
+        self.fake_in = self.disc_in[batch:]
+        self.fake_hidden = [h[batch:] for h in self.disc_hidden]
+        self.fake_deltas = [d[batch:] for d in self.disc_deltas]
         self.gen_grads = ParamGrads.zeros_like(gen)
         self.disc_grads = ParamGrads.zeros_like(disc)
-        self.disc_grads_fake = ParamGrads.zeros_like(disc)
 
 
 def _fill(buf: np.ndarray, cond: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Write (cond | tail) into ``buf`` and return it."""
+    """Write (cond | tail) into ``buf`` ahead of its ones column; return it."""
     width = cond.shape[1]
     buf[:, :width] = cond
-    buf[:, width:] = tail
+    buf[:, width:-1] = tail
     return buf
 
 
 def _disc_grads(
-    disc: Mlp,
-    real_inputs: np.ndarray,
-    fake_inputs: np.ndarray,
-    ws: _Workspace | None = None,
+    disc: Mlp, inputs: np.ndarray, ws: _Workspace | None = None
 ) -> tuple[float, ParamGrads]:
     """Loss and parameter gradients for one discriminator update.
 
-    The real and fake passes are backpropagated separately and their
-    gradients then added, into ``ws`` when given.
+    ``inputs`` stacks the real rows (cond | target | 1) on top of as many
+    fake rows (cond | fake | 1); one forward and one backward pass over
+    the stack, with output gradient [(d_real - 2) / B; d_fake / B], give
+    the summed gradient of both halves, in ``ws`` when given.
     """
+    n = inputs.shape[0] // 2
     if ws is None:
-        real_hidden = fake_hidden = deltas = None
-        grads, grads_fake = ParamGrads.zeros_like(disc), ParamGrads.zeros_like(disc)
+        hidden = deltas = None
+        grads = ParamGrads.zeros_like(disc)
     else:
-        real_hidden, fake_hidden, deltas = ws.real_hidden, ws.fake_hidden, ws.disc_deltas
-        grads, grads_fake = ws.disc_grads, ws.disc_grads_fake
-    d_real, real_acts = _forward_cache(disc, real_inputs, real_hidden)
-    d_fake, fake_acts = _forward_cache(disc, fake_inputs, fake_hidden)
-    loss = discriminator_loss(d_real, d_fake)
-    g_real = (d_real - REAL_TARGET) / d_real.shape[0]
-    g_fake = d_fake / d_fake.shape[0]
-    _backward_from_cache(disc, real_acts, d_real, g_real, grads, False, deltas)
-    _backward_from_cache(disc, fake_acts, d_fake, g_fake, grads_fake, False, deltas)
-    return loss, grads.accumulate(grads_fake)
+        hidden, deltas, grads = ws.disc_hidden, ws.disc_deltas, ws.disc_grads
+    d, acts = _forward_cache(disc, inputs, hidden)
+    loss = discriminator_loss(d[:n], d[n:])
+    out_grad = d.copy()
+    out_grad[:n] -= REAL_TARGET
+    out_grad /= n
+    _backward_from_cache(disc, acts, d, out_grad, grads, None, deltas)
+    return loss, grads
 
 
 def _gen_grads(
@@ -258,9 +258,9 @@ def _gen_grads(
     """Adversarial + accuracy loss and generator gradients for one update.
 
     Backpropagates through the frozen discriminator into the generated
-    values and from there through the generator.  The discriminator's own
-    parameter gradients are never formed.  Inputs and gradients are built
-    in ``ws`` when given.
+    values only (the target columns of its input) and from there through
+    the generator.  The discriminator's own parameter gradients are never
+    formed.  Inputs and gradients are built in ``ws`` when given.
     """
     n, width = cond.shape
     if ws is None:
@@ -270,12 +270,12 @@ def _gen_grads(
 
     adv_loss = generator_loss(d_fake)
     d_out_grad = (d_fake - GEN_TARGET) / n
-    disc_in_grads = _backward_from_cache(
-        disc, disc_acts, d_fake, d_out_grad, None, True, ws.disc_deltas
+    fake_grad = _backward_from_cache(
+        disc, disc_acts, d_fake, d_out_grad, None, slice(width, disc.input_dim), ws.fake_deltas
     )
     pen, pen_grad = accuracy_penalty_grad(target_enc, fake, kind, acc_weight)
-    fake_grad = disc_in_grads[:, width:] + pen_grad
-    _backward_from_cache(gen, gen_acts, fake, fake_grad, ws.gen_grads, False, ws.gen_deltas)
+    fake_grad += pen_grad
+    _backward_from_cache(gen, gen_acts, fake, fake_grad, ws.gen_grads, None, ws.gen_deltas)
     return adv_loss, pen, ws.gen_grads
 
 
@@ -347,12 +347,9 @@ def train_gcin(
         for _ in range(cfg.disc_iters_per_cycle):
             draw()
             fake, _ = _forward_cache(gen, _fill(ws.gen_in, ws.cond, ws.z), ws.gen_hidden)
-            loss, grads = _disc_grads(
-                disc,
-                _fill(ws.real_in, ws.cond, ws.target),
-                _fill(ws.fake_in, ws.cond, fake),
-                ws,
-            )
+            _fill(ws.disc_in[:batch], ws.cond, ws.target)
+            _fill(ws.fake_in, ws.cond, fake)
+            loss, grads = _disc_grads(disc, ws.disc_in, ws)
             adam_step(disc, grads, disc_opt)
             disc_losses.append(loss)
 
@@ -440,8 +437,3 @@ def impute_column(
     cum = np.cumsum(probs, axis=1)
     u = rng.random((n_mis, 1))
     return np.argmax(u < cum, axis=1).astype(float)
-
-
-def with_seed(cfg: TrainConfig, seed: int) -> TrainConfig:
-    """Copy of ``cfg`` with a different seed; used to derive per-column fits."""
-    return replace(cfg, seed=seed)

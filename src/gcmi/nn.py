@@ -6,6 +6,16 @@ output head, no autograd and no GPU.  An ``Mlp`` together with its
 ``AdamState`` is a single-owner mutable unit; independent networks may be
 trained in parallel but one network is never mutated concurrently.
 
+Layer layout: each layer stores its (in, out) weight matrix ``W`` row-major
+followed by its bias ``b``, so the layer's slice of the flat parameter
+buffer *is* the (in+1, out) matrix ``[W; b]`` (``Mlp.layers[i]``;
+``weights[i]`` and ``biases[i]`` view its rows).  The private forward and
+backward passes take inputs and keep hidden activations with a trailing
+column of ones, so each layer is one GEMM: ``a @ [W; b]`` forward (ReLU
+leaves the ones at 1) and ``a.T @ delta = [dW; db]`` backward, straight
+into the flat gradient.  The public ``forward``/``backward*`` take inputs
+without that column and append it themselves.
+
 Checkpoint layout (``save_mlp``/``load_mlp``): JSON object with keys
 ``format`` ("gcmi-mlp"), ``version`` (1), ``input_dim``, ``hidden_dims``,
 ``output_dim``, ``output_activation`` and ``layers``, a list of
@@ -42,17 +52,20 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.clip(out, _SIGMOID_CLIP, 1.0 - _SIGMOID_CLIP, out=out)
 
 
-def _pack(first: list[np.ndarray], second: list[np.ndarray]):
-    """Copy ``first[i]``, ``second[i]`` pairs back to back into one flat
-    float64 buffer; returns the buffer and two lists of views shaped like
-    the inputs."""
-    parts = [np.asarray(a, dtype=float) for pair in zip(first, second) for a in pair]
-    flat = np.concatenate([a.ravel() for a in parts])
-    views, start = [], 0
-    for a in parts:
-        views.append(flat[start : start + a.size].reshape(a.shape))
-        start += a.size
-    return flat, views[0::2], views[1::2]
+def _pack(weights: list[np.ndarray], biases: list[np.ndarray]):
+    """Copy each layer's ``W`` and ``b`` into one flat float64 buffer as the
+    (in+1, out) matrix ``[W; b]``; returns the buffer and the per-layer
+    views of ``[W; b]``, of ``W`` and of ``b``."""
+    shapes = [(np.shape(w)[0] + 1, np.shape(w)[1]) for w in weights]
+    flat = np.empty(sum(rows * cols for rows, cols in shapes))
+    layers, start = [], 0
+    for w, b, (rows, cols) in zip(weights, biases, shapes):
+        layer = flat[start : start + rows * cols].reshape(rows, cols)
+        layer[:-1] = w
+        layer[-1] = b
+        layers.append(layer)
+        start += rows * cols
+    return flat, layers, [layer[:-1] for layer in layers], [layer[-1] for layer in layers]
 
 
 @dataclass
@@ -61,14 +74,16 @@ class Mlp:
 
     ``weights[i]`` has shape (in_i, out_i) and ``biases[i]`` shape (out_i,);
     consecutive layer dimensions chain.  All parameters live in one flat
-    buffer, ``params`` (layer by layer, weights then biases); ``weights``
-    and ``biases`` are views into it, so write them in place.
+    buffer, ``params`` (layer by layer, weights then biases); ``layers[i]``
+    is layer i's (in_i+1, out_i) slice of it, ``[W; b]``, and ``weights``
+    and ``biases`` view its rows, so write them in place.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     output_activation: str
     params: np.ndarray = field(init=False, repr=False, compare=False)
+    layers: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.weights or len(self.weights) != len(self.biases):
@@ -82,7 +97,7 @@ class Mlp:
                 raise NumericError(f"layer {i}: non-finite parameters")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"unknown output_activation {self.output_activation!r}")
-        self.params, self.weights, self.biases = _pack(self.weights, self.biases)
+        self.params, self.layers, self.weights, self.biases = _pack(self.weights, self.biases)
 
     def __reduce__(self):
         # rebuild through __init__ so a copy or unpickled net is packed again
@@ -107,14 +122,18 @@ class Mlp:
 @dataclass
 class ParamGrads:
     """Per-layer gradients, shape-congruent with the owning Mlp and packed
-    into one flat buffer, ``flat``, laid out like ``Mlp.params``."""
+    into one flat buffer, ``flat``, laid out like ``Mlp.params``; ``layers[i]``
+    is the (in_i+1, out_i) matrix ``[dW; db]``."""
 
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    layers: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.flat, self.d_weights, self.d_biases = _pack(self.d_weights, self.d_biases)
+        self.flat, self.layers, self.d_weights, self.d_biases = _pack(
+            self.d_weights, self.d_biases
+        )
 
     def __reduce__(self):
         return (ParamGrads, (self.d_weights, self.d_biases))
@@ -122,10 +141,6 @@ class ParamGrads:
     @classmethod
     def zeros_like(cls, mlp: Mlp) -> "ParamGrads":
         return cls([np.zeros_like(w) for w in mlp.weights], [np.zeros_like(b) for b in mlp.biases])
-
-    def accumulate(self, other: "ParamGrads") -> "ParamGrads":
-        self.flat += other.flat
-        return self
 
 
 @dataclass
@@ -174,22 +189,29 @@ def mlp_new(
 
 
 def _check_inputs(mlp: Mlp, inputs: np.ndarray) -> np.ndarray:
+    """Validated inputs with the trailing ones column appended."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != mlp.input_dim:
         raise ShapeError(
             f"expected inputs of shape (batch, {mlp.input_dim}), got {inputs.shape}"
         )
-    return inputs
+    return np.hstack([inputs, np.ones((inputs.shape[0], 1))])
 
 
 def _hidden_buffers(mlp: Mlp, batch: int) -> list[np.ndarray]:
-    """One uninitialised (batch, width) array per hidden layer of ``mlp``.
+    """One (batch, width+1) array per hidden layer of ``mlp`` whose last
+    column holds ones.
 
-    ``_forward_cache`` can keep its activations in such a list, and
-    ``_backward_from_cache`` the gradients it carries between layers, so
-    that a training loop reuses them instead of allocating arrays of that
-    size on every update.
+    ``_forward_cache`` keeps its activations in such a list, so that a
+    training loop reuses them instead of allocating arrays of that size on
+    every update.
     """
+    return [np.ones((batch, width + 1)) for width in mlp.hidden_dims]
+
+
+def _delta_buffers(mlp: Mlp, batch: int) -> list[np.ndarray]:
+    """One uninitialised (batch, width) array per hidden layer of ``mlp``, for
+    the gradients ``_backward_from_cache`` carries between layers."""
     return [np.empty((batch, width)) for width in mlp.hidden_dims]
 
 
@@ -198,21 +220,18 @@ def _forward_cache(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass returning the output and every layer input (post-ReLU).
 
-    The hidden activations are written into ``hidden`` when it is given
-    (see ``_hidden_buffers``); the output is always a new array.
+    ``inputs`` carries a trailing column of ones, and so does every hidden
+    activation, written into ``hidden`` (see ``_hidden_buffers``; fresh
+    buffers when it is None).  The output is always a new array.
     """
+    if hidden is None:
+        hidden = _hidden_buffers(mlp, inputs.shape[0])
     acts = [inputs]
-    a = inputs
-    last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = np.matmul(a, w, out=None if hidden is None or i == last else hidden[i])
-        z += b
-        if i < last:
-            a = np.maximum(z, 0.0, out=z)
-            acts.append(a)
-        else:
-            a = _apply_output_activation(z, mlp.output_activation)
-    return a, acts
+    for layer, h in zip(mlp.layers, hidden):
+        np.matmul(acts[-1], layer, out=h[:, :-1])
+        acts.append(np.maximum(h, 0.0, out=h))
+    z = np.matmul(acts[-1], mlp.layers[-1])
+    return _apply_output_activation(z, mlp.output_activation), acts
 
 
 def _apply_output_activation(z: np.ndarray, activation: str) -> np.ndarray:
@@ -237,8 +256,7 @@ def _output_delta(out: np.ndarray, output_grads: np.ndarray, activation: str) ->
 
 def forward(mlp: Mlp, inputs: np.ndarray) -> np.ndarray:
     """Batched forward pass; returns (batch, output_dim)."""
-    inputs = _check_inputs(mlp, inputs)
-    out, _ = _forward_cache(mlp, inputs)
+    out, _ = _forward_cache(mlp, _check_inputs(mlp, inputs))
     return out
 
 
@@ -248,26 +266,29 @@ def _backward_from_cache(
     out: np.ndarray,
     output_grads: np.ndarray,
     grads: ParamGrads | None,
-    input_grads: bool,
-    hidden: list[np.ndarray] | None = None,
+    input_rows: slice | None,
+    deltas: list[np.ndarray] | None = None,
 ) -> np.ndarray | None:
     """Backpropagate ``output_grads`` through a cached forward pass.
 
-    Writes the parameter gradients into ``grads`` unless it is None, and
-    returns the gradient w.r.t. the inputs if ``input_grads`` asks for it
-    (None otherwise); work that neither needs is skipped.  The gradients
-    w.r.t. the hidden activations go into ``hidden`` when it is given; it
-    must not be the list holding ``acts``.
+    Writes the parameter gradients into ``grads`` unless it is None, one
+    ``acts[i].T @ delta`` per layer into ``grads.layers[i]``.  Returns the
+    gradient w.r.t. the input columns ``input_rows`` (rows of layer 0's
+    ``W``), or None when that is None; work that neither needs is skipped.
+    The gradients w.r.t. the hidden activations go into ``deltas`` when it
+    is given (see ``_delta_buffers``).
     """
     delta = _output_delta(out, output_grads, mlp.output_activation)
-    for i in range(len(mlp.weights) - 1, -1, -1):
+    for i in range(len(mlp.layers) - 1, -1, -1):
         if grads is not None:
-            np.matmul(acts[i].T, delta, out=grads.d_weights[i])
-            np.sum(delta, axis=0, out=grads.d_biases[i])
-        if i == 0 and not input_grads:
-            return None
-        w = mlp.weights[i]
-        buf = None if hidden is None or i == 0 else hidden[i - 1]
+            np.matmul(acts[i].T, delta, out=grads.layers[i])
+        if i == 0:
+            if input_rows is None:
+                return None
+            w = mlp.layers[0][input_rows]
+        else:
+            w = mlp.weights[i]
+        buf = None if deltas is None or i == 0 else deltas[i - 1]
         if w.shape[1] == 1:
             # delta @ w.T is an outer product here; einsum forms it with the
             # same bits and at a fraction of the cost of a matmul call
@@ -275,7 +296,7 @@ def _backward_from_cache(
         else:
             delta = np.matmul(delta, w.T, out=buf)
         if i > 0:
-            delta *= acts[i] > 0
+            delta *= acts[i][:, :-1] > 0
     return delta
 
 
@@ -302,7 +323,10 @@ def backward_with_input_grads(
         )
     out, acts = _forward_cache(mlp, inputs)
     grads = ParamGrads.zeros_like(mlp)
-    return grads, _backward_from_cache(mlp, acts, out, output_grads, grads, True)
+    input_grads = _backward_from_cache(
+        mlp, acts, out, output_grads, grads, slice(0, mlp.input_dim)
+    )
+    return grads, input_grads
 
 
 def adam_new(
@@ -334,18 +358,16 @@ def adam_new(
 def adam_step(mlp: Mlp, grads: ParamGrads, state: AdamState) -> tuple[Mlp, AdamState]:
     """One bias-corrected Adam update on grad + l2_coeff * param, in place,
     vectorised over the whole network's flat parameter buffer."""
-    if len(grads.d_weights) != len(mlp.weights):
+    if len(grads.layers) != len(mlp.layers):
         raise ShapeError("gradient layer count does not match network")
-    layers = zip(mlp.weights, mlp.biases, grads.d_weights, grads.d_biases)
-    for i, (w, b, dw, db) in enumerate(layers):
-        for grad, param in ((dw, w), (db, b)):
-            if grad.shape != param.shape:
-                raise ShapeError(
-                    f"layer {i}: gradient shape {grad.shape} != parameter shape {param.shape}"
-                )
+    for i, (grad, param) in enumerate(zip(grads.layers, mlp.layers)):
+        if grad.shape != param.shape:
+            raise ShapeError(
+                f"layer {i}: gradient shape {grad.shape} != parameter shape {param.shape}"
+            )
     if not np.isfinite(grads.flat).all():
-        for i, (dw, db) in enumerate(zip(grads.d_weights, grads.d_biases)):
-            if not (np.isfinite(dw).all() and np.isfinite(db).all()):
+        for i, grad in enumerate(grads.layers):
+            if not np.isfinite(grad).all():
                 raise NumericError(f"non-finite gradient in layer {i}")
     state.step_count += 1
     t = state.step_count

@@ -69,6 +69,29 @@ class TestReadCsv:
         with pytest.raises(DataError, match="3 levels"):
             read_csv(write(tmp_path, "a\nx\ny\nz\n"), schema_hints={"a": "binary"})
 
+    @pytest.mark.parametrize(
+        "text,hints,levels",
+        [
+            ("a,b\n1,x\n2,x\n3,\n4,x\n", None, 1),
+            ("a,b\n1,7\n2,7\n", {"b": "categorical"}, 1),
+            ("a,b\n1,\n2,NA\n", {"b": "categorical"}, 0),
+        ],
+    )
+    def test_coded_column_with_fewer_than_two_levels_rejected(self, tmp_path, text, hints, levels):
+        path = write(tmp_path, text)
+        with pytest.raises(DataError) as err:
+            read_csv(path, hints)
+        message = str(err.value)
+        assert str(path) in message
+        assert "column 'b'" in message
+        assert f"has {levels} distinct level(s)" in message
+
+    def test_unknown_hint_kind_rejected(self, tmp_path):
+        path = write(tmp_path, "a,b\n1,x\n2,y\n")
+        with pytest.raises(DataError, match="column 'b' has unknown kind 'ordinal'") as err:
+            read_csv(path, {"b": "ordinal"})
+        assert str(path) in str(err.value)
+
 
     @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "Infinity"])
     def test_non_finite_continuous_cell_rejected(self, tmp_path, token):
@@ -174,8 +197,13 @@ def reference_read_csv(path, schema_hints=None, missing_tokens=DEFAULT_MISSING_T
     for j, name in enumerate(header):
         col_tokens = [row[j] for row in rows]
         observed = [tok for tok in col_tokens if tok not in missing]
-        if not observed:
-            kind = hints.get(name, "continuous")
+        if hints.get(name) not in (None, "", *KINDS):
+            raise DataError(
+                f"{path}: column {name!r} has unknown kind {hints[name]!r} in schema_hints; "
+                f"expected one of {', '.join(KINDS)}"
+            )
+        if not observed and hints.get(name) != "categorical":
+            kind = hints.get(name) or "continuous"
             schema.append(ColumnSchema(name, kind, ("0", "1") if kind == "binary" else ()))
             mask[:, j] = True
             continue
@@ -198,6 +226,11 @@ def reference_read_csv(path, schema_hints=None, missing_tokens=DEFAULT_MISSING_T
             if kind == "binary" and len(levels) != 2:
                 raise DataError(
                     f"{path}: column {name!r} hinted binary but has {len(levels)} levels"
+                )
+            if len(levels) < 2:
+                raise DataError(
+                    f"{path}: column {name!r} has {len(levels)} distinct level(s); "
+                    "a binary or categorical column needs at least 2"
                 )
             col_schema = ColumnSchema(name, kind, levels)
         code = {lev: float(i) for i, lev in enumerate(levels)}

@@ -54,6 +54,23 @@ def assert_grads_close(analytic, numeric, rtol=1e-4):
         assert np.all(np.abs(a - n) / denom < rtol)
 
 
+def assert_input_grads_close(mlp, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(3, mlp.input_dim))
+    g = rng.normal(size=(3, mlp.output_dim))
+    _, input_grads = backward_with_input_grads(mlp, x, g)
+    h = 1e-5
+    fd = np.zeros_like(x)
+    for idx in np.ndindex(*x.shape):
+        xp = x.copy()
+        xm = x.copy()
+        xp[idx] += h
+        xm[idx] -= h
+        fd[idx] = (np.sum(forward(mlp, xp) * g) - np.sum(forward(mlp, xm) * g)) / (2 * h)
+    denom = np.maximum(np.maximum(np.abs(fd), np.abs(input_grads)), 1e-3)
+    assert np.all(np.abs(fd - input_grads) / denom < 1e-4)
+
+
 class TestMlpNew:
     def test_single_hidden_layer_dims(self):
         mlp = mlp_new(3, [100], 1, "identity", 42)
@@ -161,22 +178,20 @@ class TestBackward:
         g = rng.normal(size=(5, 1))
         assert_grads_close(backward(mlp, x, g), finite_difference_grads(mlp, x, g))
 
+    @pytest.mark.parametrize("activation", ["identity", "sigmoid", "scaled_sigmoid_0_2"])
+    def test_two_hidden_layers_match_finite_differences(self, activation):
+        rng = np.random.default_rng(17)
+        mlp = mlp_new(3, [5, 4], 2, activation, 17)
+        mlp.params += rng.normal(scale=0.1, size=mlp.params.size)  # non-zero biases
+        x = rng.normal(size=(6, 3))
+        g = rng.normal(size=(6, 2))
+        assert_grads_close(backward(mlp, x, g), finite_difference_grads(mlp, x, g))
+
     def test_input_grads_match_finite_differences(self):
-        rng = np.random.default_rng(13)
-        mlp = mlp_new(4, [6], 2, "scaled_sigmoid_0_2", 5)
-        x = rng.normal(size=(3, 4))
-        g = rng.normal(size=(3, 2))
-        _, input_grads = backward_with_input_grads(mlp, x, g)
-        h = 1e-5
-        fd = np.zeros_like(x)
-        for idx in np.ndindex(*x.shape):
-            xp = x.copy()
-            xm = x.copy()
-            xp[idx] += h
-            xm[idx] -= h
-            fd[idx] = (np.sum(forward(mlp, xp) * g) - np.sum(forward(mlp, xm) * g)) / (2 * h)
-        denom = np.maximum(np.maximum(np.abs(fd), np.abs(input_grads)), 1e-3)
-        assert np.all(np.abs(fd - input_grads) / denom < 1e-4)
+        assert_input_grads_close(mlp_new(4, [6], 2, "scaled_sigmoid_0_2", 5), 13)
+
+    def test_two_hidden_layer_input_grads_match_finite_differences(self):
+        assert_input_grads_close(mlp_new(4, [5, 4], 2, "scaled_sigmoid_0_2", 5), 13)
 
     def test_shape_mismatch_raises(self):
         mlp = mlp_new(3, [4], 1, "identity", 0)
@@ -254,6 +269,20 @@ class TestFlatParameters:
         mlp = mlp_new(3, [4], 2, "identity", 1)
         mlp.params[:] = 0.0
         assert all(not w.any() for w in mlp.weights + mlp.biases)
+
+    def test_layers_are_weights_over_biases(self):
+        mlp = mlp_new(3, [4, 5], 2, "identity", 1)
+        grads = backward(mlp, np.ones((2, 3)), np.ones((2, 2)))
+        for owner, layers, weights, biases in (
+            (mlp.params, mlp.layers, mlp.weights, mlp.biases),
+            (grads.flat, grads.layers, grads.d_weights, grads.d_biases),
+        ):
+            assert [a.shape for a in layers] == [(4, 4), (5, 5), (6, 2)]
+            assert np.array_equal(np.concatenate([a.ravel() for a in layers]), owner)
+            for layer, w, b in zip(layers, weights, biases):
+                assert layer.base is owner
+                assert np.shares_memory(layer[:-1], w) and np.array_equal(layer[:-1], w)
+                assert np.shares_memory(layer[-1], b) and np.array_equal(layer[-1], b)
 
     @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
     def test_copies_keep_their_own_flat_buffer(self, clone):
