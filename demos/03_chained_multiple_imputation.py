@@ -39,7 +39,7 @@ print(f"table: {n} rows, 5 columns, {mask.mean():.0%} cells missing")
 cfg = GcmiConfig(
     m_imputations=5,
     max_chain_iters=3,
-    train=TrainConfig(max_epochs=300, seed=0),
+    train=TrainConfig(max_epochs=300),
     seed=123,
 )
 result = gcmi_impute(dm, cfg)

@@ -1,11 +1,11 @@
-# File-based workflow: schema inference from CSV, min-max normalisation,
-# and the four-step command-line pipeline driven by one JSON config.
+# File-based workflow: schema inference from CSV and the four-step
+# command-line pipeline driven by one JSON config.
 
 import json
 import tempfile
 from pathlib import Path
 
-from gcmi import denormalize, normalize, read_csv
+from gcmi import read_csv
 from gcmi.cli import cli_main
 
 work = Path(tempfile.mkdtemp(prefix="gcmi_demo_"))
@@ -25,13 +25,6 @@ dm = read_csv(csv_path)
 for col, frac in zip(dm.schema, dm.missing_fraction()):
     levels = f" levels={col.levels}" if col.levels else ""
     print(f"  {col.name}: {col.kind}{levels}  missing {frac:.0%}")
-
-normed, params = normalize(dm)
-print("\nnormalised continuous ranges:",
-      [(round(v.min(), 3), round(v.max(), 3))
-       for v in (normed.values[~normed.mask[:, j], j] for j in (0, 1))])
-back = denormalize(normed, params)
-print("round trip exact:", bool((back.values[~dm.mask] == dm.values[~dm.mask]).all()))
 
 # --- the CLI pipeline from a single config ------------------------------
 config = {

@@ -13,7 +13,6 @@ from .benchmark import (
     BenchmarkSpec,
     BenchmarkTable,
     MethodSpec,
-    mean_impute,
     rmse,
     run_benchmark,
 )
@@ -34,10 +33,7 @@ from .config import RunConfig, load_config, parse_config
 from .data import (
     ColumnSchema,
     DataMatrix,
-    Normalization,
-    denormalize,
     matrix_from_array,
-    normalize,
     read_csv,
     write_csv,
     write_mask_csv,
@@ -76,9 +72,7 @@ from .nn import (
     backward,
     backward_with_input_grads,
     forward,
-    load_mlp,
     mlp_new,
-    save_mlp,
 )
 from .simulate import (
     AmputationSpec,

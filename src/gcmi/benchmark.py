@@ -27,11 +27,6 @@ from .simulate import AmputationSpec, SyntheticSpec, ampute, gen_synthetic
 METHOD_KINDS = ("gcmi", "mean", "external")
 
 
-def mean_impute(dm: DataMatrix) -> DataMatrix:
-    """Column mean for continuous cells, observed mode for coded cells."""
-    return initial_fill(dm)
-
-
 def rmse(
     X_true: np.ndarray,
     X_imputed: np.ndarray,
@@ -237,7 +232,7 @@ def _run_repeat(
         )
         for method in spec.methods:
             if method.kind == "mean":
-                imputed = mean_impute(amputed).values
+                imputed = initial_fill(amputed).values
             elif method.kind == "gcmi":
                 run_seed = int(spawn_rng(spec.seed, 300, repeat, i).integers(0, 2**63))
                 cfg = replace(spec.gcmi, seed=run_seed, workers=1)

@@ -41,8 +41,6 @@ from .seeding import spawn_rng
 # Columns with fewer observed rows than this fall back to the initial fill.
 MIN_ROWS_FOR_TRAINING = 10
 
-PARALLELISM_MODES = ("sequential", "snapshot_parallel")
-
 
 @dataclass
 class GcmiConfig:
@@ -50,9 +48,7 @@ class GcmiConfig:
 
     max_chain_iters: int = 20
     m_imputations: int = 5
-    column_parallelism: str = "sequential"
     train: TrainConfig = field(default_factory=TrainConfig)
-    initial_fill: str = "mean_mode"
     seed: int = 0
     workers: int = 1
 
@@ -61,10 +57,6 @@ class GcmiConfig:
             raise ConfigError("max_chain_iters must be at least 1")
         if self.m_imputations < 1:
             raise ConfigError("m_imputations must be at least 1")
-        if self.column_parallelism not in PARALLELISM_MODES:
-            raise ConfigError(f"column_parallelism must be one of {PARALLELISM_MODES}")
-        if self.initial_fill != "mean_mode":
-            raise ConfigError("initial_fill supports only 'mean_mode'")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         self.train.validate()
@@ -191,11 +183,8 @@ def _refit_column(
     j: int,
     cfg: GcmiConfig,
     seed_path: tuple[int, ...],
-):
-    """Train on obs(j) rows of the completed matrix and impute miss(j).
-
-    Returns (imputed values for miss(j), trained pair).
-    """
+) -> np.ndarray:
+    """Train on obs(j) rows of the completed matrix; return imputations for miss(j)."""
     col = dm.schema[j]
     miss = dm.mask[:, j]
     slices = column_slices(dm.schema)
@@ -210,7 +199,7 @@ def _refit_column(
         n_levels=len(col.levels) if col.kind == "categorical" else None,
         column_index=j,
     )
-    return impute_column(pair, cond[miss], seed=seed ^ 1), pair
+    return impute_column(pair, cond[miss], seed=seed ^ 1)
 
 
 def sweep(
@@ -220,30 +209,20 @@ def sweep(
     cfg: GcmiConfig,
     seed_path: tuple[int, ...] = (),
     columns: list[int] | None = None,
-    pairs: dict | None = None,
 ) -> np.ndarray:
     """One pass over the trainable columns; returns the updated code matrix.
 
-    Sequential mode writes each column's fresh imputations back before the
-    next column trains; snapshot mode conditions every column on the
-    matrix as it stood when the sweep began and applies all updates at the
-    end.  Each column's pair is fit from scratch per sweep; ``pairs``
-    collects the trained pairs for callers that want them.
+    Columns are refit one after another in ``order`` (or ``columns``, when
+    given), each conditioning on the current completion of the others:
+    its fresh imputations are written back before the next column trains.
+    Each column's pair is fit from scratch per sweep.
     """
     if np.isnan(values).any():
         raise ValueError("sweep requires a completed matrix")
     cols = _trainable_columns(dm, order) if columns is None else columns
-    pairs = {} if pairs is None else pairs
     current = values.copy()
-    if cfg.column_parallelism == "sequential":
-        for j in cols:
-            imputed, pairs[j] = _refit_column(current, dm, j, cfg, (*seed_path, j))
-            current[dm.mask[:, j], j] = imputed
-        return current
-    snapshot = values.copy()
     for j in cols:
-        imputed, pairs[j] = _refit_column(snapshot, dm, j, cfg, (*seed_path, j))
-        current[dm.mask[:, j], j] = imputed
+        current[dm.mask[:, j], j] = _refit_column(current, dm, j, cfg, (*seed_path, j))
     return current
 
 

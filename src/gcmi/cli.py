@@ -9,7 +9,6 @@ configuration error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -93,29 +92,13 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_config(args) -> RunConfig:
+    # flags override top-level keys before parsing, so the seeds and worker
+    # counts derived from them follow the flags
+    flags = {"seed": args.seed, "threads": args.threads, "output_dir": args.output_dir}
+    overrides = {key: value for key, value in flags.items() if value is not None}
     if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = parse_config({})
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.output_dir is not None:
-        overrides["output_dir"] = args.output_dir
-    if overrides:
-        # re-parse so derived seeds/workers stay consistent with the overrides
-        raw = _raw_config(args.config)
-        raw.update(overrides)
-        cfg = parse_config(raw)
-    return cfg
-
-
-def _raw_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    return json.loads(Path(path).read_text())
+        return load_config(args.config, overrides)
+    return parse_config(overrides)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -200,8 +183,7 @@ def _cmd_impute(args, cfg: RunConfig) -> int:
     input_path = _resolve_input(args.input, job.input, cfg)
     if not input_path:
         raise UsageError("impute needs an input CSV (argument or config impute.input)")
-    m = args.m if args.m is not None else job.m
-    gcfg = cfg.gcmi if m is None else replace(cfg.gcmi, m_imputations=int(m))
+    gcfg = cfg.gcmi if args.m is None else replace(cfg.gcmi, m_imputations=args.m)
     dm = read_csv(input_path)
     result = gcmi_impute(dm, gcfg)
     prefix = args.out_prefix or job.out_prefix

@@ -14,17 +14,14 @@ Unknown keys are rejected.  Schema (defaults shown):
         "batch_size": 256, "max_epochs": 10000, "acc_penalty_weight": 1.0,
         "early_stop_patience": 50, "early_stop_tol": 0.0001, "noise_dim": 8
       },
-      "gcmi": {                   // chained multiple-imputation settings
-        "max_chain_iters": 20, "m_imputations": 5,
-        "column_parallelism": "sequential", "initial_fill": "mean_mode"
-      },
+      "gcmi": {"max_chain_iters": 20, "m_imputations": 5},  // chained MI settings
       "simulate": {"n": 2000, "p": 15, "rho": 0.3, "sigma2": 1.0,
                    "noise_sd": 1.0, "alpha": null, "out": "synthetic.csv"},
       "ampute": {"input": null, "mechanism": "mcar", "rate": 0.3,
                  "b0": -1.5, "b1": 3.0, "layout": "elementwise",
                  "cond_cols": [0,1,2,3], "target_cols": null,
                  "out_prefix": "amputed"},
-      "impute": {"input": null, "m": null, "out_prefix": "imputed"},
+      "impute": {"input": null, "out_prefix": "imputed"},
       // relative "input" paths resolve against output_dir, so one config
       // can chain the simulate -> ampute -> impute -> benchmark pipeline
       "benchmark": {"data": "synthetic", "synthetic": {...like simulate...},
@@ -34,6 +31,9 @@ Unknown keys are rejected.  Schema (defaults shown):
                     "mc_repeats": 100, "normalized": true,
                     "dump_raw": false, "out_prefix": "benchmark"}
     }
+
+Every random draw derives from the root ``seed``; the training seed in
+particular is set per column, so ``train`` has no ``seed`` key.
 """
 
 from __future__ import annotations
@@ -53,6 +53,13 @@ def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {section!r} section: {sorted(unknown)}")
+
+
+def _bool(section: str, data: dict, key: str, default: bool) -> bool:
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{section}.{key} must be true or false, got {value!r}")
+    return value
 
 
 def _dataclass_from(section: str, data: dict, cls, **extra):
@@ -80,7 +87,6 @@ class AmputeJob:
 @dataclass
 class ImputeJob:
     input: str | None = None
-    m: int | None = None
     out_prefix: str = "imputed"
 
 
@@ -98,7 +104,6 @@ class RunConfig:
     seed: int = 0
     threads: int = 1
     output_dir: str = "."
-    train: TrainConfig = field(default_factory=TrainConfig)
     gcmi: GcmiConfig = field(default_factory=GcmiConfig)
     simulate: SimulateJob | None = None
     ampute: AmputeJob | None = None
@@ -175,11 +180,11 @@ def _parse_benchmark(data: dict, cfg: RunConfig) -> BenchmarkJob:
         seed=int(data.get("seed", cfg.seed)),
         gcmi=cfg.gcmi,
         workers=cfg.threads,
-        normalized=bool(data.get("normalized", True)),
+        normalized=_bool("benchmark", data, "normalized", True),
     )
     return BenchmarkJob(
         spec=spec,
-        dump_raw=bool(data.get("dump_raw", False)),
+        dump_raw=_bool("benchmark", data, "dump_raw", False),
         out_prefix=str(data.get("out_prefix", "benchmark")),
     )
 
@@ -196,15 +201,11 @@ def parse_config(data: dict) -> RunConfig:
     )
     if cfg.threads < 1:
         raise ConfigError(f"threads must be at least 1, got {cfg.threads}")
-    train_section = dict(data.get("train", {}))
-    train_section.setdefault("seed", cfg.seed)
-    cfg.train = _dataclass_from("train", train_section, TrainConfig)
-    cfg.train.validate()
-
+    train = _dataclass_from("train", dict(data.get("train", {})), TrainConfig, seed=cfg.seed)
     gcmi_section = dict(data.get("gcmi", {}))
     gcmi_section.setdefault("seed", cfg.seed)
     gcmi_section.setdefault("workers", cfg.threads)
-    cfg.gcmi = _dataclass_from("gcmi", gcmi_section, GcmiConfig, train=cfg.train)
+    cfg.gcmi = _dataclass_from("gcmi", gcmi_section, GcmiConfig, train=train)
     cfg.gcmi.validate()
 
     if "simulate" in data:
@@ -218,10 +219,9 @@ def parse_config(data: dict) -> RunConfig:
         cfg.ampute = AmputeJob(_parse_amputation("ampute", section, cfg.seed), input_path, out_prefix)
     if "impute" in data:
         section = dict(data["impute"])
-        _check_keys("impute", section, {"input", "m", "out_prefix"})
+        _check_keys("impute", section, {"input", "out_prefix"})
         cfg.impute = ImputeJob(
             input=section.get("input"),
-            m=int(section["m"]) if section.get("m") is not None else None,
             out_prefix=str(section.get("out_prefix", "imputed")),
         )
     if "benchmark" in data:
@@ -229,8 +229,9 @@ def parse_config(data: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Read and parse a JSON configuration file."""
+def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
+    """Read a JSON configuration file and parse it with ``overrides``
+    (top-level keys) merged over the file's own values."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -240,4 +241,6 @@ def load_config(path: str | Path) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if isinstance(data, dict) and overrides:
+        data = {**data, **overrides}
     return parse_config(data)

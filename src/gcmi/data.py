@@ -1,5 +1,5 @@
-"""Column-typed data matrices, CSV ingestion with schema inference, and
-per-column min-max normalisation.
+"""Column-typed data matrices, CSV ingestion with schema inference, CSV
+writers, and the one-hot encoding the per-column models condition on.
 
 Values are stored as a float64 (n, P) array: continuous cells hold raw
 values, binary and categorical cells hold integer level codes (the level
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,14 +104,14 @@ def matrix_from_array(
     """Wrap a numeric array as an all-continuous DataMatrix.
 
     Cells flagged by ``mask`` (True = missing) are replaced with NaN.
+    Without a mask, the NaN cells of ``X`` are the missing ones; with one,
+    a NaN cell the mask marks as observed is a ``DataError``.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError(f"expected a 2-D array, got shape {X.shape}")
-    n, p = X.shape
-    if mask is None:
-        mask = np.zeros((n, p), dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
+    p = X.shape[1]
+    mask = np.isnan(X) if mask is None else np.asarray(mask, dtype=bool)
     if mask.shape != X.shape:
         raise ShapeError("mask shape must match the value array")
     if names is None:
@@ -301,65 +300,6 @@ def write_mask_csv(mask: np.ndarray, names: list[str], path: str | Path) -> None
         return [list(map(digits.__getitem__, col)) for col in mask[s:e].T.tolist()]
 
     _write_table(path, names, len(mask), block)
-
-
-@dataclass
-class Normalization:
-    """Per-column affine transform (x - shift) / scale for continuous columns."""
-
-    shift: np.ndarray
-    scale: np.ndarray
-    continuous: np.ndarray  # bool per column; non-continuous pass through
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        out = values.copy()
-        cols = np.flatnonzero(self.continuous)
-        out[:, cols] = (out[:, cols] - self.shift[cols]) / self.scale[cols]
-        return out
-
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        out = values.copy()
-        cols = np.flatnonzero(self.continuous)
-        out[:, cols] = out[:, cols] * self.scale[cols] + self.shift[cols]
-        return out
-
-
-def normalize(dm: DataMatrix) -> tuple[DataMatrix, Normalization]:
-    """Min-max scale continuous columns into [0, 1] using observed cells only.
-
-    Columns with fewer than two distinct observed values keep the identity
-    transform and trigger a warning.  Binary/categorical codes pass through.
-    """
-    p = dm.n_cols
-    shift = np.zeros(p)
-    scale = np.ones(p)
-    continuous = np.array([c.kind == "continuous" for c in dm.schema])
-    for j, col in enumerate(dm.schema):
-        if not continuous[j]:
-            continue
-        observed = dm.values[~dm.mask[:, j], j]
-        if observed.size == 0:
-            continue
-        lo, hi = observed.min(), observed.max()
-        if hi - lo <= 0:
-            warnings.warn(
-                f"column {col.name!r} has no spread among observed values; left unscaled",
-                stacklevel=2,
-            )
-            continue
-        shift[j] = lo
-        scale[j] = hi - lo
-    norm = Normalization(shift, scale, continuous)
-    out = dm.copy()
-    out.values = norm.apply(out.values)
-    return out, norm
-
-
-def denormalize(dm: DataMatrix, norm: Normalization) -> DataMatrix:
-    """Inverse of ``normalize``; round trip is exact to ~1e-12."""
-    out = dm.copy()
-    out.values = norm.invert(out.values)
-    return out
 
 
 def encoded_width(schema: list[ColumnSchema]) -> int:

@@ -14,9 +14,7 @@ are renormalised at sampling time.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -98,15 +96,6 @@ class TrainTrace:
 
     def __len__(self) -> int:
         return len(self.gen_loss)
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cycle", "disc_loss", "gen_loss", "acc_penalty"])
-            for i, (d, g, a) in enumerate(
-                zip(self.disc_loss, self.gen_loss, self.acc_penalty)
-            ):
-                writer.writerow([i, repr(float(d)), repr(float(g)), repr(float(a))])
 
 
 @dataclass

@@ -15,19 +15,11 @@ column of ones, so each layer is one GEMM: ``a @ [W; b]`` forward (ReLU
 leaves the ones at 1) and ``a.T @ delta = [dW; db]`` backward, straight
 into the flat gradient.  The public ``forward``/``backward*`` take inputs
 without that column and append it themselves.
-
-Checkpoint layout (``save_mlp``/``load_mlp``): JSON object with keys
-``format`` ("gcmi-mlp"), ``version`` (1), ``input_dim``, ``hidden_dims``,
-``output_dim``, ``output_activation`` and ``layers``, a list of
-``{"weights": [...], "biases": [...]}`` with weights flattened row-major
-from the (in_dim, out_dim) matrix of each layer.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -39,9 +31,6 @@ OUTPUT_ACTIVATIONS = ("identity", "sigmoid", "scaled_sigmoid_0_2")
 # Sigmoid outputs are clamped into the open interval so that logarithms and
 # the (0, 2) discriminator range stay well-defined at float saturation.
 _SIGMOID_CLIP = 1e-12
-
-CHECKPOINT_FORMAT = "gcmi-mlp"
-CHECKPOINT_VERSION = 1
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -389,40 +378,3 @@ def adam_step(mlp: Mlp, grads: ParamGrads, state: AdamState) -> tuple[Mlp, AdamS
     param -= step
     return mlp, state
 
-
-def save_mlp(mlp: Mlp, path: str | Path) -> None:
-    """Write the checkpoint JSON described in the module docstring."""
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "input_dim": mlp.input_dim,
-        "hidden_dims": mlp.hidden_dims,
-        "output_dim": mlp.output_dim,
-        "output_activation": mlp.output_activation,
-        "layers": [
-            {"weights": w.ravel().tolist(), "biases": b.tolist()}
-            for w, b in zip(mlp.weights, mlp.biases)
-        ],
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_mlp(path: str | Path) -> Mlp:
-    """Load a checkpoint written by ``save_mlp``, validating the layout."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT or payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"not a {CHECKPOINT_FORMAT} v{CHECKPOINT_VERSION} checkpoint: {path}")
-    dims = [payload["input_dim"], *payload["hidden_dims"], payload["output_dim"]]
-    weights, biases = [], []
-    for (fan_in, fan_out), layer in zip(zip(dims[:-1], dims[1:]), payload["layers"]):
-        w = np.asarray(layer["weights"], dtype=float).reshape(fan_in, fan_out)
-        b = np.asarray(layer["biases"], dtype=float)
-        if b.shape != (fan_out,):
-            raise ValueError(f"checkpoint bias shape {b.shape} != ({fan_out},)")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise NumericError("checkpoint contains non-finite parameters")
-        weights.append(w)
-        biases.append(b)
-    if len(weights) != len(dims) - 1:
-        raise ValueError("checkpoint layer count does not match dims")
-    return Mlp(weights, biases, payload["output_activation"])

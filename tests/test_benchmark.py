@@ -12,8 +12,8 @@ from gcmi import (
     MethodSpec,
     SyntheticSpec,
     TrainConfig,
+    initial_fill,
     matrix_from_array,
-    mean_impute,
     rmse,
     run_benchmark,
     write_csv,
@@ -46,13 +46,13 @@ class TestMeanImpute:
         dm = matrix_from_array(
             np.array([[2.0], [np.nan], [4.0]]), mask=np.array([[False], [True], [False]])
         )
-        assert mean_impute(dm).values[1, 0] == 3.0
+        assert initial_fill(dm).values[1, 0] == 3.0
 
     def test_constant_column(self):
         dm = matrix_from_array(
             np.array([[5.0], [np.nan]]), mask=np.array([[False], [True]])
         )
-        assert mean_impute(dm).values[1, 0] == 5.0
+        assert initial_fill(dm).values[1, 0] == 5.0
 
 
 class TestRmse:
@@ -226,7 +226,7 @@ class TestExternalMethod:
 
         def mean_transform(values, mask):
             dm = matrix_from_array(values, mask)
-            return mean_impute(dm).values
+            return initial_fill(dm).values
 
         ext_dir = self._write_external(tmp_path, spec, mean_transform)
         spec = tiny_spec(

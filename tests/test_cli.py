@@ -30,6 +30,15 @@ def run(argv):
     return cli_main(argv)
 
 
+# keys that configs used to accept and now reject as unknown
+REMOVED_KEYS = [
+    {"gcmi": {"column_parallelism": "sequential"}},
+    {"gcmi": {"initial_fill": "mean_mode"}},
+    {"train": {"seed": 1}},
+    {"impute": {"m": 2}},
+]
+
+
 class TestSimulate:
     def test_writes_covariates_plus_outcome(self, tmp_path):
         code = run(
@@ -148,6 +157,24 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text('{"trainn": {}}')
         assert run(["--config", str(bad), "simulate"]) == 1
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            *((key, "unknown key") for key in REMOVED_KEYS),
+            ({"benchmark": {"normalized": "false"}}, "benchmark.normalized must be true or false"),
+            ({"benchmark": {"normalized": 1}}, "benchmark.normalized must be true or false"),
+            ({"benchmark": {"dump_raw": "no"}}, "benchmark.dump_raw must be true or false"),
+            ({"benchmark": {"dump_raw": None}}, "benchmark.dump_raw must be true or false"),
+        ],
+    )
+    def test_removed_key_or_non_bool_flag_exits_one_line(self, tmp_path, config, message, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert run(["--config", str(path), "--seed", "3", "simulate"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("configuration error: ") and message in err
 
 
 class TestBadArgumentsExitCleanly:
@@ -286,17 +313,17 @@ class TestImputeProperty:
 class TestConfigParsing:
     def test_empty_config_is_valid_with_documented_defaults(self):
         cfg = parse_config({})
+        train = cfg.gcmi.train
         assert cfg.seed == 0
-        assert cfg.train.lr_generator == 0.001
-        assert cfg.train.lr_discriminator == 0.0005
-        assert cfg.train.l2 == 0.0001
-        assert cfg.train.gen_iters_per_cycle == 50
-        assert cfg.train.disc_iters_per_cycle == 10
-        assert cfg.train.batch_size == 256
-        assert cfg.train.max_epochs == 10_000
+        assert train.lr_generator == 0.001
+        assert train.lr_discriminator == 0.0005
+        assert train.l2 == 0.0001
+        assert train.gen_iters_per_cycle == 50
+        assert train.disc_iters_per_cycle == 10
+        assert train.batch_size == 256
+        assert train.max_epochs == 10_000
         assert cfg.gcmi.max_chain_iters == 20
         assert cfg.gcmi.m_imputations == 5
-        assert cfg.gcmi.train is cfg.train
 
     def test_unknown_keys_rejected_everywhere(self):
         from gcmi import ConfigError
@@ -305,6 +332,22 @@ class TestConfigParsing:
             parse_config({"simulate": {"nn": 5}})
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config({"train": {"lr": 0.1}})
+        for removed in REMOVED_KEYS:
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(removed)
+
+    def test_overrides_merge_before_the_single_parse(self, tmp_path):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "threads": 2, "simulate": {"n": 12}}))
+        cfg = load_config(cfg_path, {"seed": 5})
+        assert (cfg.seed, cfg.gcmi.seed, cfg.gcmi.train.seed) == (5, 5, 5)
+        assert cfg.simulate.spec.seed == 5
+        assert cfg.gcmi.workers == 2
+
+    @pytest.mark.parametrize("key", ["normalized", "dump_raw"])
+    def test_benchmark_flags_accept_bool(self, key):
+        job = parse_config({"benchmark": {key: False}}).benchmark
+        assert (job.spec.normalized, job.dump_raw) == (key != "normalized", False)
 
     def test_section_seeds_default_to_root(self, tmp_path):
         cfg_path = tmp_path / "c.json"

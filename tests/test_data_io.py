@@ -1,4 +1,4 @@
-"""CSV ingestion, schema inference, normalisation, and encoding."""
+"""CSV ingestion, schema inference, writers, and encoding."""
 
 import csv
 import tracemalloc
@@ -13,9 +13,7 @@ from gcmi import (
     DataError,
     DataMatrix,
     ShapeError,
-    denormalize,
     matrix_from_array,
-    normalize,
     read_csv,
     write_csv,
     write_mask_csv,
@@ -478,50 +476,16 @@ class TestDataMatrix:
         with pytest.raises(ShapeError):
             matrix_from_array(np.zeros((2, 2)), mask=np.zeros((3, 2), dtype=bool))
 
+    def test_matrix_from_array_infers_mask_from_nan(self):
+        dm = matrix_from_array(np.array([[1.0, np.nan], [2.0, 3.0]]))
+        assert dm.mask.tolist() == [[False, True], [False, False]]
+        assert dm.values[0, 0] == 1.0 and np.isnan(dm.values[0, 1])
 
-class TestNormalize:
-    def test_hand_value(self):
-        dm = matrix_from_array(np.array([[0.0], [10.0], [5.0]]))
-        normed, _ = normalize(dm)
-        assert normed.values[2, 0] == pytest.approx(0.5)
-        assert normed.values.min() == 0.0 and normed.values.max() == 1.0
-
-    def test_stats_from_observed_cells_only(self):
-        dm = matrix_from_array(
-            np.array([[0.0], [10.0], [99.0]]), mask=np.array([[False], [False], [True]])
-        )
-        normed, _ = normalize(dm)
-        observed = normed.values[~normed.mask[:, 0], 0]
-        assert observed.tolist() == [0.0, 1.0]
-
-    def test_constant_column_warns_and_passes_through(self):
-        dm = matrix_from_array(np.full((4, 1), 7.0))
-        with pytest.warns(UserWarning, match="no spread"):
-            normed, _ = normalize(dm)
-        assert np.array_equal(normed.values, dm.values)
-
-    def test_categorical_codes_untouched(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("a,c\n1.0,red\n3.0,green\n2.0,blue\n")
-        dm = read_csv(path)
-        normed, _ = normalize(dm)
-        assert np.array_equal(normed.values[:, 1], dm.values[:, 1])
-
-    @given(
-        st.lists(
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-            min_size=3,
-            max_size=20,
-            unique=True,
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_round_trip_within_1e12(self, column):
-        dm = matrix_from_array(np.array(column)[:, None])
-        normed, params = normalize(dm)
-        back = denormalize(normed, params)
-        scale = max(1.0, np.max(np.abs(dm.values)))
-        assert np.max(np.abs(back.values - dm.values)) / scale < 1e-12
+    def test_matrix_from_array_explicit_mask_must_cover_nan(self):
+        with pytest.raises(DataError, match="NaN cell marked as observed"):
+            matrix_from_array(
+                np.array([[1.0, np.nan], [2.0, 3.0]]), mask=np.zeros((2, 2), dtype=bool)
+            )
 
 
 class TestEncoding:

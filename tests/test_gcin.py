@@ -596,14 +596,3 @@ class TestImputeColumn:
         with pytest.raises(ShapeError):
             impute_column(noisy_pair, np.zeros((5, 7)), seed=0)
 
-
-class TestTrainTrace:
-    def test_csv_export(self, tmp_path):
-        rng = np.random.default_rng(23)
-        X = rng.normal(size=(50, 3))
-        _, trace = train_gcin(X, X.sum(axis=1), "continuous", FAST)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "cycle,disc_loss,gen_loss,acc_penalty"
-        assert len(lines) == len(trace) + 1

@@ -1,5 +1,5 @@
 """Network building blocks: forward/backward against finite differences,
-Adam closed forms, determinism, output ranges, checkpoint round trip."""
+Adam closed forms, determinism, output ranges, flat parameter views."""
 
 import copy
 import pickle
@@ -17,9 +17,7 @@ from gcmi import (
     backward,
     backward_with_input_grads,
     forward,
-    load_mlp,
     mlp_new,
-    save_mlp,
 )
 from gcmi.nn import Mlp, ParamGrads
 
@@ -296,21 +294,3 @@ class TestFlatParameters:
         assert np.array_equal(twin.params, np.concatenate([a.ravel() for a in (
             twin.weights[0], twin.biases[0], twin.weights[1], twin.biases[1])]))
 
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        mlp = mlp_new(4, [6, 3], 2, "scaled_sigmoid_0_2", 9)
-        path = tmp_path / "net.json"
-        save_mlp(mlp, path)
-        loaded = load_mlp(path)
-        assert loaded.output_activation == mlp.output_activation
-        for a, b in zip(loaded.weights, mlp.weights):
-            assert np.array_equal(a, b)
-        for a, b in zip(loaded.biases, mlp.biases):
-            assert np.array_equal(a, b)
-
-    def test_rejects_other_files(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
-            load_mlp(path)
