@@ -14,8 +14,8 @@ datasets pool with the usual within/between variance decomposition.
 from __future__ import annotations
 
 import json
+import logging
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -37,6 +37,8 @@ from .errors import (
 )
 from .gcin import TrainConfig, impute_column, train_gcin
 from .seeding import spawn_rng
+
+logger = logging.getLogger(__name__)
 
 # Columns with fewer observed rows than this fall back to the initial fill.
 MIN_ROWS_FOR_TRAINING = 10
@@ -167,10 +169,10 @@ def _trainable_columns(dm: DataMatrix, order: np.ndarray) -> list[int]:
             continue
         n_obs = dm.n_rows - n_miss
         if n_obs < MIN_ROWS_FOR_TRAINING:
-            warnings.warn(
-                f"column {dm.schema[j].name!r} has only {n_obs} observed rows; "
-                "keeping its initial fill",
-                stacklevel=3,
+            logger.warning(
+                "column %r has only %d observed rows; keeping its initial fill",
+                dm.schema[j].name,
+                n_obs,
             )
             continue
         cols.append(int(j))
@@ -227,11 +229,10 @@ def sweep(
 
 
 def _run_chain(
-    dm: DataMatrix, cfg: GcmiConfig, chain_seed: int
+    dm: DataMatrix, cfg: GcmiConfig, cols: list[int], chain_seed: int
 ) -> tuple[np.ndarray, ConvergenceTrace]:
     filled = initial_fill(dm)
     order = order_columns(dm)
-    cols = _trainable_columns(dm, order)
     trace = ConvergenceTrace()
     if not cols:
         return filled.values, trace
@@ -276,14 +277,16 @@ def gcmi_impute(dm: DataMatrix, cfg: GcmiConfig | None = None) -> ImputationResu
             raise UnimputableColumnError(f"column {col.name!r} is entirely missing")
 
     start = time.perf_counter()
+    cols = _trainable_columns(dm, order_columns(dm))  # the same for every chain
     chain_seeds = [
         int(spawn_rng(cfg.seed, 0, m).integers(0, 2**63)) for m in range(cfg.m_imputations)
     ]
-    if cfg.workers > 1 and cfg.m_imputations > 1:
+    m = cfg.m_imputations
+    if cfg.workers > 1 and m > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(_run_chain, [dm] * cfg.m_imputations, [cfg] * cfg.m_imputations, chain_seeds))
+            outcomes = list(pool.map(_run_chain, [dm] * m, [cfg] * m, [cols] * m, chain_seeds))
     else:
-        outcomes = [_run_chain(dm, cfg, s) for s in chain_seeds]
+        outcomes = [_run_chain(dm, cfg, cols, s) for s in chain_seeds]
 
     completed = []
     traces = []

@@ -2,29 +2,23 @@
 
 Subcommands: ``simulate`` (synthetic CSV), ``ampute`` (CSV -> values +
 mask CSVs), ``impute`` (CSV -> M completed CSVs + manifest), ``benchmark``
-(Monte Carlo grid -> table CSV/JSON).  Exit codes: 0 success, 1 usage or
-configuration error, 2 data error, 3 numeric failure.
+(Monte Carlo grid -> table CSV/JSON).  Each flag overrides the config key
+of the same name, a subcommand's flags the keys of its section.  Exit
+codes: 0 success, 1 usage or configuration error, 2 data error, 3 numeric
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .benchmark import run_benchmark
 from .chained import gcmi_impute, save_result
-from .config import (
-    AmputeJob,
-    ImputeJob,
-    RunConfig,
-    SimulateJob,
-    load_config,
-    parse_config,
-)
+from .config import RunConfig, load_config, parse_config
 from .data import (
     DataMatrix,
     matrix_from_array,
@@ -33,7 +27,7 @@ from .data import (
     write_mask_csv,
 )
 from .errors import ConfigError, DataError, GcmiError, NumericError
-from .simulate import AmputationSpec, SyntheticSpec, ampute, gen_synthetic
+from .simulate import ampute, gen_synthetic
 
 
 class UsageError(Exception):
@@ -45,58 +39,69 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _global_flags(parser, suppress: bool) -> None:
-    # the same flags are accepted before and after the subcommand; the
-    # subcommand copies use SUPPRESS so they never clobber earlier values
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--seed", type=int, default=default, help="root seed (default 0)")
-    parser.add_argument("--config", type=str, default=default, help="JSON configuration file")
-    parser.add_argument("--threads", type=int, default=default, help="worker processes (default 1)")
-    parser.add_argument("--output-dir", type=str, default=default, help="output directory (default .)")
+def _global_flags(parser) -> None:
+    parser.add_argument("--seed", type=int, help="root seed (default 0)")
+    parser.add_argument("--config", type=str, help="JSON configuration file")
+    parser.add_argument("--threads", type=int, help="worker processes (default 1)")
+    parser.add_argument("--output-dir", type=str, help="output directory (default .)")
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="gcmi", description=__doc__)
-    _global_flags(parser, suppress=False)
-    common = _Parser(add_help=False)
-    _global_flags(common, suppress=True)
+    # the global flags are accepted before and after the subcommand; with
+    # SUPPRESS a flag that is not given stays out of the namespace, so a
+    # later copy never clobbers an earlier value, and only the flags given
+    # override the config
+    kw = {"argument_default": argparse.SUPPRESS}
+    parser = _Parser(prog="gcmi", description=__doc__, **kw)
+    _global_flags(parser)
+    common = _Parser(add_help=False, **kw)
+    _global_flags(common)
     sub = parser.add_subparsers(dest="command", required=True)
+    kw["parents"] = [common]
 
-    sim = sub.add_parser("simulate", help="generate a synthetic complete dataset", parents=[common])
-    sim.add_argument("--n", type=int, default=None)
-    sim.add_argument("--p", type=int, default=None)
-    sim.add_argument("--rho", type=float, default=None)
-    sim.add_argument("--sigma2", type=float, default=None)
-    sim.add_argument("--noise-sd", type=float, default=None)
-    sim.add_argument("--out", type=str, default=None, help="output CSV name")
+    sim = sub.add_parser("simulate", help="generate a synthetic complete dataset", **kw)
+    sim.add_argument("--n", type=int)
+    sim.add_argument("--p", type=int)
+    sim.add_argument("--rho", type=float)
+    sim.add_argument("--sigma2", type=float)
+    sim.add_argument("--noise-sd", type=float)
+    sim.add_argument("--out", type=str, help="output CSV name")
 
-    amp = sub.add_parser("ampute", help="delete cells from a complete CSV", parents=[common])
+    amp = sub.add_parser("ampute", help="delete cells from a complete CSV", **kw)
     amp.add_argument("input", nargs="?", default=None, help="complete CSV file")
-    amp.add_argument("--mechanism", choices=["mcar", "mar", "mnar"], default=None)
-    amp.add_argument("--rate", type=float, default=None, help="MCAR deletion probability")
-    amp.add_argument("--b0", type=float, default=None, help="MNAR intercept")
-    amp.add_argument("--b1", type=float, default=None, help="MNAR slope")
-    amp.add_argument("--layout", choices=["elementwise", "blockwise"], default=None)
-    amp.add_argument("--out-prefix", type=str, default=None)
+    amp.add_argument("--mechanism", choices=["mcar", "mar", "mnar"])
+    amp.add_argument("--rate", type=float, help="MCAR deletion probability")
+    amp.add_argument("--b0", type=float, help="MNAR intercept")
+    amp.add_argument("--b1", type=float, help="MNAR slope")
+    amp.add_argument("--layout", choices=["elementwise", "blockwise"])
+    amp.add_argument("--out-prefix", type=str)
 
-    imp = sub.add_parser("impute", help="multiply impute a CSV with missing cells", parents=[common])
+    imp = sub.add_parser("impute", help="multiply impute a CSV with missing cells", **kw)
     imp.add_argument("input", nargs="?", default=None, help="CSV with missing cells")
-    imp.add_argument("--m", type=int, default=None, help="number of imputations")
-    imp.add_argument("--out-prefix", type=str, default=None)
+    imp.add_argument("--m", type=int, help="number of imputations (gcmi.m_imputations)")
+    imp.add_argument("--out-prefix", type=str)
 
-    bench = sub.add_parser("benchmark", help="run the Monte Carlo benchmark grid", parents=[common])
-    bench.add_argument("--mc-repeats", type=int, default=None)
-    bench.add_argument("--dump-raw", action="store_true", default=None)
-    bench.add_argument("--out-prefix", type=str, default=None)
+    bench = sub.add_parser("benchmark", help="run the Monte Carlo benchmark grid", **kw)
+    bench.add_argument("--mc-repeats", type=int)
+    bench.add_argument("--dump-raw", action="store_true")
+    bench.add_argument("--out-prefix", type=str)
     return parser
 
 
 def _resolve_config(args) -> RunConfig:
-    # flags override top-level keys before parsing, so the seeds and worker
-    # counts derived from them follow the flags
-    flags = {"seed": args.seed, "threads": args.threads, "output_dir": args.output_dir}
-    overrides = {key: value for key, value in flags.items() if value is not None}
-    if args.config:
+    # every flag given is a config key, merged over the file before the one
+    # parse: global flags at the top level, subcommand flags into the running
+    # command's section (--m into gcmi). The positional input stays out, as
+    # command-line paths do not resolve against the output directory.
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "input")}
+    overrides = {k: flags.pop(k) for k in ("seed", "threads", "output_dir") if k in flags}
+    if "m" in flags:
+        overrides["gcmi"] = {"m_imputations": flags.pop("m")}
+    # simulate, ampute and impute run on defaults; a benchmark runs only on
+    # the section the file or its flags give it
+    if flags or args.command != "benchmark":
+        overrides[args.command] = flags
+    if "config" in args:
         return load_config(args.config, overrides)
     return parse_config(overrides)
 
@@ -122,38 +127,22 @@ def _resolve_input(arg_input: str | None, job_input: str | None, cfg: RunConfig)
 
 
 def _cmd_simulate(args, cfg: RunConfig) -> int:
-    job = cfg.simulate or SimulateJob(SyntheticSpec(seed=cfg.seed))
-    spec = job.spec
-    updates = {}
-    for name in ("n", "p", "rho", "sigma2"):
-        if getattr(args, name) is not None:
-            updates[name] = getattr(args, name)
-    if args.noise_sd is not None:
-        updates["noise_sd"] = args.noise_sd
-    if updates:
-        spec = replace(spec, **updates)
-    X, Y = gen_synthetic(spec)
-    names = [f"X{j + 1}" for j in range(spec.p)] + ["Y"]
+    job = cfg.simulate
+    X, Y = gen_synthetic(job.spec)
+    names = [f"X{j + 1}" for j in range(job.spec.p)] + ["Y"]
     dm = matrix_from_array(np.column_stack([X, Y]), names=names)
-    out_path = _out_dir(cfg) / (args.out or job.out)
+    out_path = _out_dir(cfg) / job.out
     write_csv(dm, out_path)
-    print(f"wrote {out_path} ({spec.n} rows, {spec.p} covariates + outcome)")
+    print(f"wrote {out_path} ({job.spec.n} rows, {job.spec.p} covariates + outcome)")
     return 0
 
 
 def _cmd_ampute(args, cfg: RunConfig) -> int:
-    job = cfg.ampute or AmputeJob(AmputationSpec(seed=cfg.seed))
+    job = cfg.ampute
     input_path = _resolve_input(args.input, job.input, cfg)
     if not input_path:
         raise UsageError("ampute needs an input CSV (argument or config ampute.input)")
     spec = job.spec
-    updates = {}
-    for name in ("mechanism", "rate", "b0", "b1", "layout"):
-        if getattr(args, name) is not None:
-            updates[name] = getattr(args, name)
-    if updates:
-        spec = replace(spec, **updates)
-    spec.validate()
     dm = read_csv(input_path)
     if dm.mask.any():
         raise DataError(f"{input_path}: amputation input must be complete")
@@ -165,10 +154,9 @@ def _cmd_ampute(args, cfg: RunConfig) -> int:
                 "no files written"
             )
     amputed = DataMatrix(list(dm.schema), np.where(mask, np.nan, dm.values), mask)
-    prefix = args.out_prefix or job.out_prefix
     out = _out_dir(cfg)
-    values_path = out / f"{prefix}_values.csv"
-    mask_path = out / f"{prefix}_mask.csv"
+    values_path = out / f"{job.out_prefix}_values.csv"
+    mask_path = out / f"{job.out_prefix}_mask.csv"
     write_csv(amputed, values_path)
     write_mask_csv(mask, [c.name for c in dm.schema], mask_path)
     print(
@@ -179,15 +167,13 @@ def _cmd_ampute(args, cfg: RunConfig) -> int:
 
 
 def _cmd_impute(args, cfg: RunConfig) -> int:
-    job = cfg.impute or ImputeJob()
+    job = cfg.impute
     input_path = _resolve_input(args.input, job.input, cfg)
     if not input_path:
         raise UsageError("impute needs an input CSV (argument or config impute.input)")
-    gcfg = cfg.gcmi if args.m is None else replace(cfg.gcmi, m_imputations=args.m)
     dm = read_csv(input_path)
-    result = gcmi_impute(dm, gcfg)
-    prefix = args.out_prefix or job.out_prefix
-    paths = save_result(result, _out_dir(cfg), stem=prefix)
+    result = gcmi_impute(dm, cfg.gcmi)
+    paths = save_result(result, _out_dir(cfg), stem=job.out_prefix)
     print(f"wrote {len(paths) - 1} completed datasets + manifest under {_out_dir(cfg)}")
     return 0
 
@@ -196,16 +182,12 @@ def _cmd_benchmark(args, cfg: RunConfig) -> int:
     if cfg.benchmark is None:
         raise UsageError("benchmark needs a 'benchmark' section in the config file")
     job = cfg.benchmark
-    spec = job.spec
-    if args.mc_repeats is not None:
-        spec = replace(spec, mc_repeats=args.mc_repeats)
-    table = run_benchmark(spec)
-    prefix = args.out_prefix or job.out_prefix
+    table = run_benchmark(job.spec)
     out = _out_dir(cfg)
-    table.to_csv(out / f"{prefix}.csv")
-    table.to_json(out / f"{prefix}.json")
-    if args.dump_raw or job.dump_raw:
-        table.dump_raw_csv(out / f"{prefix}_raw.csv")
+    table.to_csv(out / f"{job.out_prefix}.csv")
+    table.to_json(out / f"{job.out_prefix}.json")
+    if job.dump_raw:
+        table.dump_raw_csv(out / f"{job.out_prefix}_raw.csv")
     for row in table.rows:
         print(
             f"{row.method:>10s}  {row.mechanism:>12s}  "
@@ -228,10 +210,12 @@ def cli_main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args)
-        return _COMMANDS[args.command](args, cfg)
+        # the library's own finiteness checks report numeric trouble (exit 3);
+        # numpy's floating-point warnings would print its source lines
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args, cfg)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        print(f"usage error: {exc} (gcmi --help shows usage)", file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

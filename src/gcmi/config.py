@@ -24,7 +24,7 @@ Unknown keys are rejected.  Schema (defaults shown):
       "impute": {"input": null, "out_prefix": "imputed"},
       // relative "input" paths resolve against output_dir, so one config
       // can chain the simulate -> ampute -> impute -> benchmark pipeline
-      "benchmark": {"data": "synthetic", "synthetic": {...like simulate...},
+      "benchmark": {"data": "synthetic", "synthetic": {...simulate without out...},
                     "mechanisms": [{"mechanism": "mcar", "rate": 0.3, ...}],
                     "methods": [{"kind": "mean"}, {"kind": "gcmi"},
                                 {"kind": "external", "name": ..., "path": ...}],
@@ -32,43 +32,87 @@ Unknown keys are rejected.  Schema (defaults shown):
                     "dump_raw": false, "out_prefix": "benchmark"}
     }
 
-Every random draw derives from the root ``seed``; the training seed in
-particular is set per column, so ``train`` has no ``seed`` key.
+Each key must have the type of its default: ``true``/``false`` for flags,
+an integer (``2``, not ``2.0``) for counts and column indices, any finite
+number for rates and weights, a string for names and paths, a list or an
+object where one is shown.  A ``null`` default also takes ``null``.  Every
+random draw derives from the root ``seed`` and every worker count is the
+root ``threads``, so no section has a ``seed`` or ``workers`` key.  The
+command-line flags override the same keys (see ``gcmi.cli``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields as dc_fields
+import sys
+import types
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .benchmark import BenchmarkSpec, MethodSpec
+from .benchmark import BenchmarkSpec
 from .chained import GcmiConfig
 from .errors import ConfigError
 from .gcin import TrainConfig
 from .simulate import AmputationSpec, SyntheticSpec
 
-
-def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {section!r} section: {sorted(unknown)}")
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+_SECTIONS = ("train", "gcmi", "simulate", "ampute", "impute", "benchmark")
 
 
-def _bool(section: str, data: dict, key: str, default: bool) -> bool:
-    value = data.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{section}.{key} must be true or false, got {value!r}")
+def _object(path: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object, got {value!r}")
+    return dict(value)
+
+
+def _typed(path: str, value, tp, fixed: dict):
+    """Check a JSON value against a field type and return it as that type."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _typed(path, value, args[0], fixed)
+    if origin in (tuple, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        return origin(_typed(f"{path}[{i}]", v, args[0], fixed) for i, v in enumerate(value))
+    if is_dataclass(tp):
+        return _dataclass_from(path, value, tp, fixed)
+    ok = isinstance(value, (int, float) if tp is float else tp)
+    ok = ok and (tp is bool or not isinstance(value, bool))
+    if ok and tp is float:  # an integer stays one, so the manifest keeps its bytes
+        ok = -sys.float_info.max <= value <= sys.float_info.max
+    if not ok:
+        raise ConfigError(f"{path} must be {_KINDS[tp]}, got {value!r}")
     return value
 
 
-def _dataclass_from(section: str, data: dict, cls, **extra):
-    allowed = {f.name for f in dc_fields(cls)}
-    _check_keys(section, data, allowed - set(extra))
+def _dataclass_from(section: str, data, cls, fixed: dict, /, **extra):
+    """Build ``cls`` from a JSON object whose keys are its fields.
+
+    Fields named in ``fixed`` or ``extra`` take their value from there and
+    are not keys of the section; ``fixed`` also reaches nested sections.
+    """
+    data = _object(section, data)
+    hints = typing.get_type_hints(cls)
+    preset = {k: v for k, v in fixed.items() if k in hints} | extra
+    unknown = data.keys() - (hints.keys() - preset.keys())
+    if unknown:
+        name = section or "top-level"
+        raise ConfigError(f"unknown key(s) in {name!r} section: {sorted(unknown)}")
+    prefix = f"{section}." if section else ""
+    values = {k: _typed(prefix + k, v, hints[k], fixed) for k, v in data.items()}
     try:
-        return cls(**data, **extra)
+        return cls(**values, **preset)
     except TypeError as exc:
         raise ConfigError(f"bad {section!r} section: {exc}") from exc
+
+
+def _job(section: str, data, job_cls, spec_cls, fixed: dict, /, **extra):
+    """Split one flat section between a job's own keys and its spec's."""
+    data = _object(section, data)
+    own = {f.name: data.pop(f.name) for f in fields(job_cls) if f.name in data}
+    spec = _dataclass_from(section, data, spec_cls, fixed, **extra)
+    return _dataclass_from(section, own, job_cls, fixed, spec=spec)
 
 
 @dataclass
@@ -111,127 +155,51 @@ class RunConfig:
     benchmark: BenchmarkJob | None = None
 
 
-_TOP_KEYS = {
-    "seed",
-    "threads",
-    "output_dir",
-    "train",
-    "gcmi",
-    "simulate",
-    "ampute",
-    "impute",
-    "benchmark",
-}
-
-
-def _parse_synthetic(section: str, data: dict, seed: int) -> SyntheticSpec:
-    data = dict(data)
-    data.setdefault("seed", seed)
-    if data.get("alpha") is not None:
-        data["alpha"] = tuple(float(a) for a in data["alpha"])
-    return _dataclass_from(section, data, SyntheticSpec)
-
-
-def _parse_amputation(section: str, data: dict, seed: int) -> AmputationSpec:
-    data = dict(data)
-    data.setdefault("seed", seed)
-    if data.get("cond_cols") is not None:
-        data["cond_cols"] = tuple(int(c) for c in data["cond_cols"])
-    if data.get("target_cols") is not None:
-        data["target_cols"] = tuple(int(c) for c in data["target_cols"])
-    spec = _dataclass_from(section, data, AmputationSpec)
-    spec.validate()
-    return spec
-
-
-def _parse_benchmark(data: dict, cfg: RunConfig) -> BenchmarkJob:
-    data = dict(data)
-    allowed = {
-        "data",
-        "synthetic",
-        "mechanisms",
-        "methods",
-        "mc_repeats",
-        "normalized",
-        "dump_raw",
-        "out_prefix",
-        "seed",
-    }
-    _check_keys("benchmark", data, allowed)
-    source = data.get("data", "synthetic")
-    if source == "synthetic":
-        source_spec = _parse_synthetic(
-            "benchmark.synthetic", data.get("synthetic", {}), data.get("seed", cfg.seed)
-        )
-    else:
-        source_spec = str(source)
-    mechanisms = [
-        _parse_amputation(f"benchmark.mechanisms[{i}]", m, data.get("seed", cfg.seed))
-        for i, m in enumerate(data.get("mechanisms", [{"mechanism": "mcar", "rate": 0.3}]))
-    ]
-    methods = []
-    for i, m in enumerate(data.get("methods", [{"kind": "mean"}])):
-        methods.append(_dataclass_from(f"benchmark.methods[{i}]", dict(m), MethodSpec))
-    spec = BenchmarkSpec(
-        data=source_spec,
-        mechanisms=mechanisms,
-        methods=methods,
-        mc_repeats=int(data.get("mc_repeats", 100)),
-        seed=int(data.get("seed", cfg.seed)),
-        gcmi=cfg.gcmi,
-        workers=cfg.threads,
-        normalized=_bool("benchmark", data, "normalized", True),
+def _parse_benchmark(data, cfg: RunConfig, fixed: dict) -> BenchmarkJob:
+    data = _object("benchmark", data)
+    source = _typed("benchmark.data", data.pop("data", "synthetic"), str, fixed)
+    synthetic = data.pop("synthetic", {})
+    synthetic = _dataclass_from("benchmark.synthetic", synthetic, SyntheticSpec, fixed)
+    data.setdefault("mechanisms", [{}])  # one MCAR mechanism at the default rate
+    job = _job(
+        "benchmark", data, BenchmarkJob, BenchmarkSpec, fixed,
+        data=synthetic if source == "synthetic" else source, gcmi=cfg.gcmi,
     )
-    return BenchmarkJob(
-        spec=spec,
-        dump_raw=_bool("benchmark", data, "dump_raw", False),
-        out_prefix=str(data.get("out_prefix", "benchmark")),
-    )
+    for mechanism in job.spec.mechanisms:
+        mechanism.validate()
+    return job
 
 
 def parse_config(data: dict) -> RunConfig:
-    """Build a RunConfig from a parsed JSON object, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise ConfigError("configuration root must be a JSON object")
-    _check_keys("top-level", data, _TOP_KEYS)
-    cfg = RunConfig(
-        seed=int(data.get("seed", 0)),
-        threads=int(data.get("threads", 1)),
-        output_dir=str(data.get("output_dir", ".")),
-    )
+    """Build a RunConfig from a parsed JSON object, checking every key and
+    every value against the field it fills."""
+    data = _object("configuration root", data)
+    sections = {name: data.pop(name) for name in _SECTIONS if name in data}
+    cfg = _dataclass_from("", data, RunConfig, {})
     if cfg.threads < 1:
         raise ConfigError(f"threads must be at least 1, got {cfg.threads}")
-    train = _dataclass_from("train", dict(data.get("train", {})), TrainConfig, seed=cfg.seed)
-    gcmi_section = dict(data.get("gcmi", {}))
-    gcmi_section.setdefault("seed", cfg.seed)
-    gcmi_section.setdefault("workers", cfg.threads)
-    cfg.gcmi = _dataclass_from("gcmi", gcmi_section, GcmiConfig, train=train)
+    # no section sets these: seeds and worker counts come from the root, and
+    # beta (the MAR weights, an array) has no JSON form
+    fixed = {"seed": cfg.seed, "workers": cfg.threads, "beta": None}
+    train = _dataclass_from("train", sections.get("train", {}), TrainConfig, fixed)
+    cfg.gcmi = _dataclass_from("gcmi", sections.get("gcmi", {}), GcmiConfig, fixed, train=train)
     cfg.gcmi.validate()
-
-    if "simulate" in data:
-        section = dict(data["simulate"])
-        out = str(section.pop("out", "synthetic.csv"))
-        cfg.simulate = SimulateJob(_parse_synthetic("simulate", section, cfg.seed), out)
-    if "ampute" in data:
-        section = dict(data["ampute"])
-        input_path = section.pop("input", None)
-        out_prefix = str(section.pop("out_prefix", "amputed"))
-        cfg.ampute = AmputeJob(_parse_amputation("ampute", section, cfg.seed), input_path, out_prefix)
-    if "impute" in data:
-        section = dict(data["impute"])
-        _check_keys("impute", section, {"input", "out_prefix"})
-        cfg.impute = ImputeJob(
-            input=section.get("input"),
-            out_prefix=str(section.get("out_prefix", "imputed")),
-        )
-    if "benchmark" in data:
-        cfg.benchmark = _parse_benchmark(dict(data["benchmark"]), cfg)
+    if "simulate" in sections:
+        cfg.simulate = _job("simulate", sections["simulate"], SimulateJob, SyntheticSpec, fixed)
+    if "ampute" in sections:
+        cfg.ampute = _job("ampute", sections["ampute"], AmputeJob, AmputationSpec, fixed)
+        cfg.ampute.spec.validate()
+    if "impute" in sections:
+        cfg.impute = _dataclass_from("impute", sections["impute"], ImputeJob, fixed)
+    if "benchmark" in sections:
+        cfg.benchmark = _parse_benchmark(sections["benchmark"], cfg, fixed)
     return cfg
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    """Read a JSON configuration file and parse it with ``overrides``
-    (top-level keys) merged over the file's own values."""
+    """Read a JSON configuration file and parse it with ``overrides`` merged
+    over the file's own values: a top-level key replaces the file's, a
+    section merges key by key into the file's section of that name."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -241,6 +209,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if isinstance(data, dict) and overrides:
-        data = {**data, **overrides}
+    if isinstance(data, dict):
+        for key, value in (overrides or {}).items():
+            base = data.get(key, {})
+            if isinstance(value, dict):  # a section that is not an object stays, to be reported
+                value = {**base, **value} if isinstance(base, dict) else base
+            data[key] = value
     return parse_config(data)

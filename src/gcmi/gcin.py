@@ -392,14 +392,12 @@ def impute_column(
     pair: GcinPair,
     X_cond_mis: np.ndarray,
     seed: int,
-    deterministic: bool = False,
 ) -> np.ndarray:
     """Generate one imputation per row of ``X_cond_mis``.
 
     A fresh noise vector is drawn per row, so repeated calls with
     different seeds yield distinct multiple-imputation draws.  Binary and
-    categorical columns are sampled from the generated probabilities
-    unless ``deterministic`` asks for threshold/argmax decisions.
+    categorical columns are sampled from the generated probabilities.
     """
     X_cond_mis = np.asarray(X_cond_mis, dtype=float)
     if X_cond_mis.ndim != 2 or X_cond_mis.shape[1] != pair.cond_shift.size:
@@ -416,13 +414,8 @@ def impute_column(
     if pair.column_kind == "continuous":
         return out[:, 0] * pair.target_scale + pair.target_shift
     if pair.column_kind == "binary":
-        prob = out[:, 0]
-        if deterministic:
-            return (prob >= 0.5).astype(float)
-        return (rng.random(n_mis) < prob).astype(float)
+        return (rng.random(n_mis) < out[:, 0]).astype(float)
     probs = out / out.sum(axis=1, keepdims=True)
-    if deterministic:
-        return np.argmax(probs, axis=1).astype(float)
     cum = np.cumsum(probs, axis=1)
     u = rng.random((n_mis, 1))
     return np.argmax(u < cum, axis=1).astype(float)

@@ -1,6 +1,8 @@
 """Chained multiple imputation: fill/order/convergence arithmetic, sweep
 mechanics, end-to-end contracts on small matrices, and pooling rules."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,15 +223,19 @@ class TestGcmiImpute:
         a, b = result.completed
         assert not np.array_equal(a.values[dm.mask], b.values[dm.mask])
 
-    def test_sparse_column_falls_back_to_initial_fill(self):
+    def test_sparse_column_falls_back_to_initial_fill(self, caplog):
         rng = np.random.default_rng(19)
         X = rng.normal(size=(30, 3))
         mask = np.zeros_like(X, dtype=bool)
         mask[: 30 - (MIN_ROWS_FOR_TRAINING - 1), 2] = True  # too few observed rows
         dm = matrix_from_array(X, mask)
         observed_mean = X[~mask[:, 2], 2].mean()
-        with pytest.warns(UserWarning, match="observed rows"):
-            result = gcmi_impute(dm, tiny_config())
+        with caplog.at_level(logging.WARNING, logger="gcmi.chained"):
+            result = gcmi_impute(dm, tiny_config(m_imputations=2))
+        n_obs = MIN_ROWS_FOR_TRAINING - 1
+        assert [r.getMessage() for r in caplog.records] == [  # one line per run, not per chain
+            f"column 'X3' has only {n_obs} observed rows; keeping its initial fill"
+        ]
         assert np.allclose(result.completed[0].values[mask[:, 2], 2], observed_mean)
 
     def test_single_column_rejected(self):

@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +35,17 @@ REMOVED_KEYS = [
     {"gcmi": {"initial_fill": "mean_mode"}},
     {"train": {"seed": 1}},
     {"impute": {"m": 2}},
+    # the root seed and threads are the only seed and worker keys
+    {"gcmi": {"seed": 1}},
+    {"gcmi": {"workers": 2}},
+    {"simulate": {"seed": 1}},
+    {"ampute": {"seed": 1}},
+    {"benchmark": {"seed": 1}},
+    {"benchmark": {"synthetic": {"seed": 1}}},
+    {"benchmark": {"mechanisms": [{"seed": 1}]}},
+    # MAR weights are an array with no JSON form
+    {"ampute": {"beta": [1.0]}},
+    {"benchmark": {"mechanisms": [{"beta": [1.0]}]}},
 ]
 
 
@@ -161,11 +171,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "config, message",
         [
-            *((key, "unknown key") for key in REMOVED_KEYS),
+            # keys removed after the boolean cases were added come last, so
+            # the earlier cases keep their ids
+            *((key, "unknown key") for key in REMOVED_KEYS[:4]),
             ({"benchmark": {"normalized": "false"}}, "benchmark.normalized must be true or false"),
             ({"benchmark": {"normalized": 1}}, "benchmark.normalized must be true or false"),
             ({"benchmark": {"dump_raw": "no"}}, "benchmark.dump_raw must be true or false"),
             ({"benchmark": {"dump_raw": None}}, "benchmark.dump_raw must be true or false"),
+            *((key, "unknown key") for key in REMOVED_KEYS[4:]),
         ],
     )
     def test_removed_key_or_non_bool_flag_exits_one_line(self, tmp_path, config, message, capsys):
@@ -175,6 +188,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("configuration error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "config, command, key",
+        [
+            ({"threads": "two"}, "simulate", "threads"),
+            ({"benchmark": {"mc_repeats": "many"}}, "benchmark", "benchmark.mc_repeats"),
+            ({"train": {"lr_generator": "x"}}, "impute", "train.lr_generator"),
+            ({"train": 3}, "impute", "train"),
+            ({"gcmi": 7}, "impute", "gcmi"),
+            ({"ampute": {"cond_cols": 5}}, "ampute", "ampute.cond_cols"),
+            ({"benchmark": {"methods": [3]}}, "benchmark", "benchmark.methods[0]"),
+            ({"simulate": {"alpha": [1, "x"]}}, "simulate", "simulate.alpha[1]"),
+            ({"ampute": {"rate": "0.2"}}, "ampute", "ampute.rate"),
+            ({"impute": {"input": 5}}, "impute", "impute.input"),
+            ({"simulate": {"n": 2.5}}, "simulate", "simulate.n"),
+            ({"gcmi": {"m_imputations": 1.5}}, "impute", "gcmi.m_imputations"),
+            ({"seed": "1"}, "simulate", "seed"),
+            ({"threads": True}, "simulate", "threads"),
+            ({"output_dir": 3}, "simulate", "output_dir"),
+            ({"ampute": {"cond_cols": [0.5, 1]}}, "ampute", "ampute.cond_cols[0]"),
+            ({"benchmark": {"data": 5}}, "benchmark", "benchmark.data"),
+            ({"train": {"early_stop_tol": float("nan")}}, "impute", "train.early_stop_tol"),
+        ],
+    )
+    def test_wrongly_typed_value_exits_one_line_naming_key(
+        self, tmp_path, monkeypatch, config, command, key, capsys
+    ):
+        monkeypatch.chdir(tmp_path)  # outputs, if any, stay in the test's directory
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert run(["--config", "c.json", command]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"configuration error: {key} must be ")
 
 
 class TestBadArgumentsExitCleanly:
@@ -300,14 +346,133 @@ class TestImputeProperty:
                     "impute", str(tmp / "in.csv")]
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # a column kept at its initial fill
-                    code = cli_main(argv)
-        assert code in (0, 1, 2, 3)
-        if code:
-            lines = err.getvalue().strip().splitlines()
-            assert len(lines) == 1, err.getvalue()
-            assert "Traceback" not in err.getvalue()
+                code = cli_main(argv)
+        assert_documented_exit(code, err.getvalue())
+
+
+def _tables() -> tuple[str, str]:
+    """A complete 40 x 5 CSV and a copy with about a fifth of its cells empty."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(40, 5)).round(3)
+    holes = rng.random(X.shape) < 0.2
+    header = "a,b,c,d,e\n"
+    complete = header + "".join(",".join(map(str, row)) + "\n" for row in X)
+    amputed = header + "".join(
+        ",".join("" if h else str(v) for v, h in zip(row, hrow)) + "\n"
+        for row, hrow in zip(X, holes)
+    )
+    return complete, amputed
+
+
+# the tiny criterion-9 pipeline with every schema key spelled out, so each
+# key path can be replaced; the output directory comes from the flag
+PIPELINE = {
+    "seed": 3,
+    "threads": 1,
+    "train": {
+        **TINY_TRAIN, "max_epochs": 4, "lr_generator": 0.001, "lr_discriminator": 0.0005,
+        "l2": 0.0001, "acc_penalty_weight": 1.0, "early_stop_patience": 50,
+        "early_stop_tol": 0.0001,
+    },
+    "gcmi": {"max_chain_iters": 1, "m_imputations": 2},
+    "simulate": {"n": 40, "p": 4, "rho": 0.3, "sigma2": 1.0, "noise_sd": 1.0, "alpha": None,
+                 "out": "synthetic.csv"},
+    "ampute": {"input": "synthetic.csv", "mechanism": "mcar", "rate": 0.3, "b0": -1.5, "b1": 3.0,
+               "layout": "elementwise", "cond_cols": [0, 1, 2, 3], "target_cols": None,
+               "out_prefix": "amputed"},
+    "impute": {"input": "amputed_values.csv", "out_prefix": "imputed"},
+    "benchmark": {"data": "synthetic", "synthetic": {"n": 30, "p": 5},
+                  "mechanisms": [{"mechanism": "mcar", "rate": 0.3}],
+                  "methods": [{"kind": "mean"}], "mc_repeats": 2, "normalized": True,
+                  "dump_raw": False, "out_prefix": "benchmark"},
+}
+
+
+def _key_paths(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, (*path, key))
+
+
+NAMES = st.text("abxyz", max_size=4)  # no separators, so a path stays in its directory
+
+
+def _nested(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=2)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.sampled_from([-1, 0, 1, 3])
+    | st.sampled_from([-1e308, -0.5, 0.5, 1e308, float("inf"), float("nan")])
+    | NAMES,
+    _nested,
+    max_leaves=4,
+)
+
+
+def _like(default):
+    """Values of the default's own JSON type, in range or out of it."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.sampled_from([-1, 0, 1, 3])
+    if isinstance(default, float):
+        return st.sampled_from([-1e308, -1.0, 0.0, 0.5, 2.0, 1e308])
+    if isinstance(default, str):
+        return NAMES | st.sampled_from(["mar", "mnar", "blockwise", "gcmi", "external"])
+    return JSON_VALUES
+
+
+def _change(path):
+    node = PIPELINE
+    for key in path:
+        node = node[key]
+    return st.tuples(st.just(path), _like(node) | JSON_VALUES)
+
+
+CHANGES = st.sampled_from(list(_key_paths(PIPELINE))).flatmap(_change)
+
+
+def assert_documented_exit(code, err):
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert len(err.strip().splitlines()) == 1, err
+        assert "Traceback" not in err
+
+
+class TestConfigProperty:
+    """Whatever one or two config keys hold, every subcommand ends in a
+    documented exit code, and a failure is one line on stderr."""
+
+    COMPLETE, AMPUTED = _tables()
+
+    @given(
+        command=st.sampled_from(["simulate", "ampute", "impute", "benchmark"]),
+        changes=st.lists(CHANGES, min_size=1, max_size=2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exit_code_and_one_line(self, command, changes):
+        config = json.loads(json.dumps(PIPELINE))
+        for path, value in sorted(changes, key=lambda c: -len(c[0])):  # a section after its keys
+            node = config
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            out.mkdir()
+            (out / "synthetic.csv").write_text(self.COMPLETE)
+            (out / "amputed_values.csv").write_text(self.AMPUTED)
+            (Path(tmp) / "cfg.json").write_text(json.dumps(config))
+            argv = ["--config", str(Path(tmp) / "cfg.json"), "--output-dir", str(out), command]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(argv)
+        assert_documented_exit(code, err.getvalue())
 
 
 class TestConfigParsing:
