@@ -78,9 +78,6 @@ from .simulate import (
     AmputationSpec,
     SyntheticSpec,
     ampute,
-    ampute_mar,
-    ampute_mcar,
-    ampute_mnar,
     gen_synthetic,
 )
 

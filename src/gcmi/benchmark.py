@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .chained import GcmiConfig, gcmi_impute, initial_fill
 from .data import ColumnSchema, DataMatrix, matrix_from_array, read_csv
 from .errors import ConfigError, DataError, ShapeError
-from .seeding import spawn_rng
+from .seeding import derive_seed, parallel_map
 from .simulate import AmputationSpec, SyntheticSpec, ampute, gen_synthetic
 
 METHOD_KINDS = ("gcmi", "mean", "external")
@@ -129,35 +128,13 @@ class BenchmarkTable:
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["method", "mechanism", "rate", "mean_rmse", "sd_rmse", "se_rmse", "n_repeats"]
-            )
+            writer.writerow([f.name for f in fields(BenchmarkRow)])
             for r in self.rows:
-                writer.writerow(
-                    [
-                        r.method,
-                        r.mechanism,
-                        repr(float(r.rate)),
-                        repr(float(r.mean_rmse)),
-                        repr(float(r.sd_rmse)),
-                        repr(float(r.se_rmse)),
-                        r.n_repeats,
-                    ]
-                )
+                # floats as repr, so a value reads back to the same bits
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in astuple(r)])
 
     def to_json(self, path: str | Path) -> None:
-        payload = [
-            {
-                "method": r.method,
-                "mechanism": r.mechanism,
-                "rate": r.rate,
-                "mean_rmse": r.mean_rmse,
-                "sd_rmse": r.sd_rmse,
-                "se_rmse": r.se_rmse,
-                "n_repeats": r.n_repeats,
-            }
-            for r in self.rows
-        ]
+        payload = [asdict(r) for r in self.rows]
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
     def dump_raw_csv(self, path: str | Path) -> None:
@@ -189,7 +166,7 @@ def _pool_completed(result) -> np.ndarray:
 
 def _load_truth(spec: BenchmarkSpec, repeat: int) -> DataMatrix:
     if isinstance(spec.data, SyntheticSpec):
-        seed = int(spawn_rng(spec.seed, 100, repeat).integers(0, 2**63))
+        seed = derive_seed(spec.seed, 100, repeat)
         X, _ = gen_synthetic(replace(spec.data, seed=seed))
         return matrix_from_array(X)
     return read_csv(spec.data)
@@ -219,7 +196,7 @@ def _run_repeat(
     out = []
     deleted = {}
     for i, mech in enumerate(spec.mechanisms):
-        mech_seed = int(spawn_rng(spec.seed, 200, repeat, i).integers(0, 2**63))
+        mech_seed = derive_seed(spec.seed, 200, repeat, i)
         mask = ampute(truth.values, replace(mech, seed=mech_seed))
         deleted[mech.label] = float(mask.mean())
         if not mask.any():
@@ -234,7 +211,7 @@ def _run_repeat(
             if method.kind == "mean":
                 imputed = initial_fill(amputed).values
             elif method.kind == "gcmi":
-                run_seed = int(spawn_rng(spec.seed, 300, repeat, i).integers(0, 2**63))
+                run_seed = derive_seed(spec.seed, 300, repeat, i)
                 cfg = replace(spec.gcmi, seed=run_seed, workers=1)
                 imputed = _pool_completed(gcmi_impute(amputed, cfg))
             else:
@@ -249,11 +226,8 @@ def _run_repeat(
 def run_benchmark(spec: BenchmarkSpec) -> BenchmarkTable:
     """Run the full grid; deterministic per spec.seed regardless of workers."""
     spec.validate()
-    if spec.workers > 1 and spec.mc_repeats > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            per_repeat = list(pool.map(_run_repeat, [spec] * spec.mc_repeats, range(spec.mc_repeats)))
-    else:
-        per_repeat = [_run_repeat(spec, r) for r in range(spec.mc_repeats)]
+    tasks = [(spec, r) for r in range(spec.mc_repeats)]
+    per_repeat = parallel_map(_run_repeat, tasks, spec.workers)
 
     raw: dict[tuple[str, str], list[float]] = {}
     deleted: dict[str, list[float]] = {}

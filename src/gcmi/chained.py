@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .errors import (
     UnimputableColumnError,
 )
 from .gcin import TrainConfig, impute_column, train_gcin
-from .seeding import spawn_rng
+from .seeding import derive_seed, parallel_map
 
 logger = logging.getLogger(__name__)
 
@@ -161,9 +160,11 @@ def convergence_gamma(
     return gamma_num, gamma_cat
 
 
-def _trainable_columns(dm: DataMatrix, order: np.ndarray) -> list[int]:
+def _trainable_columns(dm: DataMatrix) -> list[int]:
+    """Columns with missing cells and enough observed rows to train on, by
+    ascending missing fraction; the rest keep their initial fill."""
     cols = []
-    for j in order:
+    for j in order_columns(dm):
         n_miss = int(dm.mask[:, j].sum())
         if n_miss == 0:
             continue
@@ -192,7 +193,7 @@ def _refit_column(
     slices = column_slices(dm.schema)
     encoded = encode_columns(values, dm.schema)
     cond = np.hstack([encoded[:, : slices[j].start], encoded[:, slices[j].stop :]])
-    seed = int(spawn_rng(cfg.seed, *seed_path).integers(0, 2**63))
+    seed = derive_seed(cfg.seed, *seed_path)
     pair, _ = train_gcin(
         cond[~miss],
         values[~miss, j],
@@ -207,21 +208,19 @@ def _refit_column(
 def sweep(
     values: np.ndarray,
     dm: DataMatrix,
-    order: np.ndarray,
+    cols: list[int],
     cfg: GcmiConfig,
     seed_path: tuple[int, ...] = (),
-    columns: list[int] | None = None,
 ) -> np.ndarray:
-    """One pass over the trainable columns; returns the updated code matrix.
+    """One pass over the columns ``cols``; returns the updated code matrix.
 
-    Columns are refit one after another in ``order`` (or ``columns``, when
-    given), each conditioning on the current completion of the others:
-    its fresh imputations are written back before the next column trains.
-    Each column's pair is fit from scratch per sweep.
+    Columns are refit one after another in the order given, each
+    conditioning on the current completion of the others: its fresh
+    imputations are written back before the next column trains.  Each
+    column's pair is fit from scratch per sweep.
     """
     if np.isnan(values).any():
         raise ValueError("sweep requires a completed matrix")
-    cols = _trainable_columns(dm, order) if columns is None else columns
     current = values.copy()
     for j in cols:
         current[dm.mask[:, j], j] = _refit_column(current, dm, j, cfg, (*seed_path, j))
@@ -232,7 +231,6 @@ def _run_chain(
     dm: DataMatrix, cfg: GcmiConfig, cols: list[int], chain_seed: int
 ) -> tuple[np.ndarray, ConvergenceTrace]:
     filled = initial_fill(dm)
-    order = order_columns(dm)
     trace = ConvergenceTrace()
     if not cols:
         return filled.values, trace
@@ -243,7 +241,7 @@ def _run_chain(
     best_score = np.inf
     prev: tuple[float, float] | None = None
     for s in range(cfg.max_chain_iters):
-        new = sweep(current, dm, order, chain_cfg, seed_path=(s,), columns=cols)
+        new = sweep(current, dm, cols, chain_cfg, seed_path=(s,))
         gamma = convergence_gamma(new, current, dm.mask, dm.schema)
         trace.gamma_num.append(gamma[0])
         trace.gamma_cat.append(gamma[1])
@@ -277,16 +275,9 @@ def gcmi_impute(dm: DataMatrix, cfg: GcmiConfig | None = None) -> ImputationResu
             raise UnimputableColumnError(f"column {col.name!r} is entirely missing")
 
     start = time.perf_counter()
-    cols = _trainable_columns(dm, order_columns(dm))  # the same for every chain
-    chain_seeds = [
-        int(spawn_rng(cfg.seed, 0, m).integers(0, 2**63)) for m in range(cfg.m_imputations)
-    ]
-    m = cfg.m_imputations
-    if cfg.workers > 1 and m > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(_run_chain, [dm] * m, [cfg] * m, [cols] * m, chain_seeds))
-    else:
-        outcomes = [_run_chain(dm, cfg, cols, s) for s in chain_seeds]
+    cols = _trainable_columns(dm)  # the same for every chain
+    chain_seeds = [derive_seed(cfg.seed, 0, m) for m in range(cfg.m_imputations)]
+    outcomes = parallel_map(_run_chain, [(dm, cfg, cols, s) for s in chain_seeds], cfg.workers)
 
     completed = []
     traces = []

@@ -92,9 +92,6 @@ class DataMatrix:
     def copy(self) -> "DataMatrix":
         return DataMatrix(list(self.schema), self.values.copy(), self.mask.copy())
 
-    def is_complete(self) -> bool:
-        return not self.mask.any()
-
 
 def matrix_from_array(
     X: np.ndarray,

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import KINDS
 from .errors import ConfigError, InsufficientDataError, NumericError, ShapeError
 from .losses import (
     GEN_TARGET,
@@ -39,8 +40,6 @@ from .nn import (
     mlp_new,
 )
 from .seeding import canonical_seed
-
-COLUMN_KINDS = ("continuous", "binary", "categorical")
 
 # Standard deviations below this are treated as degenerate (scale 1).
 _MIN_SCALE = 1e-9
@@ -288,7 +287,7 @@ def train_gcin(
     the observed column (raw values for continuous, 0/1 codes for binary,
     integer codes for categorical).  Deterministic given ``cfg.seed``.
     """
-    if kind not in COLUMN_KINDS:
+    if kind not in KINDS:
         raise ValueError(f"unknown column kind {kind!r}")
     cfg.validate()
     X_cond = np.asarray(X_cond, dtype=float)

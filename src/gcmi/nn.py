@@ -32,6 +32,11 @@ OUTPUT_ACTIVATIONS = ("identity", "sigmoid", "scaled_sigmoid_0_2")
 # the (0, 2) discriminator range stay well-defined at float saturation.
 _SIGMOID_CLIP = 1e-12
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows
@@ -104,9 +109,6 @@ class Mlp:
     def hidden_dims(self) -> list[int]:
         return [w.shape[1] for w in self.weights[:-1]]
 
-    def copy(self) -> "Mlp":
-        return Mlp(self.weights, self.biases, self.output_activation)
-
 
 @dataclass
 class ParamGrads:
@@ -135,15 +137,12 @@ class ParamGrads:
 @dataclass
 class AdamState:
     """Bias-corrected Adam moments, flat and laid out like ``Mlp.params``,
-    plus hyperparameters for one Mlp."""
+    plus the learning rate and L2 coefficient for one Mlp."""
 
     m: np.ndarray
     v: np.ndarray
     learning_rate: float
     l2_coeff: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
 
 
@@ -318,19 +317,10 @@ def backward_with_input_grads(
     return grads, input_grads
 
 
-def adam_new(
-    mlp: Mlp,
-    learning_rate: float,
-    l2_coeff: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
+def adam_new(mlp: Mlp, learning_rate: float, l2_coeff: float = 0.0) -> AdamState:
     """Zero-initialised Adam state shaped like ``mlp``."""
     if learning_rate <= 0:
         raise ValueError("learning_rate must be positive")
-    if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-        raise ValueError("beta1 and beta2 must lie in (0, 1)")
     if l2_coeff < 0:
         raise ValueError("l2_coeff must be non-negative")
     return AdamState(
@@ -338,9 +328,6 @@ def adam_new(
         v=np.zeros_like(mlp.params),
         learning_rate=learning_rate,
         l2_coeff=l2_coeff,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
     )
 
 
@@ -360,8 +347,8 @@ def adam_step(mlp: Mlp, grads: ParamGrads, state: AdamState) -> tuple[Mlp, AdamS
                 raise NumericError(f"non-finite gradient in layer {i}")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    lr, eps, l2 = state.learning_rate, state.epsilon, state.l2_coeff
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+    lr, l2 = state.learning_rate, state.l2_coeff
     param, m, v = mlp.params, state.m, state.v
     g = grads.flat + l2 * param if l2 else grads.flat
     m *= b1

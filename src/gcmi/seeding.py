@@ -1,13 +1,16 @@
-"""Deterministic seed derivation.
+"""Deterministic seed derivation and the one process pool.
 
 Every stochastic routine in the library takes its randomness from a
 generator addressed by ``(root_seed, *path)`` where the path is a fixed
 tuple of small non-negative integers naming the consumer (chain index,
 sweep index, column index, ...).  Derivation is order-independent, so
-parallel workers and serial runs produce identical streams.
+parallel workers and serial runs produce identical streams: the same seed
+gives the same output at any worker count.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -23,3 +26,22 @@ def spawn_rng(seed: int, *path: int) -> np.random.Generator:
     """Child generator for ``seed`` addressed by an integer path."""
     entropy = [canonical_seed(seed)] + [int(p) & _U64 for p in path]
     return np.random.default_rng(entropy)
+
+
+def derive_seed(seed: int, *path: int) -> int:
+    """Integer seed in [0, 2^63) for the consumer at ``path`` under ``seed``."""
+    return int(spawn_rng(seed, *path).integers(0, 2**63))
+
+
+def parallel_map(fn, tasks: list[tuple], workers: int) -> list:
+    """``[fn(*task) for task in tasks]``, in task order.
+
+    Runs on a pool of ``min(workers, len(tasks))`` processes when that is
+    more than one, and serially otherwise; the pool starts all its workers
+    at the first task, so it never gets more than there are tasks.
+    """
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*tasks)))

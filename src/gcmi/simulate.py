@@ -45,6 +45,12 @@ class SyntheticSpec:
     def validate(self) -> None:
         if self.n < 1 or self.p < 2:
             raise ConfigError("need n >= 1 and p >= 2")
+        # numpy allocates no array of more bytes than intp holds (8 per cell)
+        if 8 * max(self.n * (self.p + 1), self.p * self.p) > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"n={self.n} and p={self.p} need an n x (p+1) table or a p x p covariance "
+                "larger than numpy can address"
+            )
         if self.sigma2 <= 0:
             raise ConfigError("sigma2 must be positive")
         if not (-1.0 / (self.p - 1) < self.rho < 1.0):
@@ -82,6 +88,15 @@ class AmputationSpec:
             raise ConfigError(f"layout must be one of {LAYOUTS}")
         if self.mechanism == "mcar" and not (0.0 <= self.rate <= 1.0):
             raise ConfigError("MCAR rate must lie in [0, 1]")
+        for name in ("cond_cols", "target_cols"):
+            cols = tuple(getattr(self, name) or ())
+            if any(j < 0 for j in cols):
+                raise ConfigError(f"{name} must be non-negative column indices, got {cols}")
+        shared = set(self.cond_cols) & set(self.target_cols or ())
+        if shared:
+            raise ConfigError(
+                f"cond_cols must be disjoint from target_cols; both hold {sorted(shared)}"
+            )
 
     @property
     def label(self) -> str:
@@ -134,48 +149,29 @@ def _layout_mask(probs: np.ndarray, layout: str, rng: np.random.Generator) -> np
     return mask
 
 
-def ampute_mcar(X: np.ndarray, p: float, seed: int = 0, layout: str = "elementwise") -> np.ndarray:
-    """Delete every cell independently with probability ``p``."""
-    X = np.asarray(X, dtype=float)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"MCAR probability must lie in [0, 1], got {p}")
-    probs = np.full(X.shape, float(p))
-    return _layout_mask(probs, layout, spawn_rng(seed, 10))
+def _mar_probs(X: np.ndarray, spec: AmputationSpec, rng: np.random.Generator) -> np.ndarray:
+    """Deletion probabilities sigmoid(X_c' beta_j) on the target columns, 0 elsewhere.
 
-
-def ampute_mar(
-    X: np.ndarray,
-    beta: np.ndarray | None = None,
-    cond_cols: tuple[int, ...] = (0, 1, 2, 3),
-    target_cols: tuple[int, ...] | None = None,
-    seed: int = 0,
-    layout: str = "elementwise",
-) -> np.ndarray:
-    """Delete target-column cells with probability sigmoid(X_c' beta_j).
-
-    The conditioning columns stay fully observed.  ``beta`` is
-    (len(cond_cols), len(target_cols)); unspecified coefficients draw from
-    Unif[-1, 1].  A table too narrow for the named columns, or with no
-    target column left, raises ConfigError.
+    The conditioning columns stay fully observed.  ``spec.beta`` is
+    (len(cond_cols), len(target_cols)); when unset it draws from
+    Unif[-1, 1] on ``rng``.  A table too narrow for the named columns, or
+    with no target column left, raises ConfigError.
     """
-    X = np.asarray(X, dtype=float)
     n, p = X.shape
-    cond_cols = tuple(cond_cols)
+    cond_cols = tuple(spec.cond_cols)
     need = max(cond_cols, default=-1) + 1
-    if target_cols is None:
+    if spec.target_cols is None:
         named = f"cond_cols {cond_cols}"
         if len(set(cond_cols)) >= need:
             need += 1  # room for at least one target column
         target_cols = tuple(j for j in range(p) if j not in cond_cols)
     else:
-        target_cols = tuple(target_cols)
+        target_cols = tuple(spec.target_cols)
         named = f"cond_cols {cond_cols} and target_cols {target_cols}"
         need = max(need, max(target_cols, default=-1) + 1)
-    if set(cond_cols) & set(target_cols):
-        raise ValueError("conditioning and target columns must be disjoint")
     if p < need:
         raise ConfigError(f"MAR {named} need at least {need} columns; the table has {p}")
-    rng = spawn_rng(seed, 11)
+    beta = spec.beta
     if beta is None:
         beta = rng.uniform(-1.0, 1.0, size=(len(cond_cols), len(target_cols)))
     beta = np.asarray(beta, dtype=float)
@@ -183,37 +179,27 @@ def ampute_mar(
         raise ShapeError(
             f"beta must have shape {(len(cond_cols), len(target_cols))}, got {beta.shape}"
         )
-    logits = X[:, cond_cols] @ beta
     probs = np.zeros((n, p))
-    probs[:, target_cols] = 1.0 / (1.0 + np.exp(-logits))
-    return _layout_mask(probs, layout, rng)
-
-
-def ampute_mnar(
-    X: np.ndarray,
-    b0: float,
-    b1: float,
-    seed: int = 0,
-    layout: str = "elementwise",
-) -> np.ndarray:
-    """Self-masking deletion: probability clamp(b0 + b1 * x, 0, 1) per cell."""
-    X = np.asarray(X, dtype=float)
-    probs = np.clip(b0 + b1 * X, 0.0, 1.0)
-    return _layout_mask(probs, layout, spawn_rng(seed, 12))
+    probs[:, target_cols] = 1.0 / (1.0 + np.exp(-(X[:, cond_cols] @ beta)))
+    return probs
 
 
 def ampute(X: np.ndarray, spec: AmputationSpec) -> np.ndarray:
-    """Dispatch on ``spec.mechanism``; returns the boolean missingness mask."""
+    """Boolean missingness mask (True = missing) for ``X`` under ``spec``.
+
+    Each mechanism draws from its own generator under ``spec.seed``: path
+    10 for MCAR, 11 for MAR (its beta draw first, then the mask) and 12
+    for MNAR.
+    """
     spec.validate()
+    X = np.asarray(X, dtype=float)
     if spec.mechanism == "mcar":
-        return ampute_mcar(X, spec.rate, seed=spec.seed, layout=spec.layout)
-    if spec.mechanism == "mar":
-        return ampute_mar(
-            X,
-            beta=spec.beta,
-            cond_cols=spec.cond_cols,
-            target_cols=spec.target_cols,
-            seed=spec.seed,
-            layout=spec.layout,
-        )
-    return ampute_mnar(X, spec.b0, spec.b1, seed=spec.seed, layout=spec.layout)
+        rng = spawn_rng(spec.seed, 10)
+        probs = np.full(X.shape, float(spec.rate))
+    elif spec.mechanism == "mar":
+        rng = spawn_rng(spec.seed, 11)
+        probs = _mar_probs(X, spec, rng)
+    else:
+        rng = spawn_rng(spec.seed, 12)
+        probs = np.clip(spec.b0 + spec.b1 * X, 0.0, 1.0)
+    return _layout_mask(probs, spec.layout, rng)

@@ -22,9 +22,7 @@ from gcmi import (
     MethodSpec,
     SyntheticSpec,
     TrainConfig,
-    ampute_mar,
-    ampute_mcar,
-    ampute_mnar,
+    ampute,
     chi2_generator_objective,
     convergence_gamma,
     gcmi_impute,
@@ -204,18 +202,18 @@ class TestCriterion5AmputationStatistics:
         # MCAR empirical rate inside the 3-sigma binomial envelope
         mcar_ok = []
         for rate in (0.1, 0.3, 0.5):
-            mask = ampute_mcar(X, rate, seed=int(rate * 100))
+            mask = ampute(X, AmputationSpec("mcar", rate=rate, seed=int(rate * 100)))
             bound = 3 * np.sqrt(rate * (1 - rate) / mask.size)
             mcar_ok.append(abs(mask.mean() - rate) < bound)
 
         # MAR with beta = 0: target-column rate 0.5 +/- 0.02
-        mar_mask = ampute_mar(X, beta=np.zeros((4, 11)), seed=3)
+        mar_mask = ampute(X, AmputationSpec("mar", beta=np.zeros((4, 11)), seed=3))
         mar_rate = mar_mask[:, 4:].mean()
         mar_ok = abs(mar_rate - 0.5) < 0.02
 
         # MNAR with b1 = 0 vs MCAR at the same rate: two-sided proportion test
-        mnar_mask = ampute_mnar(X, b0=0.3, b1=0.0, seed=4)
-        mcar_mask = ampute_mcar(X, 0.3, seed=5)
+        mnar_mask = ampute(X, AmputationSpec("mnar", b0=0.3, b1=0.0, seed=4))
+        mcar_mask = ampute(X, AmputationSpec("mcar", rate=0.3, seed=5))
         n = X.size
         p1, p2 = mnar_mask.mean(), mcar_mask.mean()
         pooled = (mnar_mask.sum() + mcar_mask.sum()) / (2 * n)

@@ -111,7 +111,7 @@ class TestOrderColumns:
     def test_fully_observed_no_training_scheduled(self):
         dm = matrix_from_array(np.random.default_rng(0).normal(size=(20, 3)))
         assert order_columns(dm).tolist() == [0, 1, 2]
-        assert _trainable_columns(dm, order_columns(dm)) == []
+        assert _trainable_columns(dm) == []
 
 
 class TestConvergenceGamma:
@@ -157,7 +157,7 @@ class TestConvergenceGamma:
 class TestSweep:
     def test_no_missing_returns_input(self):
         dm = matrix_from_array(np.random.default_rng(1).normal(size=(30, 3)))
-        out = sweep(dm.values, dm, order_columns(dm), tiny_config())
+        out = sweep(dm.values, dm, _trainable_columns(dm), tiny_config())
         assert np.array_equal(out, dm.values)
 
     def test_single_missing_column_trains_one_pair(self, monkeypatch):
@@ -175,14 +175,14 @@ class TestSweep:
 
         # the module attribute sweep looks up, as a tracer wrapping it would see
         monkeypatch.setattr(gcmi.chained, "train_gcin", counting_train_gcin)
-        out = sweep(initial_fill(dm).values, dm, order_columns(dm), tiny_config())
+        out = sweep(initial_fill(dm).values, dm, _trainable_columns(dm), tiny_config())
         assert trained == [1]
         assert not np.isnan(out).any()
 
     def test_sequential_and_snapshot_both_complete(self):
         dm, _ = mixed_matrix(seed=5)
         filled = initial_fill(dm).values
-        out = sweep(filled, dm, order_columns(dm), tiny_config())
+        out = sweep(filled, dm, _trainable_columns(dm), tiny_config())
         assert not np.isnan(out).any()
         assert np.array_equal(out[~dm.mask], filled[~dm.mask])
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gcmi.seeding
 from gcmi import read_csv
 from gcmi.cli import cli_main
 from gcmi.config import load_config, parse_config
@@ -126,6 +127,47 @@ class TestImpute:
         assert manifest["m_imputations"] == 2
 
 
+class TestWorkerPool:
+    def test_threads_beyond_task_count_start_one_worker_per_task(self, tmp_path, monkeypatch):
+        """A pool starts all its workers at once, so ``--threads`` above the
+        chain or repeat count must not reach it.  The pool is faked: it
+        records its size and maps in this process."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(gcmi.seeding, "ProcessPoolExecutor", InProcessPool)
+        run(["--output-dir", str(tmp_path), "simulate", "--n", "40", "--p", "3"])
+        run(["--output-dir", str(tmp_path), "ampute", str(tmp_path / "synthetic.csv")])
+        cfg = {
+            "seed": 4,
+            "train": TINY_TRAIN,
+            "gcmi": {"max_chain_iters": 1, "m_imputations": 2},
+            "benchmark": {"synthetic": {"n": 40, "p": 3}, "mc_repeats": 3},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for threads in ("1", "5000"):
+            base = ["--config", str(cfg_path), "--output-dir", str(tmp_path / threads)]
+            base += ["--threads", threads]
+            assert run([*base, "impute", str(tmp_path / "amputed_values.csv")]) == 0
+            assert run([*base, "benchmark"]) == 0
+        assert sizes == [2, 3]
+        for name in ("imputed_imp1.csv", "imputed_imp2.csv", "benchmark.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "5000" / name).read_bytes()
+
+
 class TestBenchmarkCommand:
     def test_runs_from_config(self, tmp_path):
         cfg = {
@@ -210,6 +252,13 @@ class TestExitCodes:
             ({"ampute": {"cond_cols": [0.5, 1]}}, "ampute", "ampute.cond_cols[0]"),
             ({"benchmark": {"data": 5}}, "benchmark", "benchmark.data"),
             ({"train": {"early_stop_tol": float("nan")}}, "impute", "train.early_stop_tol"),
+            # MAR column indices: a negative one would select the target itself
+            ({"ampute": {"mechanism": "mar", "cond_cols": [-1]}}, "ampute", "cond_cols"),
+            (
+                {"ampute": {"mechanism": "mar", "cond_cols": [0, 1], "target_cols": [1, 2]}},
+                "ampute",
+                "cond_cols",
+            ),
         ],
     )
     def test_wrongly_typed_value_exits_one_line_naming_key(
@@ -246,6 +295,20 @@ class TestBadArgumentsExitCleanly:
     def test_simulate_zero_rows(self, tmp_path, capsys):
         assert run(["--output-dir", str(tmp_path), "simulate", "--n", "0"]) == 1
         self.assert_one_line(capsys)
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [({"simulate": {"n": 2**63}}, []), ({}, ["--n", str(2**63 - 1), "--p", "2"])],
+        ids=["n_in_config", "n_and_p_as_flags"],
+    )
+    def test_simulate_size_beyond_address_space(self, tmp_path, config, flags, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = ["--config", str(cfg_path), "--output-dir", str(tmp_path), "simulate", *flags]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("configuration error: n=") and " p=" in err
 
     def test_zero_threads(self, tmp_path, complete_csv, capsys):
         argv = ["--output-dir", str(tmp_path), "--threads", "0", "impute", str(complete_csv)]
