@@ -24,8 +24,8 @@ from .losses import (
     GEN_TARGET,
     REAL_TARGET,
     accuracy_penalty_grad,
-    discriminator_loss,
-    generator_loss,
+    discriminator_losses,
+    generator_losses,
 )
 from .nn import (
     Mlp,
@@ -210,13 +210,14 @@ def _fill(buf: np.ndarray, cond: np.ndarray, tail: np.ndarray) -> np.ndarray:
 
 def _disc_grads(
     disc: Mlp, inputs: np.ndarray, ws: _Workspace | None = None
-) -> tuple[float, ParamGrads]:
-    """Loss and parameter gradients for one discriminator update.
+) -> tuple[np.ndarray, ParamGrads]:
+    """Scores and parameter gradients for one discriminator update.
 
     ``inputs`` stacks the real rows (cond | target | 1) on top of as many
     fake rows (cond | fake | 1); one forward and one backward pass over
     the stack, with output gradient [(d_real - 2) / B; d_fake / B], give
-    the summed gradient of both halves, in ``ws`` when given.
+    the (2B, 1) scores and the summed gradient of both halves, in ``ws``
+    when given.  ``discriminator_loss`` of the two halves is the loss.
     """
     n = inputs.shape[0] // 2
     if ws is None:
@@ -225,12 +226,11 @@ def _disc_grads(
     else:
         hidden, deltas, grads = ws.disc_hidden, ws.disc_deltas, ws.disc_grads
     d, acts = _forward_cache(disc, inputs, hidden)
-    loss = discriminator_loss(d[:n], d[n:])
     out_grad = d.copy()
     out_grad[:n] -= REAL_TARGET
     out_grad /= n
     _backward_from_cache(disc, acts, d, out_grad, grads, None, deltas)
-    return loss, grads
+    return d, grads
 
 
 def _gen_grads(
@@ -242,13 +242,16 @@ def _gen_grads(
     acc_weight: float,
     kind: str,
     ws: _Workspace | None = None,
-) -> tuple[float, float, ParamGrads]:
-    """Adversarial + accuracy loss and generator gradients for one update.
+) -> tuple[np.ndarray, float, ParamGrads]:
+    """Discriminator scores on the generated rows, accuracy penalty and
+    generator gradients for one update.
 
-    Backpropagates through the frozen discriminator into the generated
-    values only (the target columns of its input) and from there through
-    the generator.  The discriminator's own parameter gradients are never
-    formed.  Inputs and gradients are built in ``ws`` when given.
+    Backpropagates the adversarial + accuracy loss through the frozen
+    discriminator into the generated values only (the target columns of
+    its input) and from there through the generator; ``generator_loss``
+    of the scores is the adversarial loss.  The discriminator's own
+    parameter gradients are never formed.  Inputs and gradients are built
+    in ``ws`` when given.
     """
     n, width = cond.shape
     if ws is None:
@@ -256,7 +259,6 @@ def _gen_grads(
     fake, gen_acts = _forward_cache(gen, _fill(ws.gen_in, cond, z), ws.gen_hidden)
     d_fake, disc_acts = _forward_cache(disc, _fill(ws.fake_in, cond, fake), ws.fake_hidden)
 
-    adv_loss = generator_loss(d_fake)
     d_out_grad = (d_fake - GEN_TARGET) / n
     fake_grad = _backward_from_cache(
         disc, disc_acts, d_fake, d_out_grad, None, slice(width, disc.input_dim), ws.fake_deltas
@@ -264,7 +266,7 @@ def _gen_grads(
     pen, pen_grad = accuracy_penalty_grad(target_enc, fake, kind, acc_weight)
     fake_grad += pen_grad
     _backward_from_cache(gen, gen_acts, fake, fake_grad, ws.gen_grads, None, ws.gen_deltas)
-    return adv_loss, pen, ws.gen_grads
+    return d_fake, pen, ws.gen_grads
 
 
 def _minibatch(rng: np.random.Generator, n: int, batch: int) -> np.ndarray:
@@ -318,6 +320,11 @@ def train_gcin(
     batch = min(cfg.batch_size, n_obs)
     ws = _Workspace(gen, disc, batch, cond.shape[1])
     trace = TrainTrace()
+    # one cycle's scores and penalties, one row per update, reduced once a
+    # cycle into the same per-update losses that the loss functions give
+    disc_scores = np.empty((cfg.disc_iters_per_cycle, 2 * batch))
+    gen_scores = np.empty((min(cfg.gen_iters_per_cycle, cfg.max_epochs), batch))
+    pens = np.empty(gen_scores.shape[0])
     best_total = np.inf
     stall = 0
     gen_done = 0
@@ -331,31 +338,29 @@ def train_gcin(
         rng.standard_normal(out=ws.z)
 
     while gen_done < cfg.max_epochs:
-        disc_losses = []
-        for _ in range(cfg.disc_iters_per_cycle):
+        for j in range(cfg.disc_iters_per_cycle):
             draw()
             fake, _ = _forward_cache(gen, _fill(ws.gen_in, ws.cond, ws.z), ws.gen_hidden)
             _fill(ws.disc_in[:batch], ws.cond, ws.target)
             _fill(ws.fake_in, ws.cond, fake)
-            loss, grads = _disc_grads(disc, ws.disc_in, ws)
+            scores, grads = _disc_grads(disc, ws.disc_in, ws)
             adam_step(disc, grads, disc_opt)
-            disc_losses.append(loss)
+            disc_scores[j] = scores[:, 0]
 
-        gen_losses = []
-        pens = []
-        for _ in range(min(cfg.gen_iters_per_cycle, cfg.max_epochs - gen_done)):
+        n_gen = min(cfg.gen_iters_per_cycle, cfg.max_epochs - gen_done)
+        for j in range(n_gen):
             draw()
-            adv, pen, grads = _gen_grads(
+            scores, pens[j], grads = _gen_grads(
                 gen, disc, ws.cond, ws.target, ws.z, cfg.acc_penalty_weight, kind, ws
             )
             adam_step(gen, grads, gen_opt)
-            gen_losses.append(adv)
-            pens.append(pen)
-            gen_done += 1
+            gen_scores[j] = scores[:, 0]
+        gen_done += n_gen
 
-        cycle_disc = float(np.mean(disc_losses))
-        cycle_gen = float(np.mean(gen_losses)) if gen_losses else 0.0
-        cycle_pen = float(np.mean(pens)) if pens else 0.0
+        real, fake = disc_scores[:, :batch], disc_scores[:, batch:]
+        cycle_disc = float(np.mean(discriminator_losses(real, fake)))
+        cycle_gen = float(np.mean(generator_losses(gen_scores[:n_gen])))
+        cycle_pen = float(np.mean(pens[:n_gen]))
         if not np.isfinite(cycle_disc) or not np.isfinite(cycle_gen) or not np.isfinite(cycle_pen):
             raise NumericError(f"non-finite training loss at cycle {cycle}")
         trace.disc_loss.append(cycle_disc)

@@ -32,9 +32,15 @@ def discriminator_loss(d_real: np.ndarray, d_fake: np.ndarray) -> float:
     d_fake = np.asarray(d_fake, dtype=float).ravel()
     if d_real.size == 0 or d_fake.size == 0:
         raise ValueError("discriminator_loss requires non-empty real and fake scores")
-    real_term = 0.5 * np.mean((d_real - REAL_TARGET) ** 2)
-    fake_term = 0.5 * np.mean(d_fake**2)
-    return float(real_term + fake_term)
+    return float(discriminator_losses(d_real[None], d_fake[None])[0])
+
+
+def discriminator_losses(d_real: np.ndarray, d_fake: np.ndarray) -> np.ndarray:
+    """``discriminator_loss`` of each row of (k, n_real) real and (k, n_fake)
+    fake scores, bit for bit, in one pass over all k rows."""
+    real_term = 0.5 * np.mean((d_real - REAL_TARGET) ** 2, axis=1)
+    fake_term = 0.5 * np.mean(d_fake**2, axis=1)
+    return real_term + fake_term
 
 
 def generator_loss(d_fake: np.ndarray) -> float:
@@ -42,7 +48,12 @@ def generator_loss(d_fake: np.ndarray) -> float:
     d_fake = np.asarray(d_fake, dtype=float).ravel()
     if d_fake.size == 0:
         raise ValueError("generator_loss requires non-empty fake scores")
-    return float(0.5 * np.mean((d_fake - GEN_TARGET) ** 2))
+    return float(generator_losses(d_fake[None])[0])
+
+
+def generator_losses(d_fake: np.ndarray) -> np.ndarray:
+    """``generator_loss`` of each row of (k, n) fake scores, bit for bit."""
+    return 0.5 * np.mean((d_fake - GEN_TARGET) ** 2, axis=1)
 
 
 def _cross_entropy(x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:

@@ -15,6 +15,14 @@ column of ones, so each layer is one GEMM: ``a @ [W; b]`` forward (ReLU
 leaves the ones at 1) and ``a.T @ delta = [dW; db]`` backward, straight
 into the flat gradient.  The public ``forward``/``backward*`` take inputs
 without that column and append it themselves.
+
+Backward folds a one-wide output (every discriminator, and generators of
+continuous and binary columns) into the layer below it: the top hidden
+layer's (batch, width) delta, an outer product masked by the ReLU
+derivative, is never formed.  That layer's gradient and the gradient it
+passes down come from the output delta, the 0/1 mask and the output
+weight column directly (see ``_backward_from_cache``); the numbers differ
+from forming the delta by float reassociation only.
 """
 
 from __future__ import annotations
@@ -43,7 +51,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))
     out = np.where(z >= 0, 1.0, e)
     out /= 1.0 + e
-    return np.clip(out, _SIGMOID_CLIP, 1.0 - _SIGMOID_CLIP, out=out)
+    np.maximum(out, _SIGMOID_CLIP, out=out)
+    return np.minimum(out, 1.0 - _SIGMOID_CLIP, out=out)
 
 
 def _pack(weights: list[np.ndarray], biases: list[np.ndarray]):
@@ -137,13 +146,19 @@ class ParamGrads:
 @dataclass
 class AdamState:
     """Bias-corrected Adam moments, flat and laid out like ``Mlp.params``,
-    plus the learning rate and L2 coefficient for one Mlp."""
+    plus the learning rate and L2 coefficient for one Mlp.  ``scratch``
+    holds two more such rows that ``adam_step`` works in, so that an
+    update allocates nothing of the network's size."""
 
     m: np.ndarray
     v: np.ndarray
     learning_rate: float
     l2_coeff: float = 0.0
     step_count: int = 0
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2, self.m.size))
 
 
 def mlp_new(
@@ -199,7 +214,8 @@ def _hidden_buffers(mlp: Mlp, batch: int) -> list[np.ndarray]:
 
 def _delta_buffers(mlp: Mlp, batch: int) -> list[np.ndarray]:
     """One uninitialised (batch, width) array per hidden layer of ``mlp``, for
-    the gradients ``_backward_from_cache`` carries between layers."""
+    the gradients ``_backward_from_cache`` carries between layers and the
+    ReLU mask of its fold."""
     return [np.empty((batch, width)) for width in mlp.hidden_dims]
 
 
@@ -260,32 +276,52 @@ def _backward_from_cache(
     """Backpropagate ``output_grads`` through a cached forward pass.
 
     Writes the parameter gradients into ``grads`` unless it is None, one
-    ``acts[i].T @ delta`` per layer into ``grads.layers[i]``.  Returns the
-    gradient w.r.t. the input columns ``input_rows`` (rows of layer 0's
-    ``W``), or None when that is None; work that neither needs is skipped.
-    The gradients w.r.t. the hidden activations go into ``deltas`` when it
-    is given (see ``_delta_buffers``).
+    ``[dW; db]`` per layer into ``grads.layers[i]``.  Returns the gradient
+    w.r.t. the input columns ``input_rows`` (rows of layer 0's ``W``), or
+    None when that is None; work that neither needs is skipped.  Gradients
+    w.r.t. the hidden activations, and the fold's mask, go into ``deltas``
+    (see ``_delta_buffers``; fresh buffers when it is None).
+
+    A one-wide output folds the top hidden layer: with ``d`` the (batch, 1)
+    output delta, ``w`` the output weight column and ``M`` the 0/1 ReLU
+    mask of the top hidden layer as floats, that layer's delta
+    ``(d @ w.T) * M`` is never formed.  The layer below it gets
+    ``[dW; db] = ((acts * d).T @ M) * w`` and passes down
+    ``d * (M @ (W * w).T)``, where ``W`` are its weight rows.
     """
     delta = _output_delta(out, output_grads, mlp.output_activation)
-    for i in range(len(mlp.layers) - 1, -1, -1):
+    if deltas is None:
+        deltas = _delta_buffers(mlp, delta.shape[0])
+    i = len(mlp.layers) - 1
+    if grads is not None:
+        np.matmul(acts[i].T, delta, out=grads.layers[i])
+    scale = None
+    if mlp.output_dim == 1 and i > 0:
+        # the fold: carry the mask down in place of the top hidden delta
+        w = mlp.weights[i][:, 0]
+        i -= 1
+        mask = np.greater(acts[i + 1][:, :-1], 0.0, out=deltas[i])
+        if grads is not None:
+            np.matmul((acts[i] * delta).T, mask, out=grads.layers[i])
+            grads.layers[i] *= w
+        scale, delta = delta, mask
+    while True:
+        if i == 0 and input_rows is None:
+            return None
+        rows = mlp.layers[0][input_rows] if i == 0 else mlp.weights[i]
+        buf = None if i == 0 else deltas[i - 1]
+        if scale is None:
+            delta = np.matmul(delta, rows.T, out=buf)
+        else:
+            delta = np.matmul(delta, (rows * w).T, out=buf)
+            delta *= scale
+            scale = None
+        if i == 0:
+            return delta
+        delta *= acts[i][:, :-1] > 0
+        i -= 1
         if grads is not None:
             np.matmul(acts[i].T, delta, out=grads.layers[i])
-        if i == 0:
-            if input_rows is None:
-                return None
-            w = mlp.layers[0][input_rows]
-        else:
-            w = mlp.weights[i]
-        buf = None if deltas is None or i == 0 else deltas[i - 1]
-        if w.shape[1] == 1:
-            # delta @ w.T is an outer product here; einsum forms it with the
-            # same bits and at a fraction of the cost of a matmul call
-            delta = np.einsum("i,j->ij", delta[:, 0], w[:, 0], out=buf)
-        else:
-            delta = np.matmul(delta, w.T, out=buf)
-        if i > 0:
-            delta *= acts[i][:, :-1] > 0
-    return delta
 
 
 def backward(mlp: Mlp, inputs: np.ndarray, output_grads: np.ndarray) -> ParamGrads:
@@ -350,15 +386,21 @@ def adam_step(mlp: Mlp, grads: ParamGrads, state: AdamState) -> tuple[Mlp, AdamS
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     lr, l2 = state.learning_rate, state.l2_coeff
     param, m, v = mlp.params, state.m, state.v
-    g = grads.flat + l2 * param if l2 else grads.flat
+    work, tmp = state.scratch
+    g = grads.flat
+    if l2:
+        # grad + l2 * param
+        g = np.multiply(param, l2, out=work)
+        g += grads.flat
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=tmp)
     v *= b2
-    v += (1.0 - b2) * np.square(g)
+    np.square(g, out=tmp)
+    v += np.multiply(tmp, 1.0 - b2, out=tmp)
     # lr * (m / bc1) / (sqrt(v / bc2) + eps), in place and in that order
-    step = m / (1.0 - b1**t)
+    step = np.divide(m, 1.0 - b1**t, out=work)  # g is spent
     step *= lr
-    denom = v / (1.0 - b2**t)
+    denom = np.divide(v, 1.0 - b2**t, out=tmp)
     np.sqrt(denom, out=denom)
     denom += eps
     step /= denom

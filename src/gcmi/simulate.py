@@ -92,6 +92,15 @@ class AmputationSpec:
             cols = tuple(getattr(self, name) or ())
             if any(j < 0 for j in cols):
                 raise ConfigError(f"{name} must be non-negative column indices, got {cols}")
+        if self.mechanism == "mar":
+            # with no conditioning column deletion ignores the data (MCAR at
+            # 0.5); with no target column it deletes nothing
+            if not self.cond_cols:
+                raise ConfigError("cond_cols must be non-empty under mar")
+            if self.target_cols is not None and not self.target_cols:
+                raise ConfigError(
+                    "target_cols must be non-empty under mar, or null for every other column"
+                )
         shared = set(self.cond_cols) & set(self.target_cols or ())
         if shared:
             raise ConfigError(

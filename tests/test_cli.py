@@ -259,6 +259,9 @@ class TestExitCodes:
                 "ampute",
                 "cond_cols",
             ),
+            # MAR with no conditioning or no target column is not MAR
+            ({"ampute": {"mechanism": "mar", "cond_cols": []}}, "ampute", "cond_cols"),
+            ({"ampute": {"mechanism": "mar", "target_cols": []}}, "ampute", "target_cols"),
         ],
     )
     def test_wrongly_typed_value_exits_one_line_naming_key(

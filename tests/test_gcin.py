@@ -9,6 +9,7 @@ from gcmi import (
     InsufficientDataError,
     ShapeError,
     TrainConfig,
+    TrainTrace,
     impute_column,
     scale_architecture,
     train_gcin,
@@ -17,6 +18,8 @@ from gcmi.gcin import _disc_grads, _gen_grads, _Workspace
 from gcmi.losses import accuracy_penalty, discriminator_loss, generator_loss
 from gcmi.nn import (
     ParamGrads,
+    _backward_from_cache,
+    _forward_cache,
     adam_new,
     adam_step,
     backward,
@@ -283,15 +286,51 @@ def _ref_forward(net, x):
     return (p if net.output_activation == "sigmoid" else 2.0 * p), acts
 
 
+def _ref_output_delta(net, out, g):
+    if net.output_activation == "sigmoid":
+        return g * out * (1.0 - out)
+    if net.output_activation == "scaled_sigmoid_0_2":
+        return g * out * (1.0 - 0.5 * out)
+    return g
+
+
 def _ref_backward(net, acts, out, g, input_rows=None):
     """[dW; db] per layer, one acts.T @ delta each, and the input gradient
-    of the rows ``input_rows`` of layer 0 (None when that is None)."""
-    if net.output_activation == "sigmoid":
-        g = g * out * (1.0 - out)
-    elif net.output_activation == "scaled_sigmoid_0_2":
-        g = g * out * (1.0 - 0.5 * out)
+    of the rows ``input_rows`` of layer 0 (None when that is None), with
+    every layer's delta formed."""
+    g = _ref_output_delta(net, out, g)
     grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
+        grads[i] = acts[i].T @ g
+        if i > 0:
+            g = (g @ net.layers[i][:-1].T) * (acts[i][:, :-1] > 0)
+    if input_rows is None:
+        return grads, None
+    return grads, g @ net.layers[0][input_rows].T
+
+
+def _ref_backward_folded(net, acts, out, g, input_rows=None):
+    """``_ref_backward`` in the order of the fold for a one-wide output: the
+    top hidden layer's delta (d @ w.T) * M is never formed.  The layer
+    below gets ((acts * d).T @ M) * w and passes d * (M @ (W * w).T) down,
+    with d the output delta, w the output weight column, M the 0/1 ReLU
+    mask of the top hidden layer and W the weight rows of the layer below."""
+    if net.output_dim != 1:
+        return _ref_backward(net, acts, out, g, input_rows)
+    d = _ref_output_delta(net, out, g)
+    top = len(net.layers) - 1
+    grads = [None] * len(net.layers)
+    grads[top] = acts[top].T @ d
+    w = net.layers[top][:-1, 0]
+    mask = (acts[top][:, :-1] > 0).astype(float)
+    i = top - 1
+    grads[i] = ((acts[i] * d).T @ mask) * w
+    if i == 0:
+        if input_rows is None:
+            return grads, None
+        return grads, (mask @ (net.layers[0][input_rows] * w).T) * d
+    g = (mask @ (net.layers[i][:-1] * w).T) * d * (acts[i][:, :-1] > 0)
+    for i in range(i - 1, -1, -1):
         grads[i] = acts[i].T @ g
         if i > 0:
             g = (g @ net.layers[i][:-1].T) * (acts[i][:, :-1] > 0)
@@ -304,35 +343,59 @@ def _as_param_grads(grads):
     return ParamGrads([g[:-1] for g in grads], [g[-1] for g in grads])
 
 
-def reference_train(X, y, kind, cfg, n_levels=None):
+def _penalty(fake, t, kind):
+    if kind == "continuous":
+        return float(np.mean(accuracy_penalty(t, fake, "continuous")))
+    clipped = np.clip(fake, 1e-12, 1.0 - 1e-12)
+    return float(np.mean(accuracy_penalty(t, clipped, "binary").sum(axis=1)))
+
+
+def reference_train(X, y, kind, cfg, n_levels=None, backward_pass=_ref_backward_folded):
     """A plain numpy training loop in ``train_gcin``'s order: the same RNG
     draws, each layer as one product with its [W; b] matrix on inputs with
     a ones column, one discriminator pass over the real rows stacked on the
-    fake rows, and only the generated columns of the discriminator's input
-    gradient.  It runs whole cycles and never stops early."""
+    fake rows, only the generated columns of the discriminator's input
+    gradient, and the fold of every one-wide output.  It runs whole cycles
+    and never stops early.  Returns both nets and the trace, each cycle's
+    mean of the per-update losses of the public loss functions."""
     X = np.asarray(X, dtype=float)
     n, width = X.shape
     cond, target = _encode(X, y, kind, n_levels)
     t = target.shape[1]
     gen, disc, gen_opt, disc_opt, rng = _init_nets(n, width, t, cfg, kind)
     batch = min(cfg.batch_size, n)
+    trace = TrainTrace()
     for _ in range(cfg.max_epochs // cfg.gen_iters_per_cycle):
+        disc_losses, gen_losses, pens = [], [], []
         for _ in range(cfg.disc_iters_per_cycle):
             c, tg, z = _draw(rng, cond, target, batch, cfg.noise_dim)
             fake, _ = _ref_forward(gen, with_ones(np.hstack([c, z])))
             d, acts = _ref_forward(disc, stacked(np.hstack([c, tg]), np.hstack([c, fake])))
             g = np.vstack([(d[:batch] - 2.0) / batch, d[batch:] / batch])
-            grads, _ = _ref_backward(disc, acts, d, g)
+            grads, _ = backward_pass(disc, acts, d, g)
             adam_step(disc, _as_param_grads(grads), disc_opt)
+            disc_losses.append(discriminator_loss(d[:batch], d[batch:]))
         for _ in range(cfg.gen_iters_per_cycle):
             c, tg, z = _draw(rng, cond, target, batch, cfg.noise_dim)
             fake, gen_acts = _ref_forward(gen, with_ones(np.hstack([c, z])))
             d_fake, acts = _ref_forward(disc, with_ones(np.hstack([c, fake])))
-            _, d_in = _ref_backward(disc, acts, d_fake, (d_fake - 1.0) / batch, slice(width, width + t))
+            rows = slice(width, width + t)
+            _, d_in = backward_pass(disc, acts, d_fake, (d_fake - 1.0) / batch, rows)
             g = d_in + _pen_grad(fake, tg, kind, cfg.acc_penalty_weight, batch)
-            grads, _ = _ref_backward(gen, gen_acts, fake, g)
+            grads, _ = backward_pass(gen, gen_acts, fake, g)
             adam_step(gen, _as_param_grads(grads), gen_opt)
-    return gen, disc
+            gen_losses.append(generator_loss(d_fake))
+            pens.append(_penalty(fake, tg, kind))
+        trace.disc_loss.append(float(np.mean(disc_losses)))
+        trace.gen_loss.append(float(np.mean(gen_losses)))
+        trace.acc_penalty.append(float(np.mean(pens)))
+    return gen, disc, trace
+
+
+def reference_train_formed_delta(X, y, kind, cfg, n_levels=None):
+    """``reference_train`` with every layer's delta formed, as ``train_gcin``
+    ran before the fold."""
+    return reference_train(X, y, kind, cfg, n_levels, backward_pass=_ref_backward)
 
 
 def reference_train_separate_passes(X, y, kind, cfg, n_levels=None):
@@ -377,6 +440,7 @@ REFERENCE_CASES = [
     ("binary", None, 300),
     ("categorical", 3, 300),
     ("continuous", None, 40),  # fewer rows than the batch: every row, every update
+    ("binary", None, 25_000),  # two hidden layers, [200, 100]
 ]
 
 
@@ -403,16 +467,27 @@ def _reference_case(kind, n_rows):
 
 class TestTrainGcinMatchesReferenceLoop:
     """``train_gcin`` must reproduce the plain loop in its own order bit
-    for bit, and the older separate-pass order up to float reassociation."""
+    for bit, losses included, and the loop with every delta formed and the
+    older separate-pass order up to float reassociation."""
 
     @pytest.mark.parametrize("kind,n_levels,n_rows", REFERENCE_CASES)
     def test_weights_bit_identical(self, kind, n_levels, n_rows):
         X, y, cfg = _reference_case(kind, n_rows)
         pair, trace = train_gcin(X, y, kind, cfg, n_levels=n_levels)
-        gen, disc = reference_train(X, y, kind, cfg, n_levels)
+        gen, disc, ref_trace = reference_train(X, y, kind, cfg, n_levels)
         assert len(trace) == 4
         for trained, reference in ((pair.generator, gen), (pair.discriminator, disc)):
             assert trained.params.tobytes() == reference.params.tobytes()
+        assert trace == ref_trace
+
+    @pytest.mark.parametrize("kind,n_levels,n_rows", REFERENCE_CASES)
+    def test_formed_delta_order_within_reassociation(self, kind, n_levels, n_rows):
+        X, y, cfg = _reference_case(kind, n_rows)
+        pair, _ = train_gcin(X, y, kind, cfg, n_levels=n_levels)
+        gen, disc, _ = reference_train_formed_delta(X, y, kind, cfg, n_levels)
+        for trained, reference in ((pair.generator, gen), (pair.discriminator, disc)):
+            scale = np.abs(reference.params).max()
+            assert np.abs(trained.params - reference.params).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("kind,n_levels,n_rows", REFERENCE_CASES)
     def test_separate_pass_order_within_reassociation(self, kind, n_levels, n_rows):
@@ -422,6 +497,38 @@ class TestTrainGcinMatchesReferenceLoop:
         for trained, reference in ((pair.generator, gen), (pair.discriminator, disc)):
             scale = np.abs(reference.params).max()
             assert np.abs(trained.params - reference.params).max() <= 1e-12 * scale
+
+
+class TestFoldedBackward:
+    """``_backward_from_cache`` against the backward pass that forms every
+    layer's delta, for every head and depth, with and without parameter
+    gradients and input rows."""
+
+    @pytest.mark.parametrize("hidden", [[7], [6, 5]])
+    @pytest.mark.parametrize(
+        "head,width", [("identity", 1), ("sigmoid", 1), ("scaled_sigmoid_0_2", 1), ("sigmoid", 3)]
+    )
+    @pytest.mark.parametrize("want_grads", [True, False])
+    @pytest.mark.parametrize("input_rows", [None, slice(2, 5), slice(0, 5)])
+    def test_matches_formed_delta(self, hidden, head, width, want_grads, input_rows):
+        rng = np.random.default_rng(67)
+        n = 32
+        net = mlp_new(5, hidden, width, head, 13)
+        net.params += rng.normal(scale=0.1, size=net.params.size)  # non-zero biases
+        x = with_ones(rng.normal(size=(n, 5)))
+        g = rng.normal(size=(n, width)) / n
+        out, acts = _forward_cache(net, x)
+        grads = ParamGrads.zeros_like(net) if want_grads else None
+        input_grads = _backward_from_cache(net, acts, out, g, grads, input_rows)
+        ref_grads, ref_input = _ref_backward(net, acts, out, g, input_rows)
+        if want_grads:
+            for got, ref in zip(grads.layers, ref_grads):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        if input_rows is None:
+            assert input_grads is None
+        else:
+            assert input_grads.shape == ref_input.shape
+            assert np.abs(input_grads - ref_input).max() <= 1e-12 * np.abs(ref_input).max()
 
 
 class TestTwoHiddenLayerGradients:
@@ -501,7 +608,8 @@ class TestStackedDiscriminatorPass:
         disc.params += rng.normal(scale=0.1, size=disc.params.size)
         real = rng.normal(size=(n, w))
         fake = rng.normal(size=(n, w))
-        loss, grads = _disc_grads(disc, stacked(real, fake))
+        scores, grads = _disc_grads(disc, stacked(real, fake))
+        loss = discriminator_loss(scores[:n], scores[n:])
         d_real, d_fake = forward(disc, real), forward(disc, fake)
         summed = backward(disc, real, (d_real - 2.0) / n).flat + backward(disc, fake, d_fake / n).flat
         assert loss == pytest.approx(discriminator_loss(d_real, d_fake), rel=1e-12)

@@ -19,7 +19,7 @@ from gcmi import (
     forward,
     mlp_new,
 )
-from gcmi.nn import Mlp, ParamGrads
+from gcmi.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, Mlp, ParamGrads
 
 
 def finite_difference_grads(mlp, inputs, output_grads, h=1e-5):
@@ -247,6 +247,24 @@ class TestAdam:
         grads.d_weights[1][0, 0] = np.nan
         with pytest.raises(NumericError, match="layer 1"):
             adam_step(mlp, grads, state)
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-4])
+    def test_matches_plain_adam_bit_for_bit(self, l2):
+        # every temporary allocated afresh, in adam_step's order of operations
+        b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, 0.01
+        mlp = mlp_new(4, [6], 2, "sigmoid", 3)
+        state = adam_new(mlp, learning_rate=lr, l2_coeff=l2)
+        param, m, v = mlp.params.copy(), np.zeros_like(mlp.params), np.zeros_like(mlp.params)
+        rng = np.random.default_rng(5)
+        for t in range(1, 6):
+            grads = ParamGrads.zeros_like(mlp)
+            grads.flat[:] = rng.normal(size=grads.flat.size)
+            adam_step(mlp, grads, state)
+            g = grads.flat + l2 * param if l2 else grads.flat
+            m = m * b1 + (1.0 - b1) * g
+            v = v * b2 + (1.0 - b2) * np.square(g)
+            param = param - (m / (1.0 - b1**t)) * lr / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            assert mlp.params.tobytes() == param.tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)

@@ -1,4 +1,5 @@
-"""The module attributes perfbench's tracer wraps must exist.
+"""The module attributes perfbench's tracer wraps must exist, and
+``train_gcin`` must step Adam through the one it counts updates by.
 
 ``perfbench/tracing.py`` replaces each ``(module, attribute)`` in its
 ``WRAPPED`` list at the binding gcmi looks up at call time.  A missing
@@ -26,3 +27,30 @@ def _wrapped():
 @pytest.mark.parametrize("module, attr", _wrapped())
 def test_wrapped_binding_exists(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+
+def test_train_gcin_steps_adam_through_the_module_attribute(monkeypatch):
+    # the traced update counts are the calls through gcmi.gcin.adam_step:
+    # one per generator update and one per discriminator update, told
+    # apart as the tracer does, by the discriminator's (0, 2) head
+    import numpy as np
+
+    import gcmi.gcin
+
+    calls = {"gen": 0, "disc": 0}
+    step = gcmi.gcin.adam_step
+
+    def counted(mlp, grads, state):
+        calls["disc" if mlp.output_activation == "scaled_sigmoid_0_2" else "gen"] += 1
+        return step(mlp, grads, state)
+
+    monkeypatch.setattr(gcmi.gcin, "adam_step", counted)
+    X = np.random.default_rng(3).normal(size=(80, 3))
+    cfg = gcmi.gcin.TrainConfig(
+        max_epochs=20, gen_iters_per_cycle=6, disc_iters_per_cycle=4, batch_size=32, seed=1
+    )
+    _, trace = gcmi.gcin.train_gcin(X, X.sum(axis=1), "continuous", cfg)
+    # cycles of 6, 6, 6 and 2 generator updates, each after 4 discriminator updates
+    assert len(trace) == 4
+    assert calls == {"gen": 20, "disc": 16}

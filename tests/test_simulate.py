@@ -150,6 +150,12 @@ class TestMar:
                 AmputationSpec("mar", cond_cols=(0, 1, 2, 3), target_cols=(3, 4)),
             )
 
+    @pytest.mark.parametrize("name", ["cond_cols", "target_cols"])
+    def test_empty_column_list_rejected(self, name):
+        # no conditioning column would delete like MCAR; no target column, nothing
+        with pytest.raises(ConfigError, match=f"{name} must be non-empty"):
+            ampute(np.zeros((10, 6)), AmputationSpec("mar", **{name: ()}))
+
     @pytest.mark.parametrize(
         "p, kwargs, message",
         [
