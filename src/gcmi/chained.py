@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -24,6 +25,7 @@ import numpy as np
 from .data import (
     ColumnSchema,
     DataMatrix,
+    ObservedText,
     column_slices,
     encode_columns,
     write_csv,
@@ -65,7 +67,10 @@ class GcmiConfig:
 
 @dataclass
 class ConvergenceTrace:
-    """Per-sweep dual criterion values and why the chain stopped."""
+    """Per-sweep dual criterion values and why the chain stopped:
+    ``both_stabilized``, ``max_iters``, or ``no_trainable_columns`` for a
+    chain that ran no sweep because no column has both missing cells and
+    enough observed rows to train on."""
 
     gamma_num: list[float] = field(default_factory=list)
     gamma_cat: list[float] = field(default_factory=list)
@@ -77,13 +82,20 @@ class ConvergenceTrace:
 
 @dataclass
 class ImputationResult:
-    """M completed datasets plus traces and run metadata."""
+    """M completed datasets plus traces and run metadata.
+
+    ``wall_time_s`` runs from the chains' start to the last table's end,
+    so it includes the tables ``gcmi_impute`` wrote as chains
+    finished; ``files`` lists those tables' paths, in chain order (empty
+    when it was given no output directory).
+    """
 
     completed: list[DataMatrix]
     traces: list[ConvergenceTrace]
     config: GcmiConfig
     chain_seeds: list[int]
     wall_time_s: float
+    files: list[Path] = field(default_factory=list)
 
     @property
     def m(self) -> int:
@@ -230,10 +242,13 @@ def sweep(
 def _run_chain(
     dm: DataMatrix, cfg: GcmiConfig, cols: list[int], chain_seed: int
 ) -> tuple[np.ndarray, ConvergenceTrace]:
+    """The chain's values for the missing cells, ``completed[dm.mask]``
+    (only those travel back from a pool worker), and its trace."""
     filled = initial_fill(dm)
     trace = ConvergenceTrace()
     if not cols:
-        return filled.values, trace
+        trace.stop_reason = "no_trainable_columns"
+        return filled.values[dm.mask], trace
 
     chain_cfg = replace(cfg, seed=chain_seed)
     current = filled.values
@@ -256,15 +271,37 @@ def _run_chain(
         prev = gamma
     else:
         trace.stop_reason = "max_iters"
-    return best, trace
+    return best[dm.mask], trace
 
 
-def gcmi_impute(dm: DataMatrix, cfg: GcmiConfig | None = None) -> ImputationResult:
+def _table_path(out_dir: Path, stem: str, i: int) -> Path:
+    return out_dir / f"{stem}_imp{i}.csv"
+
+
+def _manifest_path(out_dir: Path, stem: str) -> Path:
+    return out_dir / f"{stem}_manifest.json"
+
+
+def gcmi_impute(
+    dm: DataMatrix,
+    cfg: GcmiConfig | None = None,
+    out_dir: str | Path | None = None,
+    stem: str = "imputed",
+) -> ImputationResult:
     """Produce M completed datasets from a matrix with missing cells.
 
     Chains use independent derived seeds and may run in parallel
     (``cfg.workers``); results are identical either way.  Observed cells
     pass through untouched.
+
+    With ``out_dir``, chain i's completed table is written to
+    ``{out_dir}/{stem}_imp{i}.csv`` as soon as chains 1..i are done, the
+    tables sharing one formatting of the observed continuous cells, and
+    the paths are recorded in ``files``; ``save_result`` with the same
+    directory and stem then writes only the manifest.  A manifest left
+    there by an earlier run is removed first, and if a chain or a write
+    fails, the tables written so far are removed before the error
+    propagates.
     """
     cfg = cfg or GcmiConfig()
     cfg.validate()
@@ -273,24 +310,41 @@ def gcmi_impute(dm: DataMatrix, cfg: GcmiConfig | None = None) -> ImputationResu
     for j, col in enumerate(dm.schema):
         if dm.mask[:, j].all():
             raise UnimputableColumnError(f"column {col.name!r} is entirely missing")
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _manifest_path(out_dir, stem).unlink(missing_ok=True)
 
     start = time.perf_counter()
     cols = _trainable_columns(dm)  # the same for every chain
     chain_seeds = [derive_seed(cfg.seed, 0, m) for m in range(cfg.m_imputations)]
-    outcomes = parallel_map(_run_chain, [(dm, cfg, cols, s) for s in chain_seeds], cfg.workers)
-
-    completed = []
-    traces = []
-    for values, trace in outcomes:
-        out = DataMatrix(list(dm.schema), values, np.zeros_like(dm.mask))
-        completed.append(out)
-        traces.append(trace)
+    tasks = [(dm, cfg, cols, s) for s in chain_seeds]
+    completed, traces, files = [], [], []
+    observed = None  # built when the first table is written, while chains still run
+    try:
+        with closing(parallel_map(_run_chain, tasks, cfg.workers)) as outcomes:
+            for i, (imputed, trace) in enumerate(outcomes, start=1):
+                values = dm.values.copy()
+                values[dm.mask] = imputed
+                out = DataMatrix(list(dm.schema), values, np.zeros_like(dm.mask))
+                completed.append(out)
+                traces.append(trace)
+                if out_dir is not None:
+                    if observed is None:
+                        observed = ObservedText(dm)
+                    files.append(_table_path(out_dir, stem, i))
+                    write_csv(out, files[-1], observed)
+    except BaseException:
+        for path in files:
+            path.unlink(missing_ok=True)
+        raise
     return ImputationResult(
         completed=completed,
         traces=traces,
         config=cfg,
         chain_seeds=chain_seeds,
         wall_time_s=time.perf_counter() - start,
+        files=files,
     )
 
 
@@ -316,13 +370,16 @@ def rubin_pool(estimates: list[tuple[float, float]]) -> PooledEstimate:
 
 
 def save_result(result: ImputationResult, out_dir: str | Path, stem: str = "imputed") -> list[Path]:
-    """Write M completed CSVs plus a JSON run manifest; returns the paths."""
+    """Write the M completed CSVs, skipping those already in
+    ``result.files``, then the JSON run manifest, which is written last and
+    so marks a complete run; returns the M CSV paths and the manifest's."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for i, dm in enumerate(result.completed, start=1):
-        path = out_dir / f"{stem}_imp{i}.csv"
-        write_csv(dm, path)
+        path = _table_path(out_dir, stem, i)
+        if path not in result.files:
+            write_csv(dm, path)
         paths.append(path)
     manifest = {
         "m_imputations": result.m,
@@ -343,7 +400,7 @@ def save_result(result: ImputationResult, out_dir: str | Path, stem: str = "impu
         "wall_time_s": result.wall_time_s,
         "files": [p.name for p in paths],
     }
-    manifest_path = out_dir / f"{stem}_manifest.json"
+    manifest_path = _manifest_path(out_dir, stem)
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     paths.append(manifest_path)
     return paths

@@ -172,9 +172,11 @@ def _cmd_impute(args, cfg: RunConfig) -> int:
     if not input_path:
         raise UsageError("impute needs an input CSV (argument or config impute.input)")
     dm = read_csv(input_path)
-    result = gcmi_impute(dm, cfg.gcmi)
-    paths = save_result(result, _out_dir(cfg), stem=job.out_prefix)
-    print(f"wrote {len(paths) - 1} completed datasets + manifest under {_out_dir(cfg)}")
+    out = _out_dir(cfg)
+    # each table is written as its chain finishes; the manifest comes last
+    result = gcmi_impute(dm, cfg.gcmi, out_dir=out, stem=job.out_prefix)
+    paths = save_result(result, out, stem=job.out_prefix)
+    print(f"wrote {len(paths) - 1} completed datasets + manifest under {out}")
     return 0
 
 

@@ -259,12 +259,57 @@ def _write_table(path: str | Path, names: list[str], n_rows: int, block) -> None
             fh.write(_csv_lines(block(s, e), e - s))
 
 
-def write_csv(dm: DataMatrix, path: str | Path) -> None:
+def _float_fields(values: np.ndarray, miss: np.ndarray) -> list[str]:
+    """``repr`` of each cell of a float column, ``""`` for a missing one."""
+    cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(miss).tolist():
+        cells[i] = ""
+    return cells
+
+
+class ObservedText:
+    """The CSV fields of a matrix's observed continuous cells, formatted once
+    for writing several completions of it (see ``write_csv``).
+
+    Per continuous column it keeps one newline-joined string per block of
+    rows, a missing cell an empty line: a byte per character, where a list
+    of field strings would spend a string object (some 70 bytes) per cell.
+    """
+
+    def __init__(self, dm: DataMatrix):
+        self.source = dm
+        rows = [slice(s, s + _BLOCK_ROWS) for s in range(0, dm.n_rows, _BLOCK_ROWS)]
+        self.blocks = {
+            j: ["\n".join(_float_fields(dm.values[r, j], dm.mask[r, j])) for r in rows]
+            for j, col in enumerate(dm.schema)
+            if col.kind == "continuous"
+        }
+
+    def check_completes(self, dm: DataMatrix) -> None:
+        """Raise unless ``dm`` keeps the source's schema, shape and, bit for
+        bit, every observed cell."""
+        src = self.source
+        kept = ~src.mask
+        if (
+            dm.schema != src.schema
+            or dm.mask.shape != src.mask.shape
+            or (dm.mask & kept).any()
+            or not np.array_equal(dm.values[kept].view(np.int64), src.values[kept].view(np.int64))
+        ):
+            raise ShapeError("the matrix written does not complete the one whose text is shared")
+
+
+def write_csv(dm: DataMatrix, path: str | Path, observed: ObservedText | None = None) -> None:
     """Write a DataMatrix as CSV; missing cells become empty fields.
 
     Continuous cells are written as ``repr(float)``, coded cells as their
-    level strings.
+    level strings.  ``observed``, the formatted text of a matrix that
+    ``dm`` completes (same schema, every observed cell kept), saves
+    formatting those cells again: only the cells missing there are
+    formatted.  The file is the same with or without it.
     """
+    if observed is not None:
+        observed.check_completes(dm)
     # per coded column: its quoted levels by code, then "" for a missing cell
     level_fields = [
         None if col.kind == "continuous" else [*map(_csv_field, col.levels), ""]
@@ -275,13 +320,17 @@ def write_csv(dm: DataMatrix, path: str | Path) -> None:
         columns = []
         for j, table in enumerate(level_fields):
             miss = dm.mask[s:e, j]
-            if table is None:
-                cells = list(map(repr, dm.values[s:e, j].tolist()))
-                for i in np.flatnonzero(miss).tolist():
-                    cells[i] = ""
-            else:
+            if table is not None:
                 codes = np.where(miss, len(table) - 1, dm.values[s:e, j]).astype(int)
                 cells = list(map(table.__getitem__, codes.tolist()))
+            elif observed is None:
+                cells = _float_fields(dm.values[s:e, j], miss)
+            else:
+                cells = observed.blocks[j][s // _BLOCK_ROWS].split("\n")
+                holes = np.flatnonzero(observed.source.mask[s:e, j])
+                filled = _float_fields(dm.values[s:e, j][holes], miss[holes])
+                for i, text in zip(holes.tolist(), filled):
+                    cells[i] = text
             columns.append(cells)
         return columns
 

@@ -10,6 +10,7 @@ gives the same output at any worker count.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -33,15 +34,25 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(spawn_rng(seed, *path).integers(0, 2**63))
 
 
-def parallel_map(fn, tasks: list[tuple], workers: int) -> list:
-    """``[fn(*task) for task in tasks]``, in task order.
+def parallel_map(fn, tasks: list[tuple], workers: int) -> Iterator:
+    """Yield ``fn(*task)`` for each task, in task order, each as soon as it
+    and every task before it are done.
 
     Runs on a pool of ``min(workers, len(tasks))`` processes when that is
     more than one, and serially otherwise; the pool starts all its workers
-    at the first task, so it never gets more than there are tasks.
+    at the first task, so it never gets more than there are tasks.  When
+    the consumer stops early (closes the generator, say after a failed
+    write), the tasks the pool has not yet handed to its workers are
+    cancelled and never start; those running or queued for the workers
+    (at most twice as many as there are workers, plus one) finish first.
     """
     workers = min(workers, len(tasks))
     if workers <= 1:
-        return [fn(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
+        for task in tasks:
+            yield fn(*task)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(fn, *zip(*tasks))
+    finally:
+        pool.shutdown(cancel_futures=True)

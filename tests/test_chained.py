@@ -195,6 +195,7 @@ class TestGcmiImpute:
         for completed, trace in zip(result.completed, result.traces):
             assert np.array_equal(completed.values, dm.values)
             assert len(trace) == 0
+            assert trace.stop_reason == "no_trainable_columns"
 
     def test_determinism_bit_for_bit(self):
         dm, _ = mixed_matrix(seed=7)
@@ -237,6 +238,13 @@ class TestGcmiImpute:
             f"column 'X3' has only {n_obs} observed rows; keeping its initial fill"
         ]
         assert np.allclose(result.completed[0].values[mask[:, 2], 2], observed_mean)
+        # the only column with missing cells is too sparse, so no chain sweeps
+        assert [(len(t), t.stop_reason) for t in result.traces] == [(0, "no_trainable_columns")] * 2
+
+    def test_chain_with_a_trainable_column_reports_a_sweep_reason(self):
+        dm, _ = mixed_matrix(seed=13, miss=0.4)
+        result = gcmi_impute(dm, tiny_config(max_chain_iters=1))
+        assert [(len(t), t.stop_reason) for t in result.traces] == [(1, "max_iters")]
 
     def test_single_column_rejected(self):
         dm = matrix_from_array(np.ones((5, 1)))
@@ -318,3 +326,27 @@ class TestSaveResult:
         assert manifest["m_imputations"] == 2
         assert len(manifest["traces"]) == 2
         assert manifest["files"] == ["run_imp1.csv", "run_imp2.csv"]
+
+    def test_writes_only_the_tables_not_streamed_there(self, tmp_path, monkeypatch):
+        written = []
+        write_csv = gcmi.chained.write_csv
+
+        def recorded(dm, path, *args):
+            written.append(path.relative_to(tmp_path).as_posix())
+            write_csv(dm, path, *args)
+
+        monkeypatch.setattr(gcmi.chained, "write_csv", recorded)
+        dm, _ = mixed_matrix(seed=29)
+        result = gcmi_impute(dm, tiny_config(m_imputations=2), out_dir=tmp_path / "a", stem="run")
+        assert result.files == [tmp_path / "a" / "run_imp1.csv", tmp_path / "a" / "run_imp2.csv"]
+        assert written == ["a/run_imp1.csv", "a/run_imp2.csv"]
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [p.name for p in result.files]
+        paths = save_result(result, tmp_path / "a", stem="run")
+        assert paths == [*result.files, tmp_path / "a" / "run_manifest.json"]
+        save_result(result, tmp_path / "b", stem="run")
+        save_result(result, tmp_path / "a", stem="other")
+        assert written[2:] == [
+            "b/run_imp1.csv", "b/run_imp2.csv", "a/other_imp1.csv", "a/other_imp2.csv"
+        ]
+        for name in ("run_imp1.csv", "run_imp2.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

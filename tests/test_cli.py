@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gcmi.chained
 import gcmi.seeding
-from gcmi import read_csv
+from gcmi import NumericError, gcmi_impute, read_csv, save_result
 from gcmi.cli import cli_main
 from gcmi.config import load_config, parse_config
 
@@ -126,6 +127,84 @@ class TestImpute:
         manifest = json.loads((tmp_path / "imputed_manifest.json").read_text())
         assert manifest["m_imputations"] == 2
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_streamed_tables_equal_save_result_output(self, tmp_path, workers):
+        """The CSVs ``gcmi impute`` writes as chains finish, and its
+        manifest bar ``wall_time_s``, are those ``save_result`` writes from
+        the same run held in memory."""
+        (tmp_path / "in.csv").write_text(MIXED_CSV)
+        overrides = {"seed": 6, "threads": workers, "train": TINY_TRAIN,
+                     "gcmi": {"max_chain_iters": 2, "m_imputations": 3}}
+        (tmp_path / "cfg.json").write_text(json.dumps(overrides))
+        code = run(["--config", str(tmp_path / "cfg.json"), "--output-dir", str(tmp_path / "cli"),
+                    "impute", str(tmp_path / "in.csv")])
+        assert code == 0
+        result = gcmi_impute(read_csv(tmp_path / "in.csv"), parse_config(overrides).gcmi)
+        assert result.files == []
+        save_result(result, tmp_path / "ref")
+        names = sorted(p.name for p in (tmp_path / "ref").iterdir())
+        assert names == [*(f"imputed_imp{i}.csv" for i in (1, 2, 3)), "imputed_manifest.json"]
+        assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == names
+        for name in names[:-1]:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+        got, want = (json.loads((tmp_path / d / names[-1]).read_text()) for d in ("cli", "ref"))
+        assert got.pop("wall_time_s") > 0 and want.pop("wall_time_s") > 0
+        assert got == want
+
+    @pytest.mark.parametrize("fail, code", [("chain", 3), ("write", 2)])
+    def test_failure_after_a_streamed_table_leaves_no_output(
+        self, tmp_path, monkeypatch, fail, code
+    ):
+        """A chain that raises, or a write that fails once its file exists,
+        after the first table was written: the exit code is the documented
+        one and the output directory holds neither tables nor a manifest,
+        not even one left by an earlier run."""
+        (tmp_path / "in.csv").write_text(MIXED_CSV)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "imputed_manifest.json").write_text("{}")
+        calls = []
+        if fail == "chain":
+            run_chain = gcmi.chained._run_chain
+
+            def flaky(*args):
+                calls.append(args)
+                if len(calls) == 2:
+                    raise NumericError("non-finite generator output")
+                return run_chain(*args)
+
+            monkeypatch.setattr(gcmi.chained, "_run_chain", flaky)
+        else:
+            write_csv = gcmi.chained.write_csv
+
+            def flaky(dm, path, *args):
+                calls.append(path)
+                write_csv(dm, path, *args)
+                if len(calls) == 2:
+                    raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(gcmi.chained, "write_csv", flaky)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"train": TINY_TRAIN, "gcmi": {"max_chain_iters": 1, "m_imputations": 3}}
+        ))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            got = run(["--config", str(tmp_path / "cfg.json"), "--output-dir", str(out),
+                       "impute", str(tmp_path / "in.csv")])
+        assert got == code
+        assert len(calls) == 2
+        assert len(err.getvalue().strip().splitlines()) == 1
+        assert list(out.iterdir()) == []
+
+
+# 40 rows of two continuous, one binary and one categorical column, with
+# empty cells in each
+MIXED_CSV = "a,b,flag,region\n" + "".join(
+    f"{'' if i % 7 == 3 else round(0.37 * i - 5, 3)},{'' if i % 5 == 1 else -1.5 + i / 8},"
+    f"{'' if i % 6 == 2 else ('yes', 'no')[i % 3 == 0]},{'' if i % 9 == 4 else 'nesw'[i % 4]}\n"
+    for i in range(40)
+)
+
 
 class TestWorkerPool:
     def test_threads_beyond_task_count_start_one_worker_per_task(self, tmp_path, monkeypatch):
@@ -138,14 +217,11 @@ class TestWorkerPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
+
+            def shutdown(self, cancel_futures=False):
+                return None
 
         monkeypatch.setattr(gcmi.seeding, "ProcessPoolExecutor", InProcessPool)
         run(["--output-dir", str(tmp_path), "simulate", "--n", "40", "--p", "3"])

@@ -1,7 +1,9 @@
 """CSV ingestion, schema inference, writers, and encoding."""
 
 import csv
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,14 @@ from gcmi import (
     write_csv,
     write_mask_csv,
 )
-from gcmi.data import _BLOCK_ROWS, DEFAULT_MISSING_TOKENS, KINDS, column_slices, encode_columns
+from gcmi.data import (
+    _BLOCK_ROWS,
+    DEFAULT_MISSING_TOKENS,
+    KINDS,
+    ObservedText,
+    column_slices,
+    encode_columns,
+)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -351,6 +360,60 @@ class TestWriterMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+# floats whose repr is easy to get wrong: signed zero, subnormals, the
+# switch to exponent notation at 1e16 and below 1e-4
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1e-5, 9.999999999999999e15, 0.1 + 0.2]
+
+
+class TestSharedObservedText:
+    """``write_csv`` with the observed cells' text formatted once writes the
+    same bytes as without it, for the source matrix and for a completion."""
+
+    @given(
+        n=st.integers(1, 30) | st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]),
+        pool=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+        rate=st.sampled_from([0.0, 0.2, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_bytes_with_and_without(self, n, pool, rate, seed):
+        rng = np.random.default_rng(seed)
+        floats = np.array(SPECIAL_FLOATS + pool)
+        schema = [
+            ColumnSchema("whole", "continuous"),  # never missing
+            ColumnSchema("x", "continuous"),
+            ColumnSchema("y, z", "continuous"),
+            ColumnSchema("flag", "binary", ("no", "yes")),
+            ColumnSchema("c", "categorical", ("a", "b,c", "d")),
+        ]
+        truth = np.column_stack(
+            [rng.choice(floats, (n, 3)), rng.integers(0, 2, n), rng.integers(0, 3, n)]
+        ).astype(float)
+        mask = rng.random(truth.shape) < rate
+        mask[:, 0] = False
+        source = DataMatrix(schema, np.where(mask, np.nan, truth), mask)
+        fills = np.column_stack([rng.choice(floats, (n, 3)), truth[:, 3:]])
+        completion = np.where(mask, fills, truth)
+        observed = ObservedText(source)
+        for dm in (source, DataMatrix(schema, completion, np.zeros_like(mask))):
+            with tempfile.TemporaryDirectory() as tmp:
+                plain, shared = Path(tmp, "plain.csv"), Path(tmp, "shared.csv")
+                write_csv(dm, plain)
+                write_csv(dm, shared, observed)
+                assert shared.read_bytes() == plain.read_bytes()
+
+    def test_matrix_that_does_not_complete_the_source_rejected(self, tmp_path):
+        source = mixed_matrix(20)
+        observed = ObservedText(source)
+        i = int(np.flatnonzero(~source.mask[:, 0])[0])
+        changed, hidden = source.copy(), source.copy()
+        changed.values[i, 0] = -changed.values[i, 0]
+        hidden.mask[i, 0] = True  # the value stays, but would be written empty
+        for other in (changed, hidden, mixed_matrix(21), mixed_matrix(20, seed=1)):
+            with pytest.raises(ShapeError):
+                write_csv(other, tmp_path / "out.csv", observed)
 
 
 READ_CASES = {

@@ -1,5 +1,6 @@
-"""The module attributes perfbench's tracer wraps must exist, and
-``train_gcin`` must step Adam through the one it counts updates by.
+"""The module attributes perfbench's tracer wraps must exist, ``train_gcin``
+must step Adam through the one it counts updates by, and ``gcmi impute``
+must call the CSV and imputation functions through the ones it wraps.
 
 ``perfbench/tracing.py`` replaces each ``(module, attribute)`` in its
 ``WRAPPED`` list at the binding gcmi looks up at call time.  A missing
@@ -29,7 +30,6 @@ def test_wrapped_binding_exists(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
 
 
-
 def test_train_gcin_steps_adam_through_the_module_attribute(monkeypatch):
     # the traced update counts are the calls through gcmi.gcin.adam_step:
     # one per generator update and one per discriminator update, told
@@ -54,3 +54,50 @@ def test_train_gcin_steps_adam_through_the_module_attribute(monkeypatch):
     # cycles of 6, 6, 6 and 2 generator updates, each after 4 discriminator updates
     assert len(trace) == 4
     assert calls == {"gen": 20, "disc": 16}
+
+
+def test_impute_command_calls_each_binding_through_its_traced_route(tmp_path, monkeypatch):
+    # an attribute that exists but that its caller no longer looks up would
+    # pass the test above and still blank the traced metrics: count the
+    # calls ``gcmi impute`` makes through each route perfbench wraps
+    import json
+
+    import gcmi.chained
+    import gcmi.cli
+
+    calls = {}
+
+    def count(module, attr):
+        original = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            key = f"{module.__name__}.{attr}"
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    for module, attr in [
+        (gcmi.cli, "read_csv"),
+        (gcmi.cli, "gcmi_impute"),
+        (gcmi.cli, "save_result"),
+        (gcmi.chained, "write_csv"),
+    ]:
+        count(module, attr)
+    rows = [
+        f"{i % 7 - 3.5},{'' if i % 4 == 1 else i / 10},{'' if i % 5 == 2 else 'xy'[i % 2]}"
+        for i in range(30)
+    ]
+    (tmp_path / "in.csv").write_text("a,b,c\n" + "\n".join(rows) + "\n")
+    train = {"max_epochs": 4, "gen_iters_per_cycle": 2, "disc_iters_per_cycle": 2, "batch_size": 16}
+    (tmp_path / "cfg.json").write_text(
+        json.dumps({"train": train, "gcmi": {"max_chain_iters": 1, "m_imputations": 3}})
+    )
+    argv = ["--config", str(tmp_path / "cfg.json"), "--output-dir", str(tmp_path / "out")]
+    assert gcmi.cli.cli_main([*argv, "impute", str(tmp_path / "in.csv")]) == 0
+    assert calls == {
+        "gcmi.cli.read_csv": 1,
+        "gcmi.cli.gcmi_impute": 1,
+        "gcmi.cli.save_result": 1,
+        "gcmi.chained.write_csv": 3,
+    }
