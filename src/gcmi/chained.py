@@ -194,17 +194,19 @@ def _trainable_columns(dm: DataMatrix) -> list[int]:
 
 def _refit_column(
     values: np.ndarray,
+    encoded: np.ndarray,
     dm: DataMatrix,
     j: int,
     cfg: GcmiConfig,
     seed_path: tuple[int, ...],
 ) -> np.ndarray:
-    """Train on obs(j) rows of the completed matrix; return imputations for miss(j)."""
+    """Train on obs(j) rows of the completed matrix, conditioning on the
+    other columns of its encoding ``encoded``; return imputations for
+    miss(j)."""
     col = dm.schema[j]
     miss = dm.mask[:, j]
-    slices = column_slices(dm.schema)
-    encoded = encode_columns(values, dm.schema)
-    cond = np.hstack([encoded[:, : slices[j].start], encoded[:, slices[j].stop :]])
+    sl = column_slices(dm.schema)[j]
+    cond = np.hstack([encoded[:, : sl.start], encoded[:, sl.stop :]])
     seed = derive_seed(cfg.seed, *seed_path)
     pair, _ = train_gcin(
         cond[~miss],
@@ -229,13 +231,19 @@ def sweep(
     Columns are refit one after another in the order given, each
     conditioning on the current completion of the others: its fresh
     imputations are written back before the next column trains.  Each
-    column's pair is fit from scratch per sweep.
+    column's pair is fit from scratch per sweep.  The completion is
+    encoded once per sweep; after each column only that column's slice of
+    its missing rows is encoded again.
     """
     if np.isnan(values).any():
         raise ValueError("sweep requires a completed matrix")
     current = values.copy()
+    encoded = encode_columns(current, dm.schema)
+    slices = column_slices(dm.schema)
     for j in cols:
-        current[dm.mask[:, j], j] = _refit_column(current, dm, j, cfg, (*seed_path, j))
+        miss = dm.mask[:, j]
+        current[miss, j] = _refit_column(current, encoded, dm, j, cfg, (*seed_path, j))
+        encoded[miss, slices[j]] = encode_columns(current[miss, j][:, None], [dm.schema[j]])
     return current
 
 

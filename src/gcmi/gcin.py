@@ -10,6 +10,11 @@ Column kinds: continuous targets use an identity head on standardised
 values, binary targets a sigmoid head on {0, 1} codes, and categorical
 targets a group of sigmoid heads over one-hot levels whose probabilities
 are renormalised at sampling time.
+
+Both networks train in float32 (``TRAIN_DTYPE``): the standardisation is
+fitted in float64 and the standardised conditioning and target are cast
+once per fit.  Imputation feeds float32 to the generator and maps its
+output back to the data's scale in float64.
 """
 
 from __future__ import annotations
@@ -43,6 +48,9 @@ from .seeding import canonical_seed
 
 # Standard deviations below this are treated as degenerate (scale 1).
 _MIN_SCALE = 1e-9
+
+# The dtype every generator/discriminator pair is built, trained and run in.
+TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -181,14 +189,16 @@ class _Workspace:
     rows (cond | fake | 1), the hidden activations and the gradients carried
     between hidden layers of both networks, and both networks' parameter
     gradients.  ``fake_in``, ``fake_hidden`` and ``fake_deltas`` view the
-    fake half of the discriminator's buffers, for the generator step."""
+    fake half of the discriminator's buffers, for the generator step.
+    Every buffer has the generator's dtype."""
 
     def __init__(self, gen: Mlp, disc: Mlp, batch: int, cond_width: int):
-        self.cond = np.empty((batch, cond_width))
-        self.z = np.empty((batch, gen.input_dim - cond_width))
-        self.target = np.empty((batch, disc.input_dim - cond_width))
-        self.gen_in = np.ones((batch, gen.input_dim + 1))
-        self.disc_in = np.ones((2 * batch, disc.input_dim + 1))
+        dtype = gen.dtype
+        self.cond = np.empty((batch, cond_width), dtype=dtype)
+        self.z = np.empty((batch, gen.input_dim - cond_width), dtype=dtype)
+        self.target = np.empty((batch, disc.input_dim - cond_width), dtype=dtype)
+        self.gen_in = np.ones((batch, gen.input_dim + 1), dtype=dtype)
+        self.disc_in = np.ones((2 * batch, disc.input_dim + 1), dtype=dtype)
         self.gen_hidden = _hidden_buffers(gen, batch)
         self.disc_hidden = _hidden_buffers(disc, 2 * batch)
         self.gen_deltas = _delta_buffers(gen, batch)
@@ -288,6 +298,8 @@ def train_gcin(
     ``X_cond`` is the (n_obs, width) conditioning matrix and ``x_target``
     the observed column (raw values for continuous, 0/1 codes for binary,
     integer codes for categorical).  Deterministic given ``cfg.seed``.
+    The pair's networks are float32 (``TRAIN_DTYPE``); its normalisation
+    stays float64.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown column kind {kind!r}")
@@ -304,15 +316,18 @@ def train_gcin(
         raise ValueError("X_cond must not contain missing or non-finite entries")
 
     target_enc, t_shift, t_scale, t_width, levels = _encode_target(x_target, kind, n_levels)
+    target_enc = target_enc.astype(TRAIN_DTYPE)
     cond_shift, cond_scale = _standardize_fit(X_cond)
-    cond = (X_cond - cond_shift) / cond_scale
+    cond = ((X_cond - cond_shift) / cond_scale).astype(TRAIN_DTYPE)
 
     seed = canonical_seed(cfg.seed)
     k = cfg.noise_dim
     hidden = scale_architecture(n_obs, X_cond.shape[1] + 1)
     gen_head = "identity" if kind == "continuous" else "sigmoid"
-    gen = mlp_new(cond.shape[1] + k, hidden, t_width, gen_head, seed=seed)
-    disc = mlp_new(cond.shape[1] + t_width, hidden, 1, "scaled_sigmoid_0_2", seed=seed ^ 1)
+    gen = mlp_new(cond.shape[1] + k, hidden, t_width, gen_head, seed=seed, dtype=TRAIN_DTYPE)
+    disc = mlp_new(
+        cond.shape[1] + t_width, hidden, 1, "scaled_sigmoid_0_2", seed=seed ^ 1, dtype=TRAIN_DTYPE
+    )
     gen_opt = adam_new(gen, cfg.lr_generator, cfg.l2)
     disc_opt = adam_new(disc, cfg.lr_discriminator, cfg.l2)
 
@@ -335,7 +350,7 @@ def train_gcin(
         idx = _minibatch(rng, n_obs, batch)
         np.take(cond, idx, axis=0, out=ws.cond)
         np.take(target_enc, idx, axis=0, out=ws.target)
-        rng.standard_normal(out=ws.z)
+        rng.standard_normal(dtype=TRAIN_DTYPE, out=ws.z)
 
     while gen_done < cfg.max_epochs:
         for j in range(cfg.disc_iters_per_cycle):
@@ -402,6 +417,8 @@ def impute_column(
     A fresh noise vector is drawn per row, so repeated calls with
     different seeds yield distinct multiple-imputation draws.  Binary and
     categorical columns are sampled from the generated probabilities.
+    The generator runs in its own dtype; its output is de-standardised,
+    and its level probabilities normalised, in float64.
     """
     X_cond_mis = np.asarray(X_cond_mis, dtype=float)
     if X_cond_mis.ndim != 2 or X_cond_mis.shape[1] != pair.cond_shift.size:
@@ -414,12 +431,22 @@ def impute_column(
     rng = np.random.default_rng(canonical_seed(seed))
     cond = (X_cond_mis - pair.cond_shift) / pair.cond_scale
     z = rng.standard_normal((n_mis, pair.noise_dim))
-    out = forward(pair.generator, np.hstack([cond, z]))
+    out = forward(pair.generator, np.hstack([cond, z])).astype(np.float64)
     if pair.column_kind == "continuous":
         return out[:, 0] * pair.target_scale + pair.target_shift
     if pair.column_kind == "binary":
         return (rng.random(n_mis) < out[:, 0]).astype(float)
-    probs = out / out.sum(axis=1, keepdims=True)
-    cum = np.cumsum(probs, axis=1)
-    u = rng.random((n_mis, 1))
+    return _draw_levels(out, rng.random((n_mis, 1)))
+
+
+def _draw_levels(out: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Level codes drawn by inverting each row's cumulative probabilities
+    (``out`` normalised) at the uniform ``u`` in [0, 1) of that row.
+
+    The last cumulative value is pinned to 1: a sum that rounds below 1
+    would otherwise leave the top of [0, 1) to no level, and ``argmax``
+    would return level 0 there.
+    """
+    cum = np.cumsum(out / out.sum(axis=1, keepdims=True), axis=1)
+    cum[:, -1] = 1.0
     return np.argmax(u < cum, axis=1).astype(float)

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn import _sigmoid_clip
+
 REAL_TARGET = 2.0
 GEN_TARGET = 1.0
-
-# Clamp for logs inside the binary penalty when called on saturated values.
-_LOG_EPS = 1e-12
 
 
 def discriminator_loss(d_real: np.ndarray, d_fake: np.ndarray) -> float:
@@ -91,15 +90,18 @@ def accuracy_penalty_grad(
     averaged over the n rows and ``weight`` times its gradient w.r.t.
     ``generated``.  continuous (width 1): squared error.  binary and
     categorical (sigmoid heads, one column per level): cross-entropy
-    summed over the row's columns, with ``generated`` clamped into
-    [1e-12, 1 - 1e-12].
+    summed over the row's columns, with ``generated`` clamped as far from
+    0 and 1 as the sigmoid head clamps its outputs (``nn._sigmoid_clip``
+    of its dtype: 1e-12 in float64), so that the logarithms stay finite.
+    Computed in the dtype of its inputs.
     """
     n = generated.shape[0]
     if kind == "continuous":
         diff = generated - target
         return float(np.mean(diff**2)), weight * 2.0 * diff / n
     if kind in ("binary", "categorical"):
-        clipped = np.clip(generated, _LOG_EPS, 1.0 - _LOG_EPS)
+        eps = _sigmoid_clip(generated.dtype)
+        clipped = np.clip(generated, eps, 1.0 - eps)
         pen = float(np.mean(_cross_entropy(target, clipped).sum(axis=1)))
         return pen, weight * (clipped - target) / (clipped * (1.0 - clipped)) / n
     raise ValueError(f"unknown kind {kind!r}; expected 'continuous', 'binary' or 'categorical'")

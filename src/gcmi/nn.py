@@ -1,10 +1,15 @@
 """Dense feed-forward networks with manual backprop and Adam + L2.
 
-Small float64 numpy networks sized for per-column conditional generators
-and discriminators on tabular data: ReLU hidden layers, a configurable
-output head, no autograd and no GPU.  An ``Mlp`` together with its
-``AdamState`` is a single-owner mutable unit; independent networks may be
-trained in parallel but one network is never mutated concurrently.
+Small numpy networks sized for per-column conditional generators and
+discriminators on tabular data: ReLU hidden layers, a configurable output
+head, no autograd and no GPU.  An ``Mlp`` together with its ``AdamState``
+is a single-owner mutable unit; independent networks may be trained in
+parallel but one network is never mutated concurrently.
+
+A network computes in the dtype of its parameters, float64 unless
+``mlp_new`` is given another (``gcin`` trains its pairs in float32): its
+buffers, gradients and Adam moments take that dtype, and the public
+``forward``/``backward*`` cast their inputs to it.
 
 Layer layout: each layer stores its (in, out) weight matrix ``W`` row-major
 followed by its bias ``b``, so the layer's slice of the flat parameter
@@ -36,9 +41,14 @@ from .seeding import canonical_seed
 
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid", "scaled_sigmoid_0_2")
 
-# Sigmoid outputs are clamped into the open interval so that logarithms and
-# the (0, 2) discriminator range stay well-defined at float saturation.
-_SIGMOID_CLIP = 1e-12
+
+def _sigmoid_clip(dtype) -> float:
+    """Margin that sigmoid outputs (and the penalty's logarithms) keep from 0
+    and 1: 1e-12, or the dtype's machine epsilon where that is larger, so
+    that ``1 - clip`` stays below 1 and ``log(1 - x)`` finite at saturation
+    (float32 rounds ``1 - 1e-12`` to 1)."""
+    return max(1e-12, float(np.finfo(dtype).eps))
+
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
 ADAM_BETA1 = 0.9
@@ -51,16 +61,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))
     out = np.where(z >= 0, 1.0, e)
     out /= 1.0 + e
-    np.maximum(out, _SIGMOID_CLIP, out=out)
-    return np.minimum(out, 1.0 - _SIGMOID_CLIP, out=out)
+    clip = _sigmoid_clip(out.dtype)
+    np.maximum(out, clip, out=out)
+    return np.minimum(out, 1.0 - clip, out=out)
 
 
 def _pack(weights: list[np.ndarray], biases: list[np.ndarray]):
-    """Copy each layer's ``W`` and ``b`` into one flat float64 buffer as the
-    (in+1, out) matrix ``[W; b]``; returns the buffer and the per-layer
-    views of ``[W; b]``, of ``W`` and of ``b``."""
+    """Copy each layer's ``W`` and ``b`` into one flat buffer of their
+    common floating dtype (float64 for integer inputs) as the (in+1, out)
+    matrix ``[W; b]``; returns the buffer and the per-layer views of
+    ``[W; b]``, of ``W`` and of ``b``."""
     shapes = [(np.shape(w)[0] + 1, np.shape(w)[1]) for w in weights]
-    flat = np.empty(sum(rows * cols for rows, cols in shapes))
+    dtype = np.result_type(*weights, *biases)
+    if not np.issubdtype(dtype, np.floating):
+        dtype = np.float64
+    flat = np.empty(sum(rows * cols for rows, cols in shapes), dtype=dtype)
     layers, start = [], 0
     for w, b, (rows, cols) in zip(weights, biases, shapes):
         layer = flat[start : start + rows * cols].reshape(rows, cols)
@@ -105,6 +120,10 @@ class Mlp:
     def __reduce__(self):
         # rebuild through __init__ so a copy or unpickled net is packed again
         return (Mlp, (self.weights, self.biases, self.output_activation))
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.params.dtype
 
     @property
     def input_dim(self) -> int:
@@ -158,7 +177,7 @@ class AdamState:
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.scratch = np.empty((2, self.m.size))
+        self.scratch = np.empty((2, self.m.size), dtype=self.m.dtype)
 
 
 def mlp_new(
@@ -167,10 +186,13 @@ def mlp_new(
     output_dim: int,
     output_activation: str = "identity",
     seed: int = 0,
+    dtype=np.float64,
 ) -> Mlp:
     """Build a network with He-initialised weights (variance 2/fan_in).
 
-    Deterministic given ``seed``; biases start at zero.
+    Deterministic given ``seed``; biases start at zero.  The weights are
+    drawn in float64 and rounded to ``dtype``, the dtype the network
+    computes in.
     """
     dims = [input_dim, *hidden_dims, output_dim]
     if not hidden_dims:
@@ -186,37 +208,38 @@ def mlp_new(
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         scale = np.sqrt(2.0 / fan_in)
-        weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
-        biases.append(np.zeros(fan_out))
+        weights.append((rng.standard_normal((fan_in, fan_out)) * scale).astype(dtype))
+        biases.append(np.zeros(fan_out, dtype=dtype))
     return Mlp(weights, biases, output_activation)
 
 
 def _check_inputs(mlp: Mlp, inputs: np.ndarray) -> np.ndarray:
-    """Validated inputs with the trailing ones column appended."""
-    inputs = np.asarray(inputs, dtype=float)
+    """Validated inputs in the network's dtype with the trailing ones
+    column appended."""
+    inputs = np.asarray(inputs, dtype=mlp.dtype)
     if inputs.ndim != 2 or inputs.shape[1] != mlp.input_dim:
         raise ShapeError(
             f"expected inputs of shape (batch, {mlp.input_dim}), got {inputs.shape}"
         )
-    return np.hstack([inputs, np.ones((inputs.shape[0], 1))])
+    return np.hstack([inputs, np.ones((inputs.shape[0], 1), dtype=mlp.dtype)])
 
 
 def _hidden_buffers(mlp: Mlp, batch: int) -> list[np.ndarray]:
-    """One (batch, width+1) array per hidden layer of ``mlp`` whose last
-    column holds ones.
+    """One (batch, width+1) array per hidden layer of ``mlp``, in its dtype,
+    whose last column holds ones.
 
     ``_forward_cache`` keeps its activations in such a list, so that a
     training loop reuses them instead of allocating arrays of that size on
     every update.
     """
-    return [np.ones((batch, width + 1)) for width in mlp.hidden_dims]
+    return [np.ones((batch, width + 1), dtype=mlp.dtype) for width in mlp.hidden_dims]
 
 
 def _delta_buffers(mlp: Mlp, batch: int) -> list[np.ndarray]:
-    """One uninitialised (batch, width) array per hidden layer of ``mlp``, for
-    the gradients ``_backward_from_cache`` carries between layers and the
-    ReLU mask of its fold."""
-    return [np.empty((batch, width)) for width in mlp.hidden_dims]
+    """One uninitialised (batch, width) array per hidden layer of ``mlp``, in
+    its dtype, for the gradients ``_backward_from_cache`` carries between
+    layers and the ReLU mask of its fold."""
+    return [np.empty((batch, width), dtype=mlp.dtype) for width in mlp.hidden_dims]
 
 
 def _forward_cache(
@@ -339,7 +362,7 @@ def backward_with_input_grads(
     frozen discriminator stacked on top of it.
     """
     inputs = _check_inputs(mlp, inputs)
-    output_grads = np.asarray(output_grads, dtype=float)
+    output_grads = np.asarray(output_grads, dtype=mlp.dtype)
     if output_grads.shape != (inputs.shape[0], mlp.output_dim):
         raise ShapeError(
             f"expected output_grads of shape {(inputs.shape[0], mlp.output_dim)}, "

@@ -10,8 +10,10 @@ gives the same output at any worker count.
 
 from __future__ import annotations
 
+import functools
+import threading
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 
 import numpy as np
 
@@ -40,11 +42,13 @@ def parallel_map(fn, tasks: list[tuple], workers: int) -> Iterator:
 
     Runs on a pool of ``min(workers, len(tasks))`` processes when that is
     more than one, and serially otherwise; the pool starts all its workers
-    at the first task, so it never gets more than there are tasks.  When
-    the consumer stops early (closes the generator, say after a failed
-    write), the tasks the pool has not yet handed to its workers are
-    cancelled and never start; those running or queued for the workers
-    (at most twice as many as there are workers, plus one) finish first.
+    at the first task, so it never gets more than there are tasks.  The
+    pool is handed one task per worker, and the next task whenever one
+    finishes (whether or not the consumer has taken the results before
+    it), so at most ``workers`` tasks are ever handed on and not done.
+    When the consumer stops early (closes the generator, say after a
+    failed write), no further task starts; those already running finish
+    first.
     """
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -52,7 +56,41 @@ def parallel_map(fn, tasks: list[tuple], workers: int) -> Iterator:
             yield fn(*task)
         return
     pool = ProcessPoolExecutor(max_workers=workers)
+    results = [Future() for _ in tasks]
+    queued = iter(enumerate(tasks))
+    lock = threading.Lock()
+    stopped = False
+
+    def start_next() -> None:
+        # called once per worker, then from each finished task's callback
+        with lock:
+            if stopped:
+                return
+            i, task = next(queued, (None, None))
+            if task is None:
+                return
+            try:
+                future = pool.submit(fn, *task)
+            except BrokenExecutor as exc:  # a worker died: report it in task order
+                results[i].set_exception(exc)
+                return
+        future.add_done_callback(functools.partial(finish, i))
+
+    def finish(i: int, done: Future) -> None:
+        start_next()  # first, so the freed worker never waits on the consumer
+        if done.cancelled():  # only at shutdown, once the consumer has stopped
+            return
+        if done.exception() is None:
+            results[i].set_result(done.result())
+        else:
+            results[i].set_exception(done.exception())
+
     try:
-        yield from pool.map(fn, *zip(*tasks))
+        for _ in range(workers):
+            start_next()
+        for result in results:
+            yield result.result()
     finally:
+        with lock:
+            stopped = True
         pool.shutdown(cancel_futures=True)

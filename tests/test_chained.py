@@ -25,6 +25,7 @@ from gcmi import (
 )
 import gcmi.chained
 from gcmi.chained import MIN_ROWS_FOR_TRAINING, sweep, _trainable_columns
+from gcmi.data import encode_columns
 
 TINY_TRAIN = TrainConfig(
     max_epochs=30, gen_iters_per_cycle=10, disc_iters_per_cycle=2, batch_size=32, noise_dim=2
@@ -178,6 +179,23 @@ class TestSweep:
         out = sweep(initial_fill(dm).values, dm, _trainable_columns(dm), tiny_config())
         assert trained == [1]
         assert not np.isnan(out).any()
+
+    def test_each_column_conditions_on_the_encoded_current_completion(self, monkeypatch):
+        # the sweep encodes once and then re-encodes each refit column's
+        # missing rows; the categorical and binary columns go first
+        dm, _ = mixed_matrix(seed=6)
+        refit = gcmi.chained._refit_column
+        seen = []
+
+        def checked(values, encoded, dm_, j, cfg, seed_path):
+            assert np.array_equal(encoded, encode_columns(values, dm_.schema))
+            seen.append(j)
+            return refit(values, encoded, dm_, j, cfg, seed_path)
+
+        monkeypatch.setattr(gcmi.chained, "_refit_column", checked)
+        assert all(dm.mask[:, j].any() for j in range(4))
+        sweep(initial_fill(dm).values, dm, [3, 2, 0, 1], tiny_config())
+        assert seen == [3, 2, 0, 1]
 
     def test_sequential_and_snapshot_both_complete(self):
         dm, _ = mixed_matrix(seed=5)

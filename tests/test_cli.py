@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -210,15 +211,18 @@ class TestWorkerPool:
     def test_threads_beyond_task_count_start_one_worker_per_task(self, tmp_path, monkeypatch):
         """A pool starts all its workers at once, so ``--threads`` above the
         chain or repeat count must not reach it.  The pool is faked: it
-        records its size and maps in this process."""
+        records its size and runs each task in this process when it is
+        submitted."""
         sizes = []
 
         class InProcessPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
             def shutdown(self, cancel_futures=False):
                 return None

@@ -14,8 +14,14 @@ from gcmi import (
     scale_architecture,
     train_gcin,
 )
-from gcmi.gcin import _disc_grads, _gen_grads, _Workspace
-from gcmi.losses import accuracy_penalty, discriminator_loss, generator_loss
+import gcmi.gcin
+from gcmi.gcin import TRAIN_DTYPE, GcinPair, _disc_grads, _draw_levels, _gen_grads, _Workspace
+from gcmi.losses import (
+    accuracy_penalty,
+    accuracy_penalty_grad,
+    discriminator_loss,
+    generator_loss,
+)
 from gcmi.nn import (
     ParamGrads,
     _backward_from_cache,
@@ -33,7 +39,7 @@ FAST = TrainConfig(max_epochs=150, batch_size=64, noise_dim=4, seed=0)
 
 
 def with_ones(x):
-    return np.hstack([x, np.ones((x.shape[0], 1))])
+    return np.hstack([x, np.ones((x.shape[0], 1), dtype=x.dtype)])
 
 
 def stacked(real, fake):
@@ -243,12 +249,12 @@ def _encode(X, y, kind, n_levels):
     return (X - X.mean(axis=0)) / X.std(axis=0), target
 
 
-def _init_nets(n, width, t, cfg, kind):
+def _init_nets(n, width, t, cfg, kind, dtype):
     seed = canonical_seed(cfg.seed)
     hidden = scale_architecture(n, width + 1)
     head = "identity" if kind == "continuous" else "sigmoid"
-    gen = mlp_new(width + cfg.noise_dim, hidden, t, head, seed=seed)
-    disc = mlp_new(width + t, hidden, 1, "scaled_sigmoid_0_2", seed=seed ^ 1)
+    gen = mlp_new(width + cfg.noise_dim, hidden, t, head, seed=seed, dtype=dtype)
+    disc = mlp_new(width + t, hidden, 1, "scaled_sigmoid_0_2", seed=seed ^ 1, dtype=dtype)
     gen_opt = adam_new(gen, cfg.lr_generator, cfg.l2)
     disc_opt = adam_new(disc, cfg.lr_discriminator, cfg.l2)
     return gen, disc, gen_opt, disc_opt, np.random.default_rng([seed, 2])
@@ -257,20 +263,30 @@ def _init_nets(n, width, t, cfg, kind):
 def _draw(rng, cond, target, batch, k):
     n = cond.shape[0]
     idx = np.arange(n) if batch >= n else rng.choice(n, size=batch, replace=False)
-    return cond[idx], target[idx], rng.standard_normal((idx.size, k))
+    return cond[idx], target[idx], rng.standard_normal((idx.size, k), dtype=cond.dtype)
+
+
+def _clip(dtype):
+    """How far sigmoid outputs stay from 0 and 1: 1e-12, or the dtype's
+    machine epsilon where that is larger."""
+    return max(1e-12, float(np.finfo(dtype).eps))
+
+
+def _clipped(p):
+    c = _clip(p.dtype)
+    return np.clip(p, c, 1.0 - c)
 
 
 def _pen_grad(fake, t, kind, lam, batch):
     if kind == "continuous":
         return lam * 2.0 * (fake - t) / batch
-    p = np.clip(fake, 1e-12, 1.0 - 1e-12)
+    p = _clipped(fake)
     return lam * (p - t) / (p * (1.0 - p)) / batch
 
 
 def _ref_sigmoid(z):
     e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    return np.clip(out, 1e-12, 1.0 - 1e-12)
+    return _clipped(np.where(z >= 0, 1.0, e) / (1.0 + e))
 
 
 def _ref_forward(net, x):
@@ -322,7 +338,7 @@ def _ref_backward_folded(net, acts, out, g, input_rows=None):
     grads = [None] * len(net.layers)
     grads[top] = acts[top].T @ d
     w = net.layers[top][:-1, 0]
-    mask = (acts[top][:, :-1] > 0).astype(float)
+    mask = (acts[top][:, :-1] > 0).astype(acts[top].dtype)
     i = top - 1
     grads[i] = ((acts[i] * d).T @ mask) * w
     if i == 0:
@@ -344,25 +360,30 @@ def _as_param_grads(grads):
 
 
 def _penalty(fake, t, kind):
+    """The batch accuracy penalty, in the dtype of ``fake`` and ``t``."""
     if kind == "continuous":
-        return float(np.mean(accuracy_penalty(t, fake, "continuous")))
-    clipped = np.clip(fake, 1e-12, 1.0 - 1e-12)
-    return float(np.mean(accuracy_penalty(t, clipped, "binary").sum(axis=1)))
+        return float(np.mean((fake - t) ** 2))
+    p = _clipped(fake)
+    return float(np.mean((-t * np.log(p) - (1.0 - t) * np.log(1.0 - p)).sum(axis=1)))
 
 
-def reference_train(X, y, kind, cfg, n_levels=None, backward_pass=_ref_backward_folded):
+def reference_train(
+    X, y, kind, cfg, n_levels=None, backward_pass=_ref_backward_folded, dtype=TRAIN_DTYPE
+):
     """A plain numpy training loop in ``train_gcin``'s order: the same RNG
     draws, each layer as one product with its [W; b] matrix on inputs with
     a ones column, one discriminator pass over the real rows stacked on the
     fake rows, only the generated columns of the discriminator's input
-    gradient, and the fold of every one-wide output.  It runs whole cycles
-    and never stops early.  Returns both nets and the trace, each cycle's
-    mean of the per-update losses of the public loss functions."""
+    gradient, and the fold of every one-wide output.  It standardises in
+    float64 and trains in ``dtype`` (noise drawn in it too), runs whole
+    cycles and never stops early.  Returns both nets and the trace, each
+    cycle's mean of the per-update losses: the public loss functions of
+    the scores, and the penalty in ``dtype``."""
     X = np.asarray(X, dtype=float)
     n, width = X.shape
-    cond, target = _encode(X, y, kind, n_levels)
+    cond, target = (a.astype(dtype) for a in _encode(X, y, kind, n_levels))
     t = target.shape[1]
-    gen, disc, gen_opt, disc_opt, rng = _init_nets(n, width, t, cfg, kind)
+    gen, disc, gen_opt, disc_opt, rng = _init_nets(n, width, t, cfg, kind, dtype)
     batch = min(cfg.batch_size, n)
     trace = TrainTrace()
     for _ in range(cfg.max_epochs // cfg.gen_iters_per_cycle):
@@ -393,20 +414,24 @@ def reference_train(X, y, kind, cfg, n_levels=None, backward_pass=_ref_backward_
 
 
 def reference_train_formed_delta(X, y, kind, cfg, n_levels=None):
-    """``reference_train`` with every layer's delta formed, as ``train_gcin``
-    ran before the fold."""
-    return reference_train(X, y, kind, cfg, n_levels, backward_pass=_ref_backward)
+    """``reference_train`` in float64 with every layer's delta formed, as
+    ``train_gcin`` ran before the fold."""
+    return reference_train(
+        X, y, kind, cfg, n_levels, backward_pass=_ref_backward, dtype=np.float64
+    )
 
 
 def reference_train_separate_passes(X, y, kind, cfg, n_levels=None):
-    """The same loop from the public nn functions in the older order: the
-    real and fake discriminator passes backpropagated separately and their
-    gradients summed, and the discriminator's full input gradient formed
-    before the generated columns are sliced out."""
+    """The same loop in float64 from the public nn functions in the older
+    order: the real and fake discriminator passes backpropagated
+    separately and their gradients summed, and the discriminator's full
+    input gradient formed before the generated columns are sliced out."""
     X = np.asarray(X, dtype=float)
     n, width = X.shape
     cond, target = _encode(X, y, kind, n_levels)
-    gen, disc, gen_opt, disc_opt, rng = _init_nets(n, width, target.shape[1], cfg, kind)
+    gen, disc, gen_opt, disc_opt, rng = _init_nets(
+        n, width, target.shape[1], cfg, kind, np.float64
+    )
     batch = min(cfg.batch_size, n)
     for _ in range(cfg.max_epochs // cfg.gen_iters_per_cycle):
         for _ in range(cfg.disc_iters_per_cycle):
@@ -466,9 +491,10 @@ def _reference_case(kind, n_rows):
 
 
 class TestTrainGcinMatchesReferenceLoop:
-    """``train_gcin`` must reproduce the plain loop in its own order bit
-    for bit, losses included, and the loop with every delta formed and the
-    older separate-pass order up to float reassociation."""
+    """``train_gcin`` must reproduce the plain loop in its own order at the
+    training dtype bit for bit, losses included; in float64 that loop must
+    match the loop with every delta formed and the older separate-pass
+    order up to float reassociation."""
 
     @pytest.mark.parametrize("kind,n_levels,n_rows", REFERENCE_CASES)
     def test_weights_bit_identical(self, kind, n_levels, n_rows):
@@ -483,18 +509,18 @@ class TestTrainGcinMatchesReferenceLoop:
     @pytest.mark.parametrize("kind,n_levels,n_rows", REFERENCE_CASES)
     def test_formed_delta_order_within_reassociation(self, kind, n_levels, n_rows):
         X, y, cfg = _reference_case(kind, n_rows)
-        pair, _ = train_gcin(X, y, kind, cfg, n_levels=n_levels)
+        folded = reference_train(X, y, kind, cfg, n_levels, dtype=np.float64)
         gen, disc, _ = reference_train_formed_delta(X, y, kind, cfg, n_levels)
-        for trained, reference in ((pair.generator, gen), (pair.discriminator, disc)):
+        for trained, reference in zip(folded[:2], (gen, disc)):
             scale = np.abs(reference.params).max()
             assert np.abs(trained.params - reference.params).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("kind,n_levels,n_rows", REFERENCE_CASES)
     def test_separate_pass_order_within_reassociation(self, kind, n_levels, n_rows):
         X, y, cfg = _reference_case(kind, n_rows)
-        pair, _ = train_gcin(X, y, kind, cfg, n_levels=n_levels)
+        folded = reference_train(X, y, kind, cfg, n_levels, dtype=np.float64)
         gen, disc = reference_train_separate_passes(X, y, kind, cfg, n_levels)
-        for trained, reference in ((pair.generator, gen), (pair.discriminator, disc)):
+        for trained, reference in zip(folded[:2], (gen, disc)):
             scale = np.abs(reference.params).max()
             assert np.abs(trained.params - reference.params).max() <= 1e-12 * scale
 
@@ -640,6 +666,8 @@ class TestOnesColumns:
         assert [d.shape[1] for d in ws.disc_deltas] == disc.hidden_dims
         for net, grads in ((gen, ws.gen_grads), (disc, ws.disc_grads)):
             assert [g.shape for g in grads.layers] == [p.shape for p in net.layers]
+        # built from float64 nets, every buffer stays float64
+        assert {a.dtype for a in _workspace_arrays(ws)} == {np.dtype(np.float64)}
 
     def test_bias_row_gradient_is_the_delta_sum(self):
         # one linear layer: the last row of [dW; db] is the column sum of g
@@ -668,6 +696,59 @@ class TestOnesColumns:
         # with no penalty the generator's output gradient is the sliced input gradient
         expect = backward(gen, np.hstack([cond, z]), full[:, w:]).flat
         assert np.abs(ws.gen_grads.flat - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def _workspace_arrays(ws):
+    for value in vars(ws).values():
+        if isinstance(value, ParamGrads):
+            yield value.flat
+        elif isinstance(value, list):
+            yield from value
+        else:
+            yield value
+
+
+class TestTrainingDtype:
+    """Fits train in float32 from float64 data; the sigmoid clip keeps a
+    saturated float32 head off 0 and 1."""
+
+    def test_fit_keeps_every_training_array_in_float32(self, monkeypatch):
+        workspaces, steps = [], []
+        make_workspace, step = gcmi.gcin._Workspace, gcmi.gcin.adam_step
+
+        def recording_workspace(*args):
+            workspaces.append(make_workspace(*args))
+            return workspaces[-1]
+
+        def recording_step(mlp, grads, state):
+            steps.append((grads, state))
+            return step(mlp, grads, state)
+
+        monkeypatch.setattr(gcmi.gcin, "_Workspace", recording_workspace)
+        monkeypatch.setattr(gcmi.gcin, "adam_step", recording_step)
+        rng = np.random.default_rng(71)
+        X = rng.normal(size=(120, 3))
+        y = rng.integers(0, 3, size=120).astype(float)
+        pair, _ = train_gcin(X, y, "categorical", FAST, n_levels=3)
+        (ws,) = workspaces
+        arrays = [pair.generator.params, pair.discriminator.params, *_workspace_arrays(ws)]
+        for grads, state in steps:
+            arrays += [grads.flat, state.m, state.v, state.scratch]
+        assert {a.dtype for a in arrays} == {np.dtype(TRAIN_DTYPE)} == {np.dtype(np.float32)}
+        # the normalisation stays float64
+        assert pair.cond_shift.dtype == pair.cond_scale.dtype == np.float64
+
+    def test_saturated_float32_sigmoid_head_gives_finite_penalty_and_gradient(self):
+        net = mlp_new(2, [3], 2, "sigmoid", 5, dtype=np.float32)
+        net.params[:] = 0.0
+        net.biases[-1][:] = [60.0, -60.0]  # both outputs saturate
+        out = forward(net, np.zeros((4, 2)))
+        assert out.dtype == np.float32
+        assert np.all((out > 0.0) & (out < 1.0))
+        for target in (np.zeros((4, 2), np.float32), np.ones((4, 2), np.float32)):
+            pen, grad = accuracy_penalty_grad(target, out, "binary")
+            assert np.isfinite(pen)
+            assert np.all(np.isfinite(grad))
 
 
 @pytest.fixture(scope="module")
@@ -701,4 +782,25 @@ class TestImputeColumn:
     def test_width_mismatch_rejected(self, noisy_pair):
         with pytest.raises(ShapeError):
             impute_column(noisy_pair, np.zeros((5, 7)), seed=0)
+
+    def test_large_offset_destandardised_in_float64(self):
+        # a float32 generator whose output is 0.3 everywhere; float32 has a
+        # spacing of 0.0625 at 1e6, so the offset must be added in float64
+        gen = mlp_new(5, [4], 1, "identity", 1, dtype=np.float32)
+        gen.params[:] = 0.0
+        gen.biases[-1][:] = 0.3
+        disc = mlp_new(4, [4], 1, "scaled_sigmoid_0_2", 2, dtype=np.float32)
+        shift = 1e6 + 0.123456789
+        pair = GcinPair(gen, disc, 2, 0, "continuous", 1, np.zeros(3), np.ones(3), shift, 0.5)
+        imputed = impute_column(pair, np.zeros((5, 3)), seed=0)
+        assert imputed.dtype == np.float64
+        assert np.all(imputed == float(np.float32(0.3)) * 0.5 + shift)
+
+    def test_level_draw_never_falls_through_to_level_zero(self):
+        # ten levels at 0.1: the cumulative sum ends below 1 in float64
+        probs = np.full((1, 10), 0.1)
+        assert np.cumsum(probs / probs.sum())[-1] < 1.0
+        top = np.array([[np.nextafter(1.0, 0.0)]])  # the largest uniform draw
+        assert _draw_levels(probs, top)[0] == 9.0
+        assert _draw_levels(probs, np.array([[0.0], [0.15]])).tolist() == [0.0, 1.0]
 

@@ -312,3 +312,20 @@ class TestFlatParameters:
         assert np.array_equal(twin.params, np.concatenate([a.ravel() for a in (
             twin.weights[0], twin.biases[0], twin.weights[1], twin.biases[1])]))
 
+
+class TestDtype:
+    def test_float32_network_computes_in_float32(self):
+        net = mlp_new(3, [5], 2, "sigmoid", 4, dtype=np.float32)
+        ref = mlp_new(3, [5], 2, "sigmoid", 4)
+        assert ref.params.dtype == np.float64
+        # the same draws, rounded
+        assert np.array_equal(net.params, ref.params.astype(np.float32))
+        x = np.random.default_rng(0).normal(size=(4, 3))  # float64 inputs are cast
+        assert forward(net, x).dtype == np.float32
+        grads, input_grads = backward_with_input_grads(net, x, np.ones((4, 2)))
+        state = adam_new(net, 0.01, 0.1)
+        adam_step(net, grads, state)
+        arrays = [net.params, grads.flat, input_grads, state.m, state.v, state.scratch]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        assert copy.deepcopy(net).params.dtype == np.float32
+        assert pickle.loads(pickle.dumps(net)).params.dtype == np.float32
