@@ -6,6 +6,14 @@ pairs in (0, 2), pushing observed rows toward 2 and generated rows toward
 0.  Training alternates blocks of discriminator and generator updates with
 a supervised accuracy penalty added to the generator objective.
 
+Every update, of either network, trains on one minibatch of observed
+rows and fresh noise.  The minibatches are consecutive ``batch_size``-row
+slices of a random permutation of the observed rows; a new permutation is
+drawn once fewer than ``batch_size`` rows of the last one are left, and
+those rows sit that epoch out.  With ``batch_size`` at or above the row
+count every update takes every row.  A fit builds the (cond | target | 1)
+rows once, and a minibatch is one gather from them.
+
 Column kinds: continuous targets use an identity head on standardised
 values, binary targets a sigmoid head on {0, 1} codes, and categorical
 targets a group of sigmoid heads over one-hot levels whose probabilities
@@ -19,6 +27,7 @@ output back to the data's scale in float64.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +37,7 @@ from .errors import ConfigError, InsufficientDataError, NumericError, ShapeError
 from .losses import (
     GEN_TARGET,
     REAL_TARGET,
-    accuracy_penalty_grad,
+    accuracy_penalty_terms,
     discriminator_losses,
     generator_losses,
 )
@@ -59,7 +68,10 @@ class TrainConfig:
 
     ``max_epochs`` caps the total number of generator updates; one cycle
     runs ``disc_iters_per_cycle`` discriminator updates followed by up to
-    ``gen_iters_per_cycle`` generator updates.  Training stops early when
+    ``gen_iters_per_cycle`` generator updates.  Each update takes the next
+    ``batch_size`` rows of a permutation of the observed rows, redrawn once
+    fewer than ``batch_size`` rows of it remain (all rows when there are
+    no more than ``batch_size``).  Training stops early when
     the generator total loss has not improved by ``early_stop_tol`` for
     ``early_stop_patience`` consecutive cycles.
     """
@@ -157,10 +169,8 @@ def _standardize_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _encode_target(x_target: np.ndarray, kind: str, n_levels: int | None):
-    """Returns (encoded (n, width) array, shift, scale, width, n_levels)."""
-    x_target = np.asarray(x_target, dtype=float)
-    if x_target.ndim != 1:
-        raise ShapeError(f"x_target must be 1-D, got shape {x_target.shape}")
+    """Encodes the 1-D float target; returns (encoded (n, width) array,
+    shift, scale, width, n_levels)."""
     if kind == "continuous":
         shift, scale = _standardize_fit(x_target[:, None])
         enc = (x_target[:, None] - shift) / scale
@@ -168,7 +178,7 @@ def _encode_target(x_target: np.ndarray, kind: str, n_levels: int | None):
     if kind == "binary":
         if not np.all((x_target == 0.0) | (x_target == 1.0)):
             raise ValueError("binary targets must be coded 0/1")
-        return x_target[:, None].copy(), 0.0, 1.0, 1, 2
+        return x_target[:, None], 0.0, 1.0, 1, 2
     if kind == "categorical":
         codes = x_target.astype(int)
         if np.any(codes != x_target) or codes.min() < 0:
@@ -183,39 +193,51 @@ def _encode_target(x_target: np.ndarray, kind: str, n_levels: int | None):
 
 
 class _Workspace:
-    """Buffers one fit reuses on every update: the conditioning, noise and
-    target rows of a minibatch, the generator input (cond | z | 1), the
-    stacked discriminator input with rows (cond | target | 1) on top of
-    rows (cond | fake | 1), the hidden activations and the gradients carried
-    between hidden layers of both networks, and both networks' parameter
-    gradients.  ``fake_in``, ``fake_hidden`` and ``fake_deltas`` view the
-    fake half of the discriminator's buffers, for the generator step.
-    Every buffer has the generator's dtype."""
+    """Buffers one fit reuses on every update: the noise of a minibatch,
+    the generator input (cond | z | 1), the stacked discriminator input
+    with the minibatch's rows (cond | target | 1), ``real_in``, on top of
+    as many rows (cond | fake | 1), ``fake_in``, the hidden activations and
+    the gradients carried between hidden layers of both networks, and both
+    networks' parameter gradients.  A draw gathers its rows straight into ``real_in``; the
+    generator input and the fake rows copy their conditioning from there.
+    ``fake_hidden`` and ``fake_deltas`` view the fake half of the
+    discriminator's buffers, for the generator step.  Every buffer has the
+    generator's dtype."""
 
     def __init__(self, gen: Mlp, disc: Mlp, batch: int, cond_width: int):
         dtype = gen.dtype
-        self.cond = np.empty((batch, cond_width), dtype=dtype)
         self.z = np.empty((batch, gen.input_dim - cond_width), dtype=dtype)
-        self.target = np.empty((batch, disc.input_dim - cond_width), dtype=dtype)
         self.gen_in = np.ones((batch, gen.input_dim + 1), dtype=dtype)
         self.disc_in = np.ones((2 * batch, disc.input_dim + 1), dtype=dtype)
         self.gen_hidden = _hidden_buffers(gen, batch)
         self.disc_hidden = _hidden_buffers(disc, 2 * batch)
         self.gen_deltas = _delta_buffers(gen, batch)
         self.disc_deltas = _delta_buffers(disc, 2 * batch)
+        self.real_in = self.disc_in[:batch]
         self.fake_in = self.disc_in[batch:]
         self.fake_hidden = [h[batch:] for h in self.disc_hidden]
         self.fake_deltas = [d[batch:] for d in self.disc_deltas]
         self.gen_grads = ParamGrads.zeros_like(gen)
         self.disc_grads = ParamGrads.zeros_like(disc)
 
+    @property
+    def cond_width(self) -> int:
+        # gen_in holds (cond | z | 1)
+        return self.gen_in.shape[1] - self.z.shape[1] - 1
 
-def _fill(buf: np.ndarray, cond: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Write (cond | tail) into ``buf`` ahead of its ones column; return it."""
-    width = cond.shape[1]
-    buf[:, :width] = cond
-    buf[:, width:-1] = tail
-    return buf
+    def gen_input(self) -> np.ndarray:
+        """Write (cond | z | 1) of the minibatch into ``gen_in``; return it."""
+        width = self.cond_width
+        self.gen_in[:, :width] = self.real_in[:, :width]
+        self.gen_in[:, width:-1] = self.z
+        return self.gen_in
+
+    def fake_input(self, fake: np.ndarray) -> np.ndarray:
+        """Write (cond | fake | 1) into ``fake_in``; return it."""
+        width = self.cond_width
+        self.fake_in[:, :width] = self.real_in[:, :width]
+        self.fake_in[:, width:-1] = fake
+        return self.fake_in
 
 
 def _disc_grads(
@@ -246,43 +268,52 @@ def _disc_grads(
 def _gen_grads(
     gen: Mlp,
     disc: Mlp,
-    cond: np.ndarray,
-    target_enc: np.ndarray,
-    z: np.ndarray,
+    ws: _Workspace,
     acc_weight: float,
     kind: str,
-    ws: _Workspace | None = None,
-) -> tuple[np.ndarray, float, ParamGrads]:
-    """Discriminator scores on the generated rows, accuracy penalty and
-    generator gradients for one update.
+    pen_terms: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, ParamGrads]:
+    """Discriminator scores on the generated rows, per-row accuracy
+    penalty terms and generator gradients for one update on the minibatch
+    in ``ws`` (its rows in ``ws.real_in``, its noise in ``ws.z``).
 
     Backpropagates the adversarial + accuracy loss through the frozen
     discriminator into the generated values only (the target columns of
     its input) and from there through the generator; ``generator_loss``
-    of the scores is the adversarial loss.  The discriminator's own
-    parameter gradients are never formed.  Inputs and gradients are built
-    in ``ws`` when given.
+    of the scores is the adversarial loss and the mean of the terms, in
+    ``pen_terms`` when given, the penalty.  The discriminator's own
+    parameter gradients are never formed.  The gradients are built in
+    ``ws.gen_grads``.
     """
-    n, width = cond.shape
-    if ws is None:
-        ws = _Workspace(gen, disc, n, width)
-    fake, gen_acts = _forward_cache(gen, _fill(ws.gen_in, cond, z), ws.gen_hidden)
-    d_fake, disc_acts = _forward_cache(disc, _fill(ws.fake_in, cond, fake), ws.fake_hidden)
+    n, width = ws.real_in.shape[0], ws.cond_width
+    fake, gen_acts = _forward_cache(gen, ws.gen_input(), ws.gen_hidden)
+    d_fake, disc_acts = _forward_cache(disc, ws.fake_input(fake), ws.fake_hidden)
 
     d_out_grad = (d_fake - GEN_TARGET) / n
     fake_grad = _backward_from_cache(
         disc, disc_acts, d_fake, d_out_grad, None, slice(width, disc.input_dim), ws.fake_deltas
     )
-    pen, pen_grad = accuracy_penalty_grad(target_enc, fake, kind, acc_weight)
+    target = ws.real_in[:, width:-1]
+    pen_terms, pen_grad = accuracy_penalty_terms(target, fake, kind, acc_weight, pen_terms)
     fake_grad += pen_grad
     _backward_from_cache(gen, gen_acts, fake, fake_grad, ws.gen_grads, None, ws.gen_deltas)
-    return d_fake, pen, ws.gen_grads
+    return d_fake, pen_terms, ws.gen_grads
 
 
-def _minibatch(rng: np.random.Generator, n: int, batch: int) -> np.ndarray:
+def _batches(rng: np.random.Generator, n: int, batch: int) -> Iterator[np.ndarray]:
+    """Row indices of one minibatch per ``next``: consecutive ``batch``-row
+    slices of a permutation of range(n), with a new permutation drawn from
+    ``rng`` once fewer than ``batch`` of its rows are left (those rows sit
+    that epoch out); every row, in order, when ``batch >= n``."""
     if batch >= n:
-        return np.arange(n)
-    return rng.choice(n, size=batch, replace=False)
+        rows = np.arange(n)
+        while True:
+            yield rows
+    per_epoch = n // batch * batch
+    while True:
+        perm = rng.permutation(n)
+        for start in range(0, per_epoch, batch):
+            yield perm[start : start + batch]
 
 
 def train_gcin(
@@ -305,9 +336,12 @@ def train_gcin(
         raise ValueError(f"unknown column kind {kind!r}")
     cfg.validate()
     X_cond = np.asarray(X_cond, dtype=float)
+    x_target = np.asarray(x_target, dtype=float)
     if X_cond.ndim != 2:
         raise ShapeError(f"X_cond must be 2-D, got shape {X_cond.shape}")
-    n_obs = X_cond.shape[0]
+    if x_target.ndim != 1:
+        raise ShapeError(f"x_target must be 1-D, got shape {x_target.shape}")
+    n_obs, width = X_cond.shape
     if n_obs < 2:
         raise InsufficientDataError(f"need at least 2 observed rows, got {n_obs}")
     if x_target.shape[0] != n_obs:
@@ -316,48 +350,50 @@ def train_gcin(
         raise ValueError("X_cond must not contain missing or non-finite entries")
 
     target_enc, t_shift, t_scale, t_width, levels = _encode_target(x_target, kind, n_levels)
-    target_enc = target_enc.astype(TRAIN_DTYPE)
     cond_shift, cond_scale = _standardize_fit(X_cond)
-    cond = ((X_cond - cond_shift) / cond_scale).astype(TRAIN_DTYPE)
 
     seed = canonical_seed(cfg.seed)
     k = cfg.noise_dim
-    hidden = scale_architecture(n_obs, X_cond.shape[1] + 1)
+    hidden = scale_architecture(n_obs, width + 1)
     gen_head = "identity" if kind == "continuous" else "sigmoid"
-    gen = mlp_new(cond.shape[1] + k, hidden, t_width, gen_head, seed=seed, dtype=TRAIN_DTYPE)
+    gen = mlp_new(width + k, hidden, t_width, gen_head, seed=seed, dtype=TRAIN_DTYPE)
     disc = mlp_new(
-        cond.shape[1] + t_width, hidden, 1, "scaled_sigmoid_0_2", seed=seed ^ 1, dtype=TRAIN_DTYPE
+        width + t_width, hidden, 1, "scaled_sigmoid_0_2", seed=seed ^ 1, dtype=TRAIN_DTYPE
     )
     gen_opt = adam_new(gen, cfg.lr_generator, cfg.l2)
     disc_opt = adam_new(disc, cfg.lr_discriminator, cfg.l2)
 
+    # every observed row as the discriminator sees a real one, (cond | target | 1)
+    rows = np.ones((n_obs, disc.input_dim + 1), dtype=TRAIN_DTYPE)
+    rows[:, :width] = (X_cond - cond_shift) / cond_scale
+    rows[:, width:-1] = target_enc
+
     rng = np.random.default_rng([seed, 2])
     batch = min(cfg.batch_size, n_obs)
-    ws = _Workspace(gen, disc, batch, cond.shape[1])
+    batches = _batches(rng, n_obs, batch)
+    ws = _Workspace(gen, disc, batch, width)
     trace = TrainTrace()
-    # one cycle's scores and penalties, one row per update, reduced once a
-    # cycle into the same per-update losses that the loss functions give
+    # one cycle's scores and per-row penalty terms, one row per update,
+    # reduced once a cycle row by row into the same per-update losses that
+    # the loss functions give
     disc_scores = np.empty((cfg.disc_iters_per_cycle, 2 * batch))
     gen_scores = np.empty((min(cfg.gen_iters_per_cycle, cfg.max_epochs), batch))
-    pens = np.empty(gen_scores.shape[0])
+    pen_terms = np.empty(gen_scores.shape, dtype=TRAIN_DTYPE)
     best_total = np.inf
     stall = 0
     gen_done = 0
     cycle = 0
 
     def draw() -> None:
-        # one minibatch: its rows of cond and target, then fresh noise
-        idx = _minibatch(rng, n_obs, batch)
-        np.take(cond, idx, axis=0, out=ws.cond)
-        np.take(target_enc, idx, axis=0, out=ws.target)
+        # one minibatch: its rows gathered into the real half, then fresh noise
+        rows.take(next(batches), axis=0, out=ws.real_in)
         rng.standard_normal(dtype=TRAIN_DTYPE, out=ws.z)
 
     while gen_done < cfg.max_epochs:
         for j in range(cfg.disc_iters_per_cycle):
             draw()
-            fake, _ = _forward_cache(gen, _fill(ws.gen_in, ws.cond, ws.z), ws.gen_hidden)
-            _fill(ws.disc_in[:batch], ws.cond, ws.target)
-            _fill(ws.fake_in, ws.cond, fake)
+            fake, _ = _forward_cache(gen, ws.gen_input(), ws.gen_hidden)
+            ws.fake_input(fake)
             scores, grads = _disc_grads(disc, ws.disc_in, ws)
             adam_step(disc, grads, disc_opt)
             disc_scores[j] = scores[:, 0]
@@ -365,9 +401,7 @@ def train_gcin(
         n_gen = min(cfg.gen_iters_per_cycle, cfg.max_epochs - gen_done)
         for j in range(n_gen):
             draw()
-            scores, pens[j], grads = _gen_grads(
-                gen, disc, ws.cond, ws.target, ws.z, cfg.acc_penalty_weight, kind, ws
-            )
+            scores, _, grads = _gen_grads(gen, disc, ws, cfg.acc_penalty_weight, kind, pen_terms[j])
             adam_step(gen, grads, gen_opt)
             gen_scores[j] = scores[:, 0]
         gen_done += n_gen
@@ -375,7 +409,7 @@ def train_gcin(
         real, fake = disc_scores[:, :batch], disc_scores[:, batch:]
         cycle_disc = float(np.mean(discriminator_losses(real, fake)))
         cycle_gen = float(np.mean(generator_losses(gen_scores[:n_gen])))
-        cycle_pen = float(np.mean(pens[:n_gen]))
+        cycle_pen = float(np.mean(np.mean(pen_terms[:n_gen], axis=1).astype(float)))
         if not np.isfinite(cycle_disc) or not np.isfinite(cycle_gen) or not np.isfinite(cycle_pen):
             raise NumericError(f"non-finite training loss at cycle {cycle}")
         trace.disc_loss.append(cycle_disc)

@@ -81,29 +81,40 @@ def accuracy_penalty(x, x_hat, kind: str):
     return float(out) if out.ndim == 0 else out
 
 
-def accuracy_penalty_grad(
-    target: np.ndarray, generated: np.ndarray, kind: str, weight: float = 1.0
-) -> tuple[float, np.ndarray]:
-    """Batch accuracy penalty of a generator head and its gradient.
+def accuracy_penalty_terms(
+    target: np.ndarray,
+    generated: np.ndarray,
+    kind: str,
+    weight: float = 1.0,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row accuracy penalty of a generator head and the gradient of
+    their mean, the batch penalty.
 
-    ``target`` and ``generated`` are (n, width).  Returns the penalty
-    averaged over the n rows and ``weight`` times its gradient w.r.t.
-    ``generated``.  continuous (width 1): squared error.  binary and
-    categorical (sigmoid heads, one column per level): cross-entropy
-    summed over the row's columns, with ``generated`` clamped as far from
-    0 and 1 as the sigmoid head clamps its outputs (``nn._sigmoid_clip``
-    of its dtype: 1e-12 in float64), so that the logarithms stay finite.
-    Computed in the dtype of its inputs.
+    ``target`` and ``generated`` are (n, width).  Returns the (n,) penalty
+    terms, written into ``out`` when given, and ``weight`` times the
+    gradient of their mean w.r.t. ``generated``.  continuous (width 1):
+    squared error.  binary and categorical (sigmoid heads, one column per
+    level): cross-entropy summed over the row's columns, with
+    ``generated`` clamped as far from 0 and 1 as the sigmoid head clamps
+    its outputs (``nn._sigmoid_clip`` of its dtype: 1e-12 in float64), so
+    that the logarithms stay finite.  Computed in the dtype of its inputs.
+    A training loop stores the terms of each update and takes their mean
+    row by row once per cycle, ``np.mean(terms, axis=1)``: the same bits
+    as the mean of each row on its own.
     """
     n = generated.shape[0]
+    if out is None:
+        out = np.empty(n, dtype=np.result_type(target, generated))
     if kind == "continuous":
         diff = generated - target
-        return float(np.mean(diff**2)), weight * 2.0 * diff / n
+        np.square(diff, out=out[:, None])
+        return out, weight * 2.0 * diff / n
     if kind in ("binary", "categorical"):
         eps = _sigmoid_clip(generated.dtype)
-        clipped = np.clip(generated, eps, 1.0 - eps)
-        pen = float(np.mean(_cross_entropy(target, clipped).sum(axis=1)))
-        return pen, weight * (clipped - target) / (clipped * (1.0 - clipped)) / n
+        clipped = np.minimum(np.maximum(generated, eps), 1.0 - eps)
+        np.add.reduce(_cross_entropy(target, clipped), axis=1, out=out)
+        return out, weight * (clipped - target) / (clipped * (1.0 - clipped)) / n
     raise ValueError(f"unknown kind {kind!r}; expected 'continuous', 'binary' or 'categorical'")
 
 

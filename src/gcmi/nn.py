@@ -33,6 +33,7 @@ from forming the delta by float reassociation only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -42,11 +43,12 @@ from .seeding import canonical_seed
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid", "scaled_sigmoid_0_2")
 
 
+@cache
 def _sigmoid_clip(dtype) -> float:
     """Margin that sigmoid outputs (and the penalty's logarithms) keep from 0
     and 1: 1e-12, or the dtype's machine epsilon where that is larger, so
     that ``1 - clip`` stays below 1 and ``log(1 - x)`` finite at saturation
-    (float32 rounds ``1 - 1e-12`` to 1)."""
+    (float32 rounds ``1 - 1e-12`` to 1).  Computed once per dtype."""
     return max(1e-12, float(np.finfo(dtype).eps))
 
 
@@ -57,10 +59,12 @@ ADAM_EPSILON = 1e-8
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows
+    # e^min(z, 0) / (1 + e^-|z|): 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z)
+    # below, so exp never overflows
+    out = np.exp(np.minimum(z, 0.0))
     e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0, e)
-    out /= 1.0 + e
+    e += 1.0
+    out /= e
     clip = _sigmoid_clip(out.dtype)
     np.maximum(out, clip, out=out)
     return np.minimum(out, 1.0 - clip, out=out)
@@ -275,10 +279,13 @@ def _output_delta(out: np.ndarray, output_grads: np.ndarray, activation: str) ->
     """Gradient w.r.t. the output layer pre-activation."""
     if activation == "identity":
         return output_grads
+    delta = output_grads * out
     if activation == "sigmoid":
-        return output_grads * out * (1.0 - out)
-    # scaled: out = 2*sigma, d out/d z = 2*sigma*(1-sigma) = out*(1 - out/2)
-    return output_grads * out * (1.0 - 0.5 * out)
+        delta *= 1.0 - out
+    else:
+        # scaled: out = 2*sigma, d out/d z = 2*sigma*(1-sigma) = out*(1 - out/2)
+        delta *= 1.0 - 0.5 * out
+    return delta
 
 
 def forward(mlp: Mlp, inputs: np.ndarray) -> np.ndarray:
@@ -323,7 +330,10 @@ def _backward_from_cache(
         # the fold: carry the mask down in place of the top hidden delta
         w = mlp.weights[i][:, 0]
         i -= 1
-        mask = np.greater(acts[i + 1][:, :-1], 0.0, out=deltas[i])
+        # compared over the whole contiguous buffer, ones column included,
+        # then cast into place: comparing the strided view costs twice that
+        mask = deltas[i]
+        np.copyto(mask, np.greater(acts[i + 1], 0.0)[:, :-1])
         if grads is not None:
             np.matmul((acts[i] * delta).T, mask, out=grads.layers[i])
             grads.layers[i] *= w

@@ -31,7 +31,6 @@ from gcmi import (
     run_benchmark,
 )
 from gcmi.cli import cli_main
-from gcmi.gcin import _gen_grads
 from gcmi.nn import mlp_new
 
 from test_losses import (
@@ -98,7 +97,7 @@ class TestCriterion2GradientCorrectness:
             )
             checked += 1
         # 10 composed discriminator-of-generator graphs
-        from test_gcin import TestComposedGradients
+        from test_gcin import TestComposedGradients, gen_grads
 
         objective = TestComposedGradients._gen_objective
         for i in range(10):
@@ -114,7 +113,7 @@ class TestCriterion2GradientCorrectness:
                 if kind == "continuous"
                 else rng.integers(0, 2, size=(5, 1)).astype(float)
             )
-            _, _, grads = _gen_grads(gen, disc, cond, target, z, 1.0, kind)
+            _, _, grads = gen_grads(gen, disc, cond, target, z, 1.0, kind)
             h = 1e-6
             for li, w_arr in enumerate(gen.weights):
                 it = np.nditer(w_arr, flags=["multi_index"])

@@ -15,10 +15,18 @@ from gcmi import (
     train_gcin,
 )
 import gcmi.gcin
-from gcmi.gcin import TRAIN_DTYPE, GcinPair, _disc_grads, _draw_levels, _gen_grads, _Workspace
+from gcmi.gcin import (
+    TRAIN_DTYPE,
+    GcinPair,
+    _batches,
+    _disc_grads,
+    _draw_levels,
+    _gen_grads,
+    _Workspace,
+)
 from gcmi.losses import (
     accuracy_penalty,
-    accuracy_penalty_grad,
+    accuracy_penalty_terms,
     discriminator_loss,
     generator_loss,
 )
@@ -46,6 +54,19 @@ def stacked(real, fake):
     """The discriminator update's input: real rows on top of fake rows,
     with the trailing ones column."""
     return with_ones(np.vstack([real, fake]))
+
+
+def gen_grads(gen, disc, cond, target, z, lam, kind, ws=None):
+    """``_gen_grads`` on the minibatch (cond, target, z), written into ``ws``
+    (a fresh workspace when None); returns the scores on the generated
+    rows, the batch penalty and the generator gradients."""
+    n, w = cond.shape
+    if ws is None:
+        ws = _Workspace(gen, disc, n, w)
+    ws.real_in[:, :-1] = np.hstack([cond, target])
+    ws.z[:] = z
+    d_fake, terms, grads = _gen_grads(gen, disc, ws, lam, kind)
+    return d_fake, float(np.mean(terms)), grads
 
 
 class TestScaleArchitecture:
@@ -122,7 +143,7 @@ class TestComposedGradients:
             else rng.integers(0, 2, size=(n, 1)).astype(float)
         )
         lam = 1.0
-        _, _, grads = _gen_grads(gen, disc, cond, target, z, lam, kind)
+        _, _, grads = gen_grads(gen, disc, cond, target, z, lam, kind)
         h = 1e-6
         for li, w_arr in enumerate(gen.weights):
             analytic = grads.d_weights[li]
@@ -226,6 +247,21 @@ class TestTrainGcin:
         with pytest.raises(ValueError):
             train_gcin(np.zeros((20, 3)), np.zeros(20), "ordinal", FAST)
 
+    def test_list_target_fits_as_its_array(self):
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(60, 3))
+        y = X.sum(axis=1)
+        from_list, list_trace = train_gcin(X.tolist(), y.tolist(), "continuous", FAST)
+        from_array, array_trace = train_gcin(X, y, "continuous", FAST)
+        assert from_list.generator.params.tobytes() == from_array.generator.params.tobytes()
+        assert list_trace == array_trace
+
+    @pytest.mark.parametrize("bad", [np.zeros((60, 1)), np.zeros(59), [[0.0]] * 60, 0.0])
+    def test_target_of_wrong_shape_rejected(self, bad):
+        X = np.random.default_rng(0).normal(size=(60, 3))
+        with pytest.raises(ShapeError):
+            train_gcin(X, bad, "continuous", FAST)
+
     def test_diverging_training_raises_numeric_error(self):
         from gcmi import NumericError
 
@@ -234,6 +270,58 @@ class TestTrainGcin:
         absurd = TrainConfig(max_epochs=60, lr_generator=1e150, batch_size=16, seed=0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
             train_gcin(X, X.sum(axis=1), "continuous", absurd)
+
+
+class _RecordingRng:
+    """A generator that logs each call, for watching the sampler."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def permutation(self, n):
+        self.calls.append("permutation")
+        return self.rng.permutation(n)
+
+
+class TestBatches:
+    """Minibatches are consecutive slices of one permutation per epoch."""
+
+    @pytest.mark.parametrize("n,batch", [(300, 64), (100, 64), (128, 64), (10, 3), (2, 1)])
+    def test_epochs_are_permutations_sliced_into_distinct_batches(self, n, batch):
+        rng = _RecordingRng(3)
+        batches = _batches(rng, n, batch)
+        per_epoch = n // batch
+        twin = np.random.default_rng(3)
+        for _ in range(5):
+            perm = twin.permutation(n)
+            seen = []
+            for b in range(per_epoch):
+                idx = next(batches)
+                assert idx.shape == (batch,)
+                assert np.unique(idx).size == batch
+                assert idx.min() >= 0 and idx.max() < n
+                assert np.array_equal(idx, perm[b * batch : (b + 1) * batch])
+                seen.extend(idx.tolist())
+            # no row repeats within an epoch; the rows that do not fill a batch sit out
+            assert len(set(seen)) == per_epoch * batch
+
+    def test_new_permutation_only_when_fewer_than_batch_rows_remain(self):
+        rng = _RecordingRng(5)
+        batches = _batches(rng, 300, 64)  # four batches per permutation, 44 rows left over
+        drawn = []
+        for _ in range(13):
+            next(batches)
+            drawn.append(len(rng.calls))
+        assert drawn == [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4]
+
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_batch_of_every_row_takes_every_row_on_every_update(self, n):
+        rng = _RecordingRng(7)
+        batches = _batches(rng, n, n)
+        for _ in range(4):
+            assert next(batches).tolist() == list(range(n))
+        assert rng.calls == []
 
 
 def _encode(X, y, kind, n_levels):
@@ -260,10 +348,26 @@ def _init_nets(n, width, t, cfg, kind, dtype):
     return gen, disc, gen_opt, disc_opt, np.random.default_rng([seed, 2])
 
 
-def _draw(rng, cond, target, batch, k):
+def _sampler(rng, cond, target, batch, k):
+    """``draw()`` returns one minibatch's conditioning, target and noise:
+    every row when ``batch >= n``, else the next ``batch`` rows of the
+    current permutation, a new one drawn when fewer than ``batch`` rows of
+    it are left."""
     n = cond.shape[0]
-    idx = np.arange(n) if batch >= n else rng.choice(n, size=batch, replace=False)
-    return cond[idx], target[idx], rng.standard_normal((idx.size, k), dtype=cond.dtype)
+    perm, left = None, 0
+
+    def draw():
+        nonlocal perm, left
+        if batch >= n:
+            idx = np.arange(n)
+        else:
+            if left < batch:
+                perm, left = rng.permutation(n), n
+            idx = perm[n - left : n - left + batch]
+            left -= batch
+        return cond[idx], target[idx], rng.standard_normal((idx.size, k), dtype=cond.dtype)
+
+    return draw
 
 
 def _clip(dtype):
@@ -385,11 +489,12 @@ def reference_train(
     t = target.shape[1]
     gen, disc, gen_opt, disc_opt, rng = _init_nets(n, width, t, cfg, kind, dtype)
     batch = min(cfg.batch_size, n)
+    draw = _sampler(rng, cond, target, batch, cfg.noise_dim)
     trace = TrainTrace()
     for _ in range(cfg.max_epochs // cfg.gen_iters_per_cycle):
         disc_losses, gen_losses, pens = [], [], []
         for _ in range(cfg.disc_iters_per_cycle):
-            c, tg, z = _draw(rng, cond, target, batch, cfg.noise_dim)
+            c, tg, z = draw()
             fake, _ = _ref_forward(gen, with_ones(np.hstack([c, z])))
             d, acts = _ref_forward(disc, stacked(np.hstack([c, tg]), np.hstack([c, fake])))
             g = np.vstack([(d[:batch] - 2.0) / batch, d[batch:] / batch])
@@ -397,7 +502,7 @@ def reference_train(
             adam_step(disc, _as_param_grads(grads), disc_opt)
             disc_losses.append(discriminator_loss(d[:batch], d[batch:]))
         for _ in range(cfg.gen_iters_per_cycle):
-            c, tg, z = _draw(rng, cond, target, batch, cfg.noise_dim)
+            c, tg, z = draw()
             fake, gen_acts = _ref_forward(gen, with_ones(np.hstack([c, z])))
             d_fake, acts = _ref_forward(disc, with_ones(np.hstack([c, fake])))
             rows = slice(width, width + t)
@@ -433,9 +538,10 @@ def reference_train_separate_passes(X, y, kind, cfg, n_levels=None):
         n, width, target.shape[1], cfg, kind, np.float64
     )
     batch = min(cfg.batch_size, n)
+    draw = _sampler(rng, cond, target, batch, cfg.noise_dim)
     for _ in range(cfg.max_epochs // cfg.gen_iters_per_cycle):
         for _ in range(cfg.disc_iters_per_cycle):
-            c, t, z = _draw(rng, cond, target, batch, cfg.noise_dim)
+            c, t, z = draw()
             real_in = np.hstack([c, t])
             fake_in = np.hstack([c, forward(gen, np.hstack([c, z]))])
             d_real = forward(disc, real_in)
@@ -448,7 +554,7 @@ def reference_train_separate_passes(X, y, kind, cfg, n_levels=None):
             )
             adam_step(disc, summed, disc_opt)
         for _ in range(cfg.gen_iters_per_cycle):
-            c, t, z = _draw(rng, cond, target, batch, cfg.noise_dim)
+            c, t, z = draw()
             gen_in = np.hstack([c, z])
             fake = forward(gen, gen_in)
             disc_in = np.hstack([c, fake])
@@ -607,7 +713,7 @@ class TestTwoHiddenLayerGradients:
             clipped = np.clip(fake, 1e-12, 1.0 - 1e-12)
             return adv + lam * float(np.mean(accuracy_penalty(target, clipped, "binary").sum(axis=1)))
 
-        _, _, grads = _gen_grads(gen, disc, cond, target, z, lam, kind)
+        _, _, grads = gen_grads(gen, disc, cond, target, z, lam, kind)
         self._assert_close(grads.flat, self._fd(gen.params, objective))
 
     def test_discriminator(self):
@@ -659,7 +765,7 @@ class TestOnesColumns:
             ws.disc_in[:n, :-1] = np.hstack([cond, target])
             ws.disc_in[n:, :-1] = np.hstack([cond, fake])
             _disc_grads(disc, ws.disc_in, ws)
-            _gen_grads(gen, disc, cond, target, z, 1.0, "categorical", ws)
+            gen_grads(gen, disc, cond, target, z, 1.0, "categorical", ws)
         for buf in [ws.gen_in, ws.disc_in, *ws.gen_hidden, *ws.disc_hidden]:
             assert np.array_equal(buf[:, -1], np.ones(buf.shape[0]))
         assert [d.shape[1] for d in ws.gen_deltas] == gen.hidden_dims
@@ -692,7 +798,7 @@ class TestOnesColumns:
         d_fake = forward(disc, disc_in)
         _, full = backward_with_input_grads(disc, disc_in, (d_fake - 1.0) / n)
         ws = _Workspace(gen, disc, n, w)
-        _gen_grads(gen, disc, cond, np.zeros((n, 2)), z, 0.0, "binary", ws)
+        gen_grads(gen, disc, cond, np.zeros((n, 2)), z, 0.0, "binary", ws)
         # with no penalty the generator's output gradient is the sliced input gradient
         expect = backward(gen, np.hstack([cond, z]), full[:, w:]).flat
         assert np.abs(ws.gen_grads.flat - expect).max() <= 1e-12 * np.abs(expect).max()
@@ -746,8 +852,8 @@ class TestTrainingDtype:
         assert out.dtype == np.float32
         assert np.all((out > 0.0) & (out < 1.0))
         for target in (np.zeros((4, 2), np.float32), np.ones((4, 2), np.float32)):
-            pen, grad = accuracy_penalty_grad(target, out, "binary")
-            assert np.isfinite(pen)
+            terms, grad = accuracy_penalty_terms(target, out, "binary")
+            assert np.all(np.isfinite(terms))
             assert np.all(np.isfinite(grad))
 
 

@@ -16,7 +16,8 @@ from gcmi import (
     generator_loss,
     optimal_discriminator,
 )
-from gcmi.losses import accuracy_penalty_grad
+from gcmi.losses import _cross_entropy, accuracy_penalty_terms
+from gcmi.nn import _sigmoid_clip
 
 
 def random_dist_pair(rng, size):
@@ -139,31 +140,77 @@ class TestAccuracyPenaltyGrad:
         else:
             target = (rng.random((n, width)) < 0.5).astype(float)
             generated = rng.uniform(0.05, 0.95, size=(n, width))
-        _, grad = accuracy_penalty_grad(target, generated, kind, weight)
+        _, grad = accuracy_penalty_terms(target, generated, kind, weight)
         h = 1e-6
         for idx in np.ndindex(*generated.shape):
             up, down = generated.copy(), generated.copy()
             up[idx] += h
             down[idx] -= h
             fd = weight * (
-                accuracy_penalty_grad(target, up, kind)[0]
-                - accuracy_penalty_grad(target, down, kind)[0]
+                accuracy_penalty_terms(target, up, kind)[0].mean()
+                - accuracy_penalty_terms(target, down, kind)[0].mean()
             ) / (2 * h)
             assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
     def test_value_is_row_mean_of_elementwise_penalty(self):
         target = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
         generated = np.array([[0.2, 0.7, 0.1], [0.6, 0.3, 0.1]])
-        value, _ = accuracy_penalty_grad(target, generated, "categorical")
-        expected = accuracy_penalty(target, generated, "binary").sum(axis=1).mean()
-        assert value == pytest.approx(expected)
-        value, _ = accuracy_penalty_grad(target[:, :1], generated[:, :1], "continuous")
-        expected = accuracy_penalty(target[:, :1], generated[:, :1], "continuous").mean()
-        assert value == pytest.approx(expected)
+        terms, _ = accuracy_penalty_terms(target, generated, "categorical")
+        expected = accuracy_penalty(target, generated, "binary").sum(axis=1)
+        assert terms == pytest.approx(expected)
+        terms, _ = accuracy_penalty_terms(target[:, :1], generated[:, :1], "continuous")
+        expected = accuracy_penalty(target[:, :1], generated[:, :1], "continuous")[:, 0]
+        assert terms == pytest.approx(expected)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            accuracy_penalty_grad(np.zeros((2, 1)), np.zeros((2, 1)), "ordinal")
+            accuracy_penalty_terms(np.zeros((2, 1)), np.zeros((2, 1)), "ordinal")
+
+
+class TestPenaltyReducedOncePerCycle:
+    """A training cycle stores each update's per-row penalty terms and
+    reduces them row by row once; in float32 that must give, bit for bit,
+    the batch penalty of each update computed on its own."""
+
+    @staticmethod
+    def _update(rng, kind, n, width):
+        if kind == "continuous":
+            target = rng.normal(size=(n, width))
+            generated = rng.normal(size=(n, width))
+        else:
+            levels = rng.integers(0, width, n) if kind == "categorical" else rng.integers(0, 2, n)
+            target = np.eye(max(width, 2))[levels][:, -width:]
+            generated = rng.uniform(0.0, 1.0, size=(n, width))
+            generated[:3, 0] = [0.0, 1.0, 0.5]  # 0 and 1 are clamped to the clip
+        return target.astype(np.float32), generated.astype(np.float32)
+
+    @staticmethod
+    def _batch_penalty(target, generated, kind):
+        """The penalty of one update as a mean over the whole batch."""
+        if kind == "continuous":
+            return float(np.mean((generated - target) ** 2))
+        eps = _sigmoid_clip(generated.dtype)
+        clipped = np.clip(generated, eps, 1.0 - eps)
+        return float(np.mean(_cross_entropy(target, clipped).sum(axis=1)))
+
+    @pytest.mark.parametrize("kind,width", [("continuous", 1), ("binary", 1), ("categorical", 4)])
+    @pytest.mark.parametrize("n", [256, 37])
+    def test_row_means_equal_per_update_penalties(self, kind, width, n):
+        rng = np.random.default_rng(83)
+        updates = [self._update(rng, kind, n, width) for _ in range(7)]
+        terms = np.empty((len(updates), n), dtype=np.float32)
+        per_update = []
+        for j, (target, generated) in enumerate(updates):
+            out = terms[j]
+            row, grad = accuracy_penalty_terms(target, generated, kind, 0.7, out)
+            assert row is out
+            assert grad.dtype == np.float32
+            per_update.append(self._batch_penalty(target, generated, kind))
+        reduced = np.mean(terms, axis=1)
+        assert reduced.dtype == np.float32
+        assert reduced.astype(float).tolist() == per_update
+        # the cycle's penalty, as the trace records it
+        assert float(np.mean(reduced.astype(float))) == float(np.mean(per_update))
 
 
 class TestDiscreteDist:

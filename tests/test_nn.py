@@ -19,7 +19,7 @@ from gcmi import (
     forward,
     mlp_new,
 )
-from gcmi.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, Mlp, ParamGrads
+from gcmi.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, Mlp, ParamGrads, _sigmoid, _sigmoid_clip
 
 
 def finite_difference_grads(mlp, inputs, output_grads, h=1e-5):
@@ -311,6 +311,38 @@ class TestFlatParameters:
         assert not np.array_equal(twin.weights[0], mlp.weights[0])
         assert np.array_equal(twin.params, np.concatenate([a.ravel() for a in (
             twin.weights[0], twin.biases[0], twin.weights[1], twin.biases[1])]))
+
+
+class TestSigmoid:
+    @staticmethod
+    def _two_branch_sigmoid(z):
+        """1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below, clamped by the
+        clip of z's dtype."""
+        e = np.exp(-np.abs(z))
+        out = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        clip = max(1e-12, float(np.finfo(z.dtype).eps))
+        return np.minimum(np.maximum(out, clip), 1.0 - clip)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_clip_is_cached_per_dtype(self, dtype):
+        expect = max(1e-12, float(np.finfo(dtype).eps))
+        assert _sigmoid_clip(np.dtype(dtype)) == expect
+        assert _sigmoid_clip(np.dtype(dtype)) is _sigmoid_clip(np.dtype(dtype))
+        assert _sigmoid_clip(np.dtype(np.float64)) == 1e-12
+        assert _sigmoid_clip(np.dtype(np.float32)) == 2.0**-23
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_outputs_keep_the_two_branch_bits(self, dtype):
+        rng = np.random.default_rng(97)
+        random = rng.normal(scale=6.0, size=(512, 1))
+        saturated = np.array([0.0, -0.0, 1e-30, -1e-30, 15.0, -15.0, 40.0, -40.0, 800.0, -800.0])
+        huge = np.finfo(dtype).max
+        for z in (random, saturated[:, None], np.array([[huge, -huge, np.inf, -np.inf]])):
+            z = z.astype(dtype)
+            out = _sigmoid(z)
+            assert out.dtype == dtype
+            assert out.tobytes() == self._two_branch_sigmoid(z).tobytes()
+            assert np.all((out > 0.0) & (out < 1.0))
 
 
 class TestDtype:
