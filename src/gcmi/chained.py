@@ -9,6 +9,14 @@ change of continuous cells and the change proportion of binary/categorical
 cells between sweeps; the chain continues while either improves and keeps
 the sweep with the smallest combined value.  Estimates from the M completed
 datasets pool with the usual within/between variance decomposition.
+
+``gcmi_impute`` splits the M chains into ``min(workers, M)`` contiguous
+groups, one per process, and runs the chains of a group in lock-step:
+each sweep refits every column once for all of them, one stacked
+``train_gcin`` call per column, since the mask, and so each column's
+observed rows, is shared.  A chain that meets its stop rule leaves the
+group.  Each chain keeps its own seeds, so its numbers are bit for bit
+those of running it alone, whatever its group.
 """
 
 from __future__ import annotations
@@ -197,33 +205,40 @@ def _refit_column(
     encoded: np.ndarray,
     dm: DataMatrix,
     j: int,
-    cfg: GcmiConfig,
+    cfgs: list[GcmiConfig],
     seed_path: tuple[int, ...],
 ) -> np.ndarray:
-    """Train on obs(j) rows of the completed matrix, conditioning on the
-    other columns of its encoding ``encoded``; return imputations for
-    miss(j)."""
+    """Train on obs(j) rows of each chain's completed matrix, ``values``
+    (K, n, p), conditioning on the other columns of its encoding
+    ``encoded``; return the (K, n_miss) imputations for miss(j).  One
+    ``train_gcin`` call fits the K chains' pairs in lock-step; each chain
+    imputes with its own pair and seed."""
     col = dm.schema[j]
     miss = dm.mask[:, j]
     sl = column_slices(dm.schema)[j]
-    cond = np.hstack([encoded[:, : sl.start], encoded[:, sl.stop :]])
-    seed = derive_seed(cfg.seed, *seed_path)
-    pair, _ = train_gcin(
-        cond[~miss],
-        values[~miss, j],
+    cond = np.concatenate([encoded[..., : sl.start], encoded[..., sl.stop :]], axis=-1)
+    seeds = [derive_seed(cfg.seed, *seed_path) for cfg in cfgs]
+    fits = train_gcin(
+        cond[:, ~miss],
+        values[:, ~miss, j],
         col.kind,
-        replace(cfg.train, seed=seed),
+        [replace(cfg.train, seed=seed) for cfg, seed in zip(cfgs, seeds)],
         n_levels=len(col.levels) if col.kind == "categorical" else None,
         column_index=j,
     )
-    return impute_column(pair, cond[miss], seed=seed ^ 1)
+    return np.stack(
+        [
+            impute_column(pair, chain_cond[miss], seed=seed ^ 1)
+            for (pair, _), chain_cond, seed in zip(fits, cond, seeds)
+        ]
+    )
 
 
 def sweep(
     values: np.ndarray,
     dm: DataMatrix,
     cols: list[int],
-    cfg: GcmiConfig,
+    cfg: GcmiConfig | list[GcmiConfig],
     seed_path: tuple[int, ...] = (),
 ) -> np.ndarray:
     """One pass over the columns ``cols``; returns the updated code matrix.
@@ -234,52 +249,75 @@ def sweep(
     column's pair is fit from scratch per sweep.  The completion is
     encoded once per sweep; after each column only that column's slice of
     its missing rows is encoded again.
+
+    A group of chains sweeps in lock-step: ``values`` (K, n, p), one
+    completion per chain, and ``cfg`` the K chains' configs; each column is
+    refit for all K at once, and each chain's result is bit for bit its
+    sweep on its own.  One chain is a group of one.
     """
     if np.isnan(values).any():
         raise ValueError("sweep requires a completed matrix")
-    current = values.copy()
-    encoded = encode_columns(current, dm.schema)
+    group = not isinstance(cfg, GcmiConfig)
+    cfgs = list(cfg) if group else [cfg]
+    current = np.array(values if group else values[None], dtype=float)
+    n_chains, n_rows, n_cols = current.shape
+    encoded = encode_columns(current.reshape(-1, n_cols), dm.schema).reshape(n_chains, n_rows, -1)
     slices = column_slices(dm.schema)
     for j in cols:
         miss = dm.mask[:, j]
-        current[miss, j] = _refit_column(current, encoded, dm, j, cfg, (*seed_path, j))
-        encoded[miss, slices[j]] = encode_columns(current[miss, j][:, None], [dm.schema[j]])
-    return current
+        current[:, miss, j] = _refit_column(current, encoded, dm, j, cfgs, (*seed_path, j))
+        fresh = encode_columns(current[:, miss, j].reshape(-1, 1), [dm.schema[j]])
+        encoded[:, miss, slices[j]] = fresh.reshape(n_chains, -1, fresh.shape[1])
+    return current if group else current[0]
 
 
-def _run_chain(
-    dm: DataMatrix, cfg: GcmiConfig, cols: list[int], chain_seed: int
-) -> tuple[np.ndarray, ConvergenceTrace]:
-    """The chain's values for the missing cells, ``completed[dm.mask]``
-    (only those travel back from a pool worker), and its trace."""
+def _run_chains(
+    dm: DataMatrix, cfg: GcmiConfig, cols: list[int], chain_seeds: list[int]
+) -> list[tuple[np.ndarray, ConvergenceTrace]]:
+    """Run the chains of ``chain_seeds`` in lock-step: each ``sweep`` call
+    refits every column once for every chain still running, and a chain
+    that meets its stop rule leaves the group.  Returns each chain's values
+    for the missing cells, ``completed[dm.mask]`` (only those travel back
+    from a pool worker), and its trace, in seed order."""
     filled = initial_fill(dm)
-    trace = ConvergenceTrace()
+    traces = [ConvergenceTrace() for _ in chain_seeds]
     if not cols:
-        trace.stop_reason = "no_trainable_columns"
-        return filled.values[dm.mask], trace
+        for trace in traces:
+            trace.stop_reason = "no_trainable_columns"
+        return [(filled.values[dm.mask], trace) for trace in traces]
 
-    chain_cfg = replace(cfg, seed=chain_seed)
-    current = filled.values
-    best = current
-    best_score = np.inf
-    prev: tuple[float, float] | None = None
+    chain_cfgs = [replace(cfg, seed=seed) for seed in chain_seeds]
+    # each chain's missing cells at its best sweep: a copy, so that a group's
+    # finished sweeps are not kept whole
+    best = [filled.values[dm.mask]] * len(chain_seeds)
+    best_score = [np.inf] * len(chain_seeds)
+    prev: list[tuple[float, float] | None] = [None] * len(chain_seeds)
+    live = list(range(len(chain_seeds)))  # the chain in each row of ``current``
+    current = np.stack([filled.values] * len(chain_seeds))
     for s in range(cfg.max_chain_iters):
-        new = sweep(current, dm, cols, chain_cfg, seed_path=(s,))
-        gamma = convergence_gamma(new, current, dm.mask, dm.schema)
-        trace.gamma_num.append(gamma[0])
-        trace.gamma_cat.append(gamma[1])
-        score = gamma[0] + gamma[1]
-        if score < best_score:
-            best_score = score
-            best = new
-        current = new
-        if prev is not None and not (gamma[0] < prev[0] or gamma[1] < prev[1]):
-            trace.stop_reason = "both_stabilized"
+        new = sweep(current, dm, cols, [chain_cfgs[c] for c in live], seed_path=(s,))
+        running = []
+        for a, c in enumerate(live):
+            gamma = convergence_gamma(new[a], current[a], dm.mask, dm.schema)
+            traces[c].gamma_num.append(gamma[0])
+            traces[c].gamma_cat.append(gamma[1])
+            score = gamma[0] + gamma[1]
+            if score < best_score[c]:
+                best_score[c] = score
+                best[c] = new[a][dm.mask]
+            if prev[c] is not None and not (gamma[0] < prev[c][0] or gamma[1] < prev[c][1]):
+                traces[c].stop_reason = "both_stabilized"
+            else:
+                prev[c] = gamma
+                running.append(a)
+        live = [live[a] for a in running]
+        if not live:
             break
-        prev = gamma
+        current = new[running]
     else:
-        trace.stop_reason = "max_iters"
-    return best[dm.mask], trace
+        for c in live:
+            traces[c].stop_reason = "max_iters"
+    return list(zip(best, traces))
 
 
 def _table_path(out_dir: Path, stem: str, i: int) -> Path:
@@ -298,15 +336,17 @@ def gcmi_impute(
 ) -> ImputationResult:
     """Produce M completed datasets from a matrix with missing cells.
 
-    Chains use independent derived seeds and may run in parallel
-    (``cfg.workers``); results are identical either way.  Observed cells
-    pass through untouched.
+    Chains use independent derived seeds.  They are split into
+    ``min(cfg.workers, M)`` contiguous groups, one pool task each (serial
+    for one group), and a group's chains run in lock-step (see
+    ``_run_chains``); each chain's result is the same at any worker count.
+    Observed cells pass through untouched.
 
     With ``out_dir``, chain i's completed table is written to
-    ``{out_dir}/{stem}_imp{i}.csv`` as soon as chains 1..i are done, the
-    tables sharing one formatting of the observed continuous cells, and
-    the paths are recorded in ``files``; ``save_result`` with the same
-    directory and stem then writes only the manifest.  A manifest left
+    ``{out_dir}/{stem}_imp{i}.csv`` as soon as the groups of chains 1..i
+    are done, the tables sharing one formatting of the observed continuous
+    cells, and the paths are recorded in ``files``; ``save_result`` with
+    the same directory and stem then writes only the manifest.  A manifest left
     there by an earlier run is removed first, and if a chain or a write
     fails, the tables written so far are removed before the error
     propagates.
@@ -325,13 +365,17 @@ def gcmi_impute(
 
     start = time.perf_counter()
     cols = _trainable_columns(dm)  # the same for every chain
-    chain_seeds = [derive_seed(cfg.seed, 0, m) for m in range(cfg.m_imputations)]
-    tasks = [(dm, cfg, cols, s) for s in chain_seeds]
+    m = cfg.m_imputations
+    chain_seeds = [derive_seed(cfg.seed, 0, i) for i in range(m)]
+    n_groups = min(cfg.workers, m)
+    groups = [chain_seeds[g * m // n_groups : (g + 1) * m // n_groups] for g in range(n_groups)]
+    tasks = [(dm, cfg, cols, group) for group in groups]
     completed, traces, files = [], [], []
     observed = None  # built when the first table is written, while chains still run
     try:
-        with closing(parallel_map(_run_chain, tasks, cfg.workers)) as outcomes:
-            for i, (imputed, trace) in enumerate(outcomes, start=1):
+        with closing(parallel_map(_run_chains, tasks, cfg.workers)) as outcomes:
+            chains = (chain for group in outcomes for chain in group)
+            for i, (imputed, trace) in enumerate(chains, start=1):
                 values = dm.values.copy()
                 values[dm.mask] = imputed
                 out = DataMatrix(list(dm.schema), values, np.zeros_like(dm.mask))

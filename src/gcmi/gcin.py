@@ -23,12 +23,21 @@ Both networks train in float32 (``TRAIN_DTYPE``): the standardisation is
 fitted in float64 and the standardised conditioning and target are cast
 once per fit.  Imputation feeds float32 to the generator and maps its
 output back to the data's scale in float64.
+
+``train_gcin`` fits a group of K pairs for one column in lock-step (the
+M chains of a multiple imputation share each column's observed rows):
+the members' networks are stacked (``nn.mlp_stack``), and each update is
+one stacked pass and one ``adam_step`` per network for all of them.
+Everything that makes a member's numbers its own stays per member: its
+standardisation, initialisation, random stream (minibatches and noise,
+in the order of a lone fit), cycle losses and early stop.  So every
+member's pair and trace are bit for bit those of fitting it alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,11 +56,11 @@ from .nn import (
     adam_new,
     adam_step,
     _backward_from_cache,
-    _delta_buffers,
+    _Buffers,
     _forward_cache,
-    _hidden_buffers,
     forward,
     mlp_new,
+    mlp_stack,
 )
 from .seeding import canonical_seed
 
@@ -196,47 +205,43 @@ class _Workspace:
     """Buffers one fit reuses on every update: the noise of a minibatch,
     the generator input (cond | z | 1), the stacked discriminator input
     with the minibatch's rows (cond | target | 1), ``real_in``, on top of
-    as many rows (cond | fake | 1), ``fake_in``, the hidden activations and
-    the gradients carried between hidden layers of both networks, and both
-    networks' parameter gradients.  A draw gathers its rows straight into ``real_in``; the
-    generator input and the fake rows copy their conditioning from there.
-    ``fake_hidden`` and ``fake_deltas`` view the fake half of the
-    discriminator's buffers, for the generator step.  Every buffer has the
-    generator's dtype."""
+    as many rows (cond | fake | 1), ``fake_in``, both networks' pass
+    buffers (``nn._Buffers``) and parameter gradients.  A draw gathers its
+    rows straight into ``real_in``; the generator input and the fake rows
+    copy their conditioning from there.  ``fake_bufs`` views the fake half
+    of the discriminator's buffers, for the generator step.  Every buffer
+    has the generator's dtype and, for a stack, its leading axis."""
 
     def __init__(self, gen: Mlp, disc: Mlp, batch: int, cond_width: int):
-        dtype = gen.dtype
-        self.z = np.empty((batch, gen.input_dim - cond_width), dtype=dtype)
-        self.gen_in = np.ones((batch, gen.input_dim + 1), dtype=dtype)
-        self.disc_in = np.ones((2 * batch, disc.input_dim + 1), dtype=dtype)
-        self.gen_hidden = _hidden_buffers(gen, batch)
-        self.disc_hidden = _hidden_buffers(disc, 2 * batch)
-        self.gen_deltas = _delta_buffers(gen, batch)
-        self.disc_deltas = _delta_buffers(disc, 2 * batch)
-        self.real_in = self.disc_in[:batch]
-        self.fake_in = self.disc_in[batch:]
-        self.fake_hidden = [h[batch:] for h in self.disc_hidden]
-        self.fake_deltas = [d[batch:] for d in self.disc_deltas]
+        dtype, lead = gen.dtype, gen.stack
+        self.z = np.empty((*lead, batch, gen.input_dim - cond_width), dtype=dtype)
+        self.gen_in = np.ones((*lead, batch, gen.input_dim + 1), dtype=dtype)
+        self.disc_in = np.ones((*lead, 2 * batch, disc.input_dim + 1), dtype=dtype)
+        self.gen_bufs = _Buffers.new(gen, batch)
+        self.disc_bufs = _Buffers.new(disc, 2 * batch)
+        self.real_in = self.disc_in[..., :batch, :]
+        self.fake_in = self.disc_in[..., batch:, :]
+        self.fake_bufs = self.disc_bufs.rows(slice(batch, None))
         self.gen_grads = ParamGrads.zeros_like(gen)
         self.disc_grads = ParamGrads.zeros_like(disc)
 
     @property
     def cond_width(self) -> int:
         # gen_in holds (cond | z | 1)
-        return self.gen_in.shape[1] - self.z.shape[1] - 1
+        return self.gen_in.shape[-1] - self.z.shape[-1] - 1
 
     def gen_input(self) -> np.ndarray:
         """Write (cond | z | 1) of the minibatch into ``gen_in``; return it."""
         width = self.cond_width
-        self.gen_in[:, :width] = self.real_in[:, :width]
-        self.gen_in[:, width:-1] = self.z
+        self.gen_in[..., :width] = self.real_in[..., :width]
+        self.gen_in[..., width:-1] = self.z
         return self.gen_in
 
     def fake_input(self, fake: np.ndarray) -> np.ndarray:
         """Write (cond | fake | 1) into ``fake_in``; return it."""
         width = self.cond_width
-        self.fake_in[:, :width] = self.real_in[:, :width]
-        self.fake_in[:, width:-1] = fake
+        self.fake_in[..., :width] = self.real_in[..., :width]
+        self.fake_in[..., width:-1] = fake
         return self.fake_in
 
 
@@ -251,17 +256,17 @@ def _disc_grads(
     the (2B, 1) scores and the summed gradient of both halves, in ``ws``
     when given.  ``discriminator_loss`` of the two halves is the loss.
     """
-    n = inputs.shape[0] // 2
+    n = inputs.shape[-2] // 2
     if ws is None:
-        hidden = deltas = None
+        bufs = None
         grads = ParamGrads.zeros_like(disc)
     else:
-        hidden, deltas, grads = ws.disc_hidden, ws.disc_deltas, ws.disc_grads
-    d, acts = _forward_cache(disc, inputs, hidden)
+        bufs, grads = ws.disc_bufs, ws.disc_grads
+    d, acts = _forward_cache(disc, inputs, bufs)
     out_grad = d.copy()
-    out_grad[:n] -= REAL_TARGET
+    out_grad[..., :n, :] -= REAL_TARGET
     out_grad /= n
-    _backward_from_cache(disc, acts, d, out_grad, grads, None, deltas)
+    _backward_from_cache(disc, acts, d, out_grad, grads, None, bufs)
     return d, grads
 
 
@@ -285,18 +290,18 @@ def _gen_grads(
     parameter gradients are never formed.  The gradients are built in
     ``ws.gen_grads``.
     """
-    n, width = ws.real_in.shape[0], ws.cond_width
-    fake, gen_acts = _forward_cache(gen, ws.gen_input(), ws.gen_hidden)
-    d_fake, disc_acts = _forward_cache(disc, ws.fake_input(fake), ws.fake_hidden)
+    n, width = ws.real_in.shape[-2], ws.cond_width
+    fake, gen_acts = _forward_cache(gen, ws.gen_input(), ws.gen_bufs)
+    d_fake, disc_acts = _forward_cache(disc, ws.fake_input(fake), ws.fake_bufs)
 
     d_out_grad = (d_fake - GEN_TARGET) / n
     fake_grad = _backward_from_cache(
-        disc, disc_acts, d_fake, d_out_grad, None, slice(width, disc.input_dim), ws.fake_deltas
+        disc, disc_acts, d_fake, d_out_grad, None, slice(width, disc.input_dim), ws.fake_bufs
     )
-    target = ws.real_in[:, width:-1]
+    target = ws.real_in[..., width:-1]
     pen_terms, pen_grad = accuracy_penalty_terms(target, fake, kind, acc_weight, pen_terms)
     fake_grad += pen_grad
-    _backward_from_cache(gen, gen_acts, fake, fake_grad, ws.gen_grads, None, ws.gen_deltas)
+    _backward_from_cache(gen, gen_acts, fake, fake_grad, ws.gen_grads, None, ws.gen_bufs)
     return d_fake, pen_terms, ws.gen_grads
 
 
@@ -320,10 +325,10 @@ def train_gcin(
     X_cond: np.ndarray,
     x_target: np.ndarray,
     kind: str,
-    cfg: TrainConfig,
+    cfg: TrainConfig | list[TrainConfig],
     n_levels: int | None = None,
     column_index: int = 0,
-) -> tuple[GcinPair, TrainTrace]:
+) -> tuple[GcinPair, TrainTrace] | list[tuple[GcinPair, TrainTrace]]:
     """Fit a generator/discriminator pair on fully observed rows.
 
     ``X_cond`` is the (n_obs, width) conditioning matrix and ``x_target``
@@ -331,114 +336,178 @@ def train_gcin(
     integer codes for categorical).  Deterministic given ``cfg.seed``.
     The pair's networks are float32 (``TRAIN_DTYPE``); its normalisation
     stays float64.
+
+    A group fits K pairs in lock-step: ``X_cond`` (K, n_obs, width),
+    ``x_target`` (K, n_obs) and ``cfg`` a list of K configs that differ in
+    ``seed`` only; it returns the K (pair, trace) results, in order.  Each
+    member keeps its own standardisation, initialisation, random stream,
+    losses and early stop, and every update runs one stacked pass and one
+    ``adam_step`` per network for all members still training; a member
+    that stops is copied out and leaves the stack.  So each member's
+    result is bit for bit its fit on its own.  One pair is a group of one.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown column kind {kind!r}")
-    cfg.validate()
+    group = not isinstance(cfg, TrainConfig)
+    cfgs = list(cfg) if group else [cfg]
+    if not cfgs:
+        raise ValueError("a group needs at least one member")
+    for c in cfgs:
+        c.validate()
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ConfigError("the members of a group may differ in seed only")
     X_cond = np.asarray(X_cond, dtype=float)
     x_target = np.asarray(x_target, dtype=float)
-    if X_cond.ndim != 2:
-        raise ShapeError(f"X_cond must be 2-D, got shape {X_cond.shape}")
-    if x_target.ndim != 1:
-        raise ShapeError(f"x_target must be 1-D, got shape {x_target.shape}")
-    n_obs, width = X_cond.shape
+    if X_cond.ndim != 2 + group:
+        raise ShapeError(f"X_cond must be {2 + group}-D, got shape {X_cond.shape}")
+    if x_target.ndim != 1 + group:
+        raise ShapeError(f"x_target must be {1 + group}-D, got shape {x_target.shape}")
+    if not group:
+        X_cond, x_target = X_cond[None], x_target[None]
+    if X_cond.shape[0] != len(cfgs) or x_target.shape[0] != len(cfgs):
+        raise ShapeError("a group needs one X_cond, x_target and config per member")
+    n_obs, width = X_cond.shape[1:]
     if n_obs < 2:
         raise InsufficientDataError(f"need at least 2 observed rows, got {n_obs}")
-    if x_target.shape[0] != n_obs:
+    if x_target.shape[1] != n_obs:
         raise ShapeError("X_cond and x_target row counts differ")
     if not np.all(np.isfinite(X_cond)):
         raise ValueError("X_cond must not contain missing or non-finite entries")
+    if not np.all(np.isfinite(x_target)):
+        raise ValueError("x_target must not contain missing or non-finite entries")
 
-    target_enc, t_shift, t_scale, t_width, levels = _encode_target(x_target, kind, n_levels)
-    cond_shift, cond_scale = _standardize_fit(X_cond)
-
-    seed = canonical_seed(cfg.seed)
     k = cfg.noise_dim
     hidden = scale_architecture(n_obs, width + 1)
     gen_head = "identity" if kind == "continuous" else "sigmoid"
-    gen = mlp_new(width + k, hidden, t_width, gen_head, seed=seed, dtype=TRAIN_DTYPE)
-    disc = mlp_new(
-        width + t_width, hidden, 1, "scaled_sigmoid_0_2", seed=seed ^ 1, dtype=TRAIN_DTYPE
-    )
+    disc_head = "scaled_sigmoid_0_2"
+    batch = min(cfg.batch_size, n_obs)
+    # per member: its pair's normalisation, its networks before they are
+    # stacked, its rows (cond | target | 1) and its minibatch stream
+    norms, gens, discs, rows, batches, rngs = [], [], [], [], [], []
+    for x_c, x_t, c in zip(X_cond, x_target, cfgs):
+        target_enc, t_shift, t_scale, t_width, levels = _encode_target(x_t, kind, n_levels)
+        cond_shift, cond_scale = _standardize_fit(x_c)
+        norms.append(
+            dict(
+                n_levels=levels,
+                cond_shift=cond_shift,
+                cond_scale=cond_scale,
+                target_shift=t_shift,
+                target_scale=t_scale,
+            )
+        )
+        seed = canonical_seed(c.seed)
+        gens.append(mlp_new(width + k, hidden, t_width, gen_head, seed=seed, dtype=TRAIN_DTYPE))
+        discs.append(
+            mlp_new(width + t_width, hidden, 1, disc_head, seed=seed ^ 1, dtype=TRAIN_DTYPE)
+        )
+        # every observed row as the discriminator sees a real one
+        real = np.ones((n_obs, width + t_width + 1), dtype=TRAIN_DTYPE)
+        real[:, :width] = (x_c - cond_shift) / cond_scale
+        real[:, width:-1] = target_enc
+        rows.append(real)
+        rngs.append(np.random.default_rng([seed, 2]))
+        batches.append(_batches(rngs[-1], n_obs, batch))
+
+    gen, disc = mlp_stack(gens), mlp_stack(discs)
     gen_opt = adam_new(gen, cfg.lr_generator, cfg.l2)
     disc_opt = adam_new(disc, cfg.lr_discriminator, cfg.l2)
-
-    # every observed row as the discriminator sees a real one, (cond | target | 1)
-    rows = np.ones((n_obs, disc.input_dim + 1), dtype=TRAIN_DTYPE)
-    rows[:, :width] = (X_cond - cond_shift) / cond_scale
-    rows[:, width:-1] = target_enc
-
-    rng = np.random.default_rng([seed, 2])
-    batch = min(cfg.batch_size, n_obs)
-    batches = _batches(rng, n_obs, batch)
+    rows = np.stack(rows)
     ws = _Workspace(gen, disc, batch, width)
-    trace = TrainTrace()
+    traces = [TrainTrace() for _ in cfgs]
+    nets: list[tuple[Mlp, Mlp] | None] = [None] * len(cfgs)
+    live = list(range(len(cfgs)))  # the member in each row of the stack
     # one cycle's scores and per-row penalty terms, one row per update,
     # reduced once a cycle row by row into the same per-update losses that
     # the loss functions give
-    disc_scores = np.empty((cfg.disc_iters_per_cycle, 2 * batch))
-    gen_scores = np.empty((min(cfg.gen_iters_per_cycle, cfg.max_epochs), batch))
+    disc_scores = np.empty((len(cfgs), cfg.disc_iters_per_cycle, 2 * batch))
+    gen_scores = np.empty((len(cfgs), min(cfg.gen_iters_per_cycle, cfg.max_epochs), batch))
     pen_terms = np.empty(gen_scores.shape, dtype=TRAIN_DTYPE)
-    best_total = np.inf
-    stall = 0
+    best_total = [np.inf] * len(cfgs)
+    stall = [0] * len(cfgs)
     gen_done = 0
     cycle = 0
 
     def draw() -> None:
-        # one minibatch: its rows gathered into the real half, then fresh noise
-        rows.take(next(batches), axis=0, out=ws.real_in)
-        rng.standard_normal(dtype=TRAIN_DTYPE, out=ws.z)
+        # one minibatch per member: its rows gathered into the real half, then fresh noise
+        for a, (member_batches, rng) in enumerate(zip(batches, rngs)):
+            rows[a].take(next(member_batches), axis=0, out=ws.real_in[a])
+            rng.standard_normal(dtype=TRAIN_DTYPE, out=ws.z[a])
 
     while gen_done < cfg.max_epochs:
         for j in range(cfg.disc_iters_per_cycle):
             draw()
-            fake, _ = _forward_cache(gen, ws.gen_input(), ws.gen_hidden)
+            fake, _ = _forward_cache(gen, ws.gen_input(), ws.gen_bufs)
             ws.fake_input(fake)
             scores, grads = _disc_grads(disc, ws.disc_in, ws)
             adam_step(disc, grads, disc_opt)
-            disc_scores[j] = scores[:, 0]
+            disc_scores[:, j] = scores[..., 0]
 
         n_gen = min(cfg.gen_iters_per_cycle, cfg.max_epochs - gen_done)
         for j in range(n_gen):
             draw()
-            scores, _, grads = _gen_grads(gen, disc, ws, cfg.acc_penalty_weight, kind, pen_terms[j])
+            scores, _, grads = _gen_grads(
+                gen, disc, ws, cfg.acc_penalty_weight, kind, pen_terms[:, j]
+            )
             adam_step(gen, grads, gen_opt)
-            gen_scores[j] = scores[:, 0]
+            gen_scores[:, j] = scores[..., 0]
         gen_done += n_gen
 
-        real, fake = disc_scores[:, :batch], disc_scores[:, batch:]
-        cycle_disc = float(np.mean(discriminator_losses(real, fake)))
-        cycle_gen = float(np.mean(generator_losses(gen_scores[:n_gen])))
-        cycle_pen = float(np.mean(np.mean(pen_terms[:n_gen], axis=1).astype(float)))
-        if not np.isfinite(cycle_disc) or not np.isfinite(cycle_gen) or not np.isfinite(cycle_pen):
-            raise NumericError(f"non-finite training loss at cycle {cycle}")
-        trace.disc_loss.append(cycle_disc)
-        trace.gen_loss.append(cycle_gen)
-        trace.acc_penalty.append(cycle_pen)
+        stopped = []
+        for a, m in enumerate(live):
+            real, fake = disc_scores[a, :, :batch], disc_scores[a, :, batch:]
+            cycle_disc = float(np.mean(discriminator_losses(real, fake)))
+            cycle_gen = float(np.mean(generator_losses(gen_scores[a, :n_gen])))
+            cycle_pen = float(np.mean(np.mean(pen_terms[a, :n_gen], axis=1).astype(float)))
+            if not (np.isfinite(cycle_disc) and np.isfinite(cycle_gen) and np.isfinite(cycle_pen)):
+                raise NumericError(f"non-finite training loss at cycle {cycle}")
+            traces[m].disc_loss.append(cycle_disc)
+            traces[m].gen_loss.append(cycle_gen)
+            traces[m].acc_penalty.append(cycle_pen)
 
-        total = cycle_gen + cfg.acc_penalty_weight * cycle_pen
-        if total < best_total - cfg.early_stop_tol:
-            best_total = total
-            stall = 0
-        else:
-            stall += 1
-            if stall >= cfg.early_stop_patience:
+            total = cycle_gen + cfg.acc_penalty_weight * cycle_pen
+            if total < best_total[m] - cfg.early_stop_tol:
+                best_total[m] = total
+                stall[m] = 0
+            else:
+                stall[m] += 1
+                if stall[m] >= cfg.early_stop_patience:
+                    stopped.append(a)
+        if stopped:
+            # copy the stopped members out and train on with the rest
+            for a in stopped:
+                nets[live[a]] = (gen.member(a), disc.member(a))
+            keep = [a for a in range(len(live)) if a not in stopped]
+            live = [live[a] for a in keep]
+            if not live:
                 break
+            gen, disc = gen.member(keep), disc.member(keep)
+            gen_opt, disc_opt = gen_opt.member(keep), disc_opt.member(keep)
+            rows, disc_scores, gen_scores, pen_terms = (
+                a[keep] for a in (rows, disc_scores, gen_scores, pen_terms)
+            )
+            batches, rngs = [batches[a] for a in keep], [rngs[a] for a in keep]
+            ws = _Workspace(gen, disc, batch, width)
         cycle += 1
+    for a, m in enumerate(live):
+        nets[m] = (gen.member(a), disc.member(a))
 
-    pair = GcinPair(
-        generator=gen,
-        discriminator=disc,
-        noise_dim=k,
-        column_index=column_index,
-        column_kind=kind,
-        n_levels=levels,
-        cond_shift=cond_shift,
-        cond_scale=cond_scale,
-        target_shift=t_shift,
-        target_scale=t_scale,
-    )
-    return pair, trace
+    fits = [
+        (
+            GcinPair(
+                generator=g,
+                discriminator=d,
+                noise_dim=k,
+                column_index=column_index,
+                column_kind=kind,
+                **norm,
+            ),
+            trace,
+        )
+        for (g, d), norm, trace in zip(nets, norms, traces)
+    ]
+    return fits if group else fits[0]
 
 
 def impute_column(
@@ -459,6 +528,8 @@ def impute_column(
         raise ShapeError(
             f"expected conditioning of shape (n, {pair.cond_shift.size}), got {X_cond_mis.shape}"
         )
+    if not np.all(np.isfinite(X_cond_mis)):
+        raise ValueError("X_cond_mis must not contain missing or non-finite entries")
     n_mis = X_cond_mis.shape[0]
     if n_mis == 0:
         return np.empty(0)

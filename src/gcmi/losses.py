@@ -91,7 +91,8 @@ def accuracy_penalty_terms(
     """Per-row accuracy penalty of a generator head and the gradient of
     their mean, the batch penalty.
 
-    ``target`` and ``generated`` are (n, width).  Returns the (n,) penalty
+    ``target`` and ``generated`` are (n, width), with any stack axes in
+    front, each stack member's batch its own.  Returns the (n,) penalty
     terms, written into ``out`` when given, and ``weight`` times the
     gradient of their mean w.r.t. ``generated``.  continuous (width 1):
     squared error.  binary and categorical (sigmoid heads, one column per
@@ -103,17 +104,17 @@ def accuracy_penalty_terms(
     row by row once per cycle, ``np.mean(terms, axis=1)``: the same bits
     as the mean of each row on its own.
     """
-    n = generated.shape[0]
+    n = generated.shape[-2]
     if out is None:
-        out = np.empty(n, dtype=np.result_type(target, generated))
+        out = np.empty(generated.shape[:-1], dtype=np.result_type(target, generated))
     if kind == "continuous":
         diff = generated - target
-        np.square(diff, out=out[:, None])
+        np.square(diff, out=out[..., None])
         return out, weight * 2.0 * diff / n
     if kind in ("binary", "categorical"):
         eps = _sigmoid_clip(generated.dtype)
         clipped = np.minimum(np.maximum(generated, eps), 1.0 - eps)
-        np.add.reduce(_cross_entropy(target, clipped), axis=1, out=out)
+        np.add.reduce(_cross_entropy(target, clipped), axis=-1, out=out)
         return out, weight * (clipped - target) / (clipped * (1.0 - clipped)) / n
     raise ValueError(f"unknown kind {kind!r}; expected 'continuous', 'binary' or 'categorical'")
 

@@ -21,6 +21,16 @@ leaves the ones at 1) and ``a.T @ delta = [dW; db]`` backward, straight
 into the flat gradient.  The public ``forward``/``backward*`` take inputs
 without that column and append it themselves.
 
+Stacks: an ``Mlp`` whose weights carry a leading axis, (K, in, out), is a
+stack of K networks of one shape (``mlp_stack``).  Its parameters are the
+rows of one (K, P) buffer and ``layers[i]`` is a (K, in+1, out) view, and
+every pass, gradient and Adam step works on all K at once, with inputs,
+activations and gradients carrying the same leading axis.  ``matmul``
+runs one GEMM per member and every other operation is elementwise or
+reduces within a member, so each member's numbers are bit for bit those
+of the same network on its own; the stack pays each numpy call's fixed
+cost once for all K.
+
 Backward folds a one-wide output (every discriminator, and generators of
 continuous and binary columns) into the layer below it: the top hidden
 layer's (batch, width) delta, an outer product masked by the ReLU
@@ -70,24 +80,34 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.minimum(out, 1.0 - clip, out=out)
 
 
+def _views(flat: np.ndarray, shapes: list[tuple[int, int]]):
+    """Per-layer views of the flat buffer ``flat``, layer i's (rows, cols)
+    matrix ``[W; b]`` of ``shapes[i]`` after the layers before it, with
+    the buffer's leading (stack) axes in front; returns the views of
+    ``[W; b]``, of ``W`` and of ``b``."""
+    layers, start = [], 0
+    for rows, cols in shapes:
+        layers.append(flat[..., start : start + rows * cols].reshape(*flat.shape[:-1], rows, cols))
+        start += rows * cols
+    return layers, [layer[..., :-1, :] for layer in layers], [layer[..., -1, :] for layer in layers]
+
+
 def _pack(weights: list[np.ndarray], biases: list[np.ndarray]):
     """Copy each layer's ``W`` and ``b`` into one flat buffer of their
     common floating dtype (float64 for integer inputs) as the (in+1, out)
-    matrix ``[W; b]``; returns the buffer and the per-layer views of
-    ``[W; b]``, of ``W`` and of ``b``."""
-    shapes = [(np.shape(w)[0] + 1, np.shape(w)[1]) for w in weights]
+    matrix ``[W; b]``; returns the buffer and its ``_views``.  Leading
+    (stack) axes of the inputs lead the buffer and every view too."""
+    shapes = [(np.shape(w)[-2] + 1, np.shape(w)[-1]) for w in weights]
     dtype = np.result_type(*weights, *biases)
     if not np.issubdtype(dtype, np.floating):
         dtype = np.float64
-    flat = np.empty(sum(rows * cols for rows, cols in shapes), dtype=dtype)
-    layers, start = [], 0
-    for w, b, (rows, cols) in zip(weights, biases, shapes):
-        layer = flat[start : start + rows * cols].reshape(rows, cols)
-        layer[:-1] = w
-        layer[-1] = b
-        layers.append(layer)
-        start += rows * cols
-    return flat, layers, [layer[:-1] for layer in layers], [layer[-1] for layer in layers]
+    lead = np.shape(weights[0])[:-2]
+    flat = np.empty((*lead, sum(rows * cols for rows, cols in shapes)), dtype=dtype)
+    layers, w_views, b_views = _views(flat, shapes)
+    for layer, w, b in zip(layers, weights, biases):
+        layer[..., :-1, :] = w
+        layer[..., -1, :] = b
+    return flat, layers, w_views, b_views
 
 
 @dataclass
@@ -98,7 +118,10 @@ class Mlp:
     consecutive layer dimensions chain.  All parameters live in one flat
     buffer, ``params`` (layer by layer, weights then biases); ``layers[i]``
     is layer i's (in_i+1, out_i) slice of it, ``[W; b]``, and ``weights``
-    and ``biases`` view its rows, so write them in place.
+    and ``biases`` view its rows, so write them in place.  With a leading
+    axis on every weight and bias, (K, in_i, out_i) and (K, out_i), the
+    net is a stack of K nets (see the module docstring); ``stack`` is that
+    leading shape, () for a single net.
     """
 
     weights: list[np.ndarray]
@@ -110,10 +133,11 @@ class Mlp:
     def __post_init__(self):
         if not self.weights or len(self.weights) != len(self.biases):
             raise ShapeError("need one bias vector per weight matrix")
+        lead = np.shape(self.weights[0])[:-2]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
+            if w.ndim != len(lead) + 2 or w.shape[:-2] != lead or b.shape != (*lead, w.shape[-1]):
                 raise ShapeError(f"layer {i}: weights {w.shape} and biases {b.shape} disagree")
-            if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
+            if i > 0 and self.weights[i - 1].shape[-1] != w.shape[-2]:
                 raise ShapeError(f"layer {i - 1} output does not chain into layer {i} input")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise NumericError(f"layer {i}: non-finite parameters")
@@ -130,16 +154,41 @@ class Mlp:
         return self.params.dtype
 
     @property
+    def stack(self) -> tuple[int, ...]:
+        return self.params.shape[:-1]
+
+    @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.weights[0].shape[-2]
 
     @property
     def output_dim(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.weights[-1].shape[-1]
 
     @property
     def hidden_dims(self) -> list[int]:
-        return [w.shape[1] for w in self.weights[:-1]]
+        return [w.shape[-1] for w in self.weights[:-1]]
+
+    def member(self, k) -> "Mlp":
+        """Net ``k`` of a stack (a stack of those nets for a list of
+        indices), in its own buffer."""
+        return self._on(np.array(self.params[k]))
+
+    def _on(self, params: np.ndarray) -> "Mlp":
+        # a net of this one's layer shapes on ``params``, already checked
+        net = object.__new__(Mlp)
+        net.output_activation = self.output_activation
+        net.params = params
+        shapes = [layer.shape[-2:] for layer in self.layers]
+        net.layers, net.weights, net.biases = _views(params, shapes)
+        return net
+
+
+def mlp_stack(nets: list[Mlp]) -> Mlp:
+    """The nets, all of one shape, as one stack in a new (K, P) buffer."""
+    if len({tuple(layer.shape for layer in net.layers) for net in nets}) != 1:
+        raise ShapeError("a stack needs nets of one shape")
+    return nets[0]._on(np.stack([net.params for net in nets]))
 
 
 @dataclass
@@ -168,7 +217,8 @@ class ParamGrads:
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments, flat and laid out like ``Mlp.params``,
+    """Bias-corrected Adam moments, flat and laid out like ``Mlp.params``
+    (one row per net of a stack),
     plus the learning rate and L2 coefficient for one Mlp.  ``scratch``
     holds two more such rows that ``adam_step`` works in, so that an
     update allocates nothing of the network's size."""
@@ -181,7 +231,13 @@ class AdamState:
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.scratch = np.empty((2, self.m.size), dtype=self.m.dtype)
+        self.scratch = np.empty((2, *self.m.shape), dtype=self.m.dtype)
+
+    def member(self, k) -> "AdamState":
+        """The moments of net ``k`` of a stack (of the nets ``k`` for a
+        list of indices), copied, at this state's step count."""
+        m, v = np.array(self.m[k]), np.array(self.v[k])
+        return AdamState(m, v, self.learning_rate, self.l2_coeff, self.step_count)
 
 
 def mlp_new(
@@ -221,46 +277,67 @@ def _check_inputs(mlp: Mlp, inputs: np.ndarray) -> np.ndarray:
     """Validated inputs in the network's dtype with the trailing ones
     column appended."""
     inputs = np.asarray(inputs, dtype=mlp.dtype)
-    if inputs.ndim != 2 or inputs.shape[1] != mlp.input_dim:
-        raise ShapeError(
-            f"expected inputs of shape (batch, {mlp.input_dim}), got {inputs.shape}"
-        )
-    return np.hstack([inputs, np.ones((inputs.shape[0], 1), dtype=mlp.dtype)])
+    lead, width = inputs.shape[:-2], inputs.shape[-1:]
+    if inputs.ndim != len(mlp.stack) + 2 or lead != mlp.stack or width != (mlp.input_dim,):
+        want = ", ".join([*map(str, mlp.stack), "batch", str(mlp.input_dim)])
+        raise ShapeError(f"expected inputs of shape ({want}), got {inputs.shape}")
+    ones = np.ones((*inputs.shape[:-1], 1), dtype=mlp.dtype)
+    return np.concatenate([inputs, ones], axis=-1)
 
 
-def _hidden_buffers(mlp: Mlp, batch: int) -> list[np.ndarray]:
-    """One (batch, width+1) array per hidden layer of ``mlp``, in its dtype,
-    whose last column holds ones.
+@dataclass
+class _Buffers:
+    """Arrays the private passes over ``batch`` rows of ``mlp`` work in, so
+    that a training loop reuses them instead of allocating arrays of that
+    size on every update.  Per hidden layer, with the net's stack axes in
+    front and in its dtype:
 
-    ``_forward_cache`` keeps its activations in such a list, so that a
-    training loop reuses them instead of allocating arrays of that size on
-    every update.
+    - ``hidden``: the (batch, width+1) activation, last column ones, which
+      ``_forward_cache`` writes;
+    - ``zeros``: zeros of that shape, the ReLU's other operand (numpy's
+      loop over two arrays costs half its loop with a scalar zero);
+    - ``deltas``: that shape again, the gradient carried down to the
+      layer's activation in its first ``width`` columns, so that the ReLU
+      mask multiplies the whole contiguous buffer (the last column is
+      never read).
     """
-    return [np.ones((batch, width + 1), dtype=mlp.dtype) for width in mlp.hidden_dims]
 
+    hidden: list[np.ndarray]
+    zeros: list[np.ndarray]
+    deltas: list[np.ndarray]
 
-def _delta_buffers(mlp: Mlp, batch: int) -> list[np.ndarray]:
-    """One uninitialised (batch, width) array per hidden layer of ``mlp``, in
-    its dtype, for the gradients ``_backward_from_cache`` carries between
-    layers and the ReLU mask of its fold."""
-    return [np.empty((batch, width), dtype=mlp.dtype) for width in mlp.hidden_dims]
+    @classmethod
+    def new(cls, mlp: Mlp, batch: int) -> "_Buffers":
+        shapes = [(*mlp.stack, batch, width + 1) for width in mlp.hidden_dims]
+        deltas = [np.empty(shape, dtype=mlp.dtype) for shape in shapes]
+        for delta in deltas:
+            delta[..., -1] = 0.0  # never read, but kept finite
+        return cls(
+            [np.ones(shape, dtype=mlp.dtype) for shape in shapes],
+            [np.zeros(shape, dtype=mlp.dtype) for shape in shapes],
+            deltas,
+        )
+
+    def rows(self, rows: slice) -> "_Buffers":
+        """Views of the rows ``rows`` of every buffer."""
+        return _Buffers(*([a[..., rows, :] for a in arrays] for arrays in vars(self).values()))
 
 
 def _forward_cache(
-    mlp: Mlp, inputs: np.ndarray, hidden: list[np.ndarray] | None = None
+    mlp: Mlp, inputs: np.ndarray, bufs: _Buffers | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass returning the output and every layer input (post-ReLU).
 
     ``inputs`` carries a trailing column of ones, and so does every hidden
-    activation, written into ``hidden`` (see ``_hidden_buffers``; fresh
-    buffers when it is None).  The output is always a new array.
+    activation, written into ``bufs.hidden`` (fresh buffers when ``bufs``
+    is None).  The output is always a new array.
     """
-    if hidden is None:
-        hidden = _hidden_buffers(mlp, inputs.shape[0])
+    if bufs is None:
+        bufs = _Buffers.new(mlp, inputs.shape[-2])
     acts = [inputs]
-    for layer, h in zip(mlp.layers, hidden):
-        np.matmul(acts[-1], layer, out=h[:, :-1])
-        acts.append(np.maximum(h, 0.0, out=h))
+    for layer, h, zeros in zip(mlp.layers, bufs.hidden, bufs.zeros):
+        np.matmul(acts[-1], layer, out=h[..., :-1])
+        acts.append(np.maximum(h, zeros, out=h))
     z = np.matmul(acts[-1], mlp.layers[-1])
     return _apply_output_activation(z, mlp.output_activation), acts
 
@@ -301,16 +378,21 @@ def _backward_from_cache(
     output_grads: np.ndarray,
     grads: ParamGrads | None,
     input_rows: slice | None,
-    deltas: list[np.ndarray] | None = None,
+    bufs: _Buffers | None = None,
 ) -> np.ndarray | None:
     """Backpropagate ``output_grads`` through a cached forward pass.
 
     Writes the parameter gradients into ``grads`` unless it is None, one
     ``[dW; db]`` per layer into ``grads.layers[i]``.  Returns the gradient
     w.r.t. the input columns ``input_rows`` (rows of layer 0's ``W``), or
-    None when that is None; work that neither needs is skipped.  Gradients
-    w.r.t. the hidden activations, and the fold's mask, go into ``deltas``
-    (see ``_delta_buffers``; fresh buffers when it is None).
+    None when that is None; work that neither needs is skipped.  The
+    gradients w.r.t. the hidden activations go into ``bufs.deltas`` (fresh
+    buffers when ``bufs`` is None).
+
+    It consumes ``acts``: once a hidden activation has no further use, its
+    0/1 ReLU mask, compared over the whole contiguous buffer, is written
+    over it as floats (its ones column stays 1), so a cached forward pass
+    backpropagates once.
 
     A one-wide output folds the top hidden layer: with ``d`` the (batch, 1)
     output delta, ``w`` the output weight column and ``M`` the 0/1 ReLU
@@ -320,41 +402,42 @@ def _backward_from_cache(
     ``d * (M @ (W * w).T)``, where ``W`` are its weight rows.
     """
     delta = _output_delta(out, output_grads, mlp.output_activation)
-    if deltas is None:
-        deltas = _delta_buffers(mlp, delta.shape[0])
+    if bufs is None:
+        bufs = _Buffers.new(mlp, delta.shape[-2])
     i = len(mlp.layers) - 1
     if grads is not None:
-        np.matmul(acts[i].T, delta, out=grads.layers[i])
+        np.matmul(acts[i].swapaxes(-1, -2), delta, out=grads.layers[i])
     scale = None
     if mlp.output_dim == 1 and i > 0:
         # the fold: carry the mask down in place of the top hidden delta
-        w = mlp.weights[i][:, 0]
+        w = mlp.weights[i][..., None, :, 0]
         i -= 1
-        # compared over the whole contiguous buffer, ones column included,
-        # then cast into place: comparing the strided view costs twice that
-        mask = deltas[i]
-        np.copyto(mask, np.greater(acts[i + 1], 0.0)[:, :-1])
+        mask = np.greater(acts[i + 1], 0.0, out=acts[i + 1])[..., :-1]
         if grads is not None:
-            np.matmul((acts[i] * delta).T, mask, out=grads.layers[i])
+            np.matmul((acts[i] * delta).swapaxes(-1, -2), mask, out=grads.layers[i])
             grads.layers[i] *= w
         scale, delta = delta, mask
     while True:
         if i == 0 and input_rows is None:
             return None
-        rows = mlp.layers[0][input_rows] if i == 0 else mlp.weights[i]
-        buf = None if i == 0 else deltas[i - 1]
-        if scale is None:
-            delta = np.matmul(delta, rows.T, out=buf)
-        else:
-            delta = np.matmul(delta, (rows * w).T, out=buf)
-            delta *= scale
-            scale = None
+        rows = mlp.layers[0][..., input_rows, :] if i == 0 else mlp.weights[i]
+        if scale is not None:
+            rows = rows * w
         if i == 0:
+            delta = np.matmul(delta, rows.swapaxes(-1, -2))
+            if scale is not None:
+                delta *= scale
             return delta
-        delta *= acts[i][:, :-1] > 0
+        buf = bufs.deltas[i - 1]
+        np.matmul(delta, rows.swapaxes(-1, -2), out=buf[..., :-1])
+        if scale is not None:
+            buf *= scale
+            scale = None
+        buf *= np.greater(acts[i], 0.0, out=acts[i])
+        delta = buf[..., :-1]
         i -= 1
         if grads is not None:
-            np.matmul(acts[i].T, delta, out=grads.layers[i])
+            np.matmul(acts[i].swapaxes(-1, -2), delta, out=grads.layers[i])
 
 
 def backward(mlp: Mlp, inputs: np.ndarray, output_grads: np.ndarray) -> ParamGrads:
@@ -373,11 +456,9 @@ def backward_with_input_grads(
     """
     inputs = _check_inputs(mlp, inputs)
     output_grads = np.asarray(output_grads, dtype=mlp.dtype)
-    if output_grads.shape != (inputs.shape[0], mlp.output_dim):
-        raise ShapeError(
-            f"expected output_grads of shape {(inputs.shape[0], mlp.output_dim)}, "
-            f"got {output_grads.shape}"
-        )
+    want = (*inputs.shape[:-1], mlp.output_dim)
+    if output_grads.shape != want:
+        raise ShapeError(f"expected output_grads of shape {want}, got {output_grads.shape}")
     out, acts = _forward_cache(mlp, inputs)
     grads = ParamGrads.zeros_like(mlp)
     input_grads = _backward_from_cache(

@@ -1,7 +1,9 @@
 """Chained multiple imputation: fill/order/convergence arithmetic, sweep
 mechanics, end-to-end contracts on small matrices, and pooling rules."""
 
+import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,10 +189,12 @@ class TestSweep:
         refit = gcmi.chained._refit_column
         seen = []
 
-        def checked(values, encoded, dm_, j, cfg, seed_path):
-            assert np.array_equal(encoded, encode_columns(values, dm_.schema))
+        def checked(values, encoded, dm_, j, cfgs, seed_path):
+            # one completion, and one encoding, per chain of the group
+            assert len(values) == len(encoded) == len(cfgs) == 1
+            assert np.array_equal(encoded[0], encode_columns(values[0], dm_.schema))
             seen.append(j)
-            return refit(values, encoded, dm_, j, cfg, seed_path)
+            return refit(values, encoded, dm_, j, cfgs, seed_path)
 
         monkeypatch.setattr(gcmi.chained, "_refit_column", checked)
         assert all(dm.mask[:, j].any() for j in range(4))
@@ -284,6 +288,29 @@ class TestGcmiImpute:
         parallel = gcmi_impute(dm, tiny_config(m_imputations=2, workers=2))
         for a, b in zip(serial.completed, parallel.completed):
             assert np.array_equal(a.values, b.values)
+
+    def test_any_worker_count_writes_the_same_files(self, tmp_path):
+        # M 5 on 1, 2, 3 and 5 workers: chains in groups of 5; 2 + 3;
+        # 1 + 2 + 2; and five of 1, each group in lock-step
+        dm, _ = mixed_matrix(n=60, seed=29)
+        cfg = tiny_config(m_imputations=5, max_chain_iters=4, seed=7)
+        manifests = {}
+        for workers in (1, 2, 3, 5):
+            out = tmp_path / str(workers)
+            result = gcmi_impute(dm, replace(cfg, workers=workers), out_dir=out)
+            manifests[workers] = json.loads(save_result(result, out)[-1].read_text())
+        # chains leave their group at different sweeps
+        assert len({len(t["gamma_num"]) for t in manifests[1]["traces"]}) > 1
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        for workers, manifest in manifests.items():
+            out = tmp_path / str(workers)
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                if name.endswith(".csv"):
+                    assert (out / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+            assert manifest.pop("wall_time_s") > 0
+            assert manifest["config"].pop("workers") == workers
+        assert all(manifest == manifests[1] for manifest in manifests.values())
 
 
 class TestRubinPool:

@@ -32,6 +32,17 @@ def run(argv):
     return cli_main(argv)
 
 
+_RUN_CHAINS = gcmi.chained._run_chains
+
+
+def _run_chains_failing_after_the_first_group(dm, cfg, cols, chain_seeds):
+    """``chained._run_chains`` for every group but the first, which raises:
+    a module-level function, so that it reaches the pool workers."""
+    if chain_seeds[0] != gcmi.seeding.derive_seed(cfg.seed, 0, 0):
+        raise NumericError("non-finite generator output")
+    return _RUN_CHAINS(dm, cfg, cols, chain_seeds)
+
+
 # keys that configs used to accept and now reject as unknown
 REMOVED_KEYS = [
     {"gcmi": {"column_parallelism": "sequential"}},
@@ -156,44 +167,40 @@ class TestImpute:
     def test_failure_after_a_streamed_table_leaves_no_output(
         self, tmp_path, monkeypatch, fail, code
     ):
-        """A chain that raises, or a write that fails once its file exists,
-        after the first table was written: the exit code is the documented
-        one and the output directory holds neither tables nor a manifest,
-        not even one left by an earlier run."""
+        """A group of chains that raises, or a write that fails once its
+        file exists, after the first table was written: the exit code is
+        the documented one and the output directory holds neither tables
+        nor a manifest, not even one left by an earlier run.  On two
+        threads the three chains run in two groups, [1] and [2, 3]."""
         (tmp_path / "in.csv").write_text(MIXED_CSV)
         out = tmp_path / "out"
         out.mkdir()
         (out / "imputed_manifest.json").write_text("{}")
         calls = []
+        write_csv = gcmi.chained.write_csv
+
+        def flaky_write(dm, path, *args):
+            calls.append(path)
+            write_csv(dm, path, *args)
+            if fail == "write" and len(calls) == 2:
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(gcmi.chained, "write_csv", flaky_write)
         if fail == "chain":
-            run_chain = gcmi.chained._run_chain
-
-            def flaky(*args):
-                calls.append(args)
-                if len(calls) == 2:
-                    raise NumericError("non-finite generator output")
-                return run_chain(*args)
-
-            monkeypatch.setattr(gcmi.chained, "_run_chain", flaky)
-        else:
-            write_csv = gcmi.chained.write_csv
-
-            def flaky(dm, path, *args):
-                calls.append(path)
-                write_csv(dm, path, *args)
-                if len(calls) == 2:
-                    raise OSError(28, "No space left on device")
-
-            monkeypatch.setattr(gcmi.chained, "write_csv", flaky)
+            monkeypatch.setattr(
+                gcmi.chained, "_run_chains", _run_chains_failing_after_the_first_group
+            )
         (tmp_path / "cfg.json").write_text(json.dumps(
             {"train": TINY_TRAIN, "gcmi": {"max_chain_iters": 1, "m_imputations": 3}}
         ))
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             got = run(["--config", str(tmp_path / "cfg.json"), "--output-dir", str(out),
-                       "impute", str(tmp_path / "in.csv")])
+                       "--threads", "2", "impute", str(tmp_path / "in.csv")])
         assert got == code
-        assert len(calls) == 2
+        # the second group fails after table 1 was written, the write at table 2
+        written = ["imputed_imp1.csv", "imputed_imp2.csv"]
+        assert [p.name for p in calls] == (written[:1] if fail == "chain" else written)
         assert len(err.getvalue().strip().splitlines()) == 1
         assert list(out.iterdir()) == []
 

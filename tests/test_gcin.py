@@ -2,10 +2,13 @@
 through the composed discriminator-of-generator graph, trained behaviour
 on constant and linear targets, and imputation determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gcmi import (
+    ConfigError,
     InsufficientDataError,
     ShapeError,
     TrainConfig,
@@ -33,6 +36,7 @@ from gcmi.losses import (
 from gcmi.nn import (
     ParamGrads,
     _backward_from_cache,
+    _Buffers,
     _forward_cache,
     adam_new,
     adam_step,
@@ -262,6 +266,23 @@ class TestTrainGcin:
         with pytest.raises(ShapeError):
             train_gcin(X, bad, "continuous", FAST)
 
+    @pytest.mark.parametrize(
+        "kind,bad",
+        [
+            ("continuous", np.nan),
+            ("continuous", np.inf),
+            ("binary", np.nan),
+            ("categorical", np.nan),
+        ],
+    )
+    def test_nonfinite_target_rejected(self, kind, bad):
+        # rejected up front, before any arithmetic could warn or diverge
+        X = np.random.default_rng(0).normal(size=(30, 3))
+        y = np.zeros(30)
+        y[4] = bad
+        with pytest.raises(ValueError, match="x_target must not contain"):
+            train_gcin(X, y, kind, FAST)
+
     def test_diverging_training_raises_numeric_error(self):
         from gcmi import NumericError
 
@@ -339,7 +360,8 @@ def _encode(X, y, kind, n_levels):
 
 def _init_nets(n, width, t, cfg, kind, dtype):
     seed = canonical_seed(cfg.seed)
-    hidden = scale_architecture(n, width + 1)
+    # looked up where train_gcin looks it up, so that a test can replace it for both
+    hidden = gcmi.gcin.scale_architecture(n, width + 1)
     head = "identity" if kind == "continuous" else "sigmoid"
     gen = mlp_new(width + cfg.noise_dim, hidden, t, head, seed=seed, dtype=dtype)
     disc = mlp_new(width + t, hidden, 1, "scaled_sigmoid_0_2", seed=seed ^ 1, dtype=dtype)
@@ -602,8 +624,20 @@ class TestTrainGcinMatchesReferenceLoop:
     match the loop with every delta formed and the older separate-pass
     order up to float reassociation."""
 
-    @pytest.mark.parametrize("kind,n_levels,n_rows", REFERENCE_CASES)
-    def test_weights_bit_identical(self, kind, n_levels, n_rows):
+    @pytest.mark.parametrize(
+        "kind,n_levels,n_rows,hidden",
+        [pytest.param(*case, None, id="-".join(map(str, case))) for case in REFERENCE_CASES]
+        + [
+            pytest.param("categorical", 3, 300, [24, 16], id="categorical-3-300-hidden24x16"),
+            pytest.param("continuous", None, 300, [24, 16], id="continuous-None-300-hidden24x16"),
+        ],
+    )
+    def test_weights_bit_identical(self, monkeypatch, kind, n_levels, n_rows, hidden):
+        # a hidden list replaces scale_architecture's: two hidden layers on a
+        # small table run the loop below the fold (and, for a multi-wide
+        # categorical head, the loop with no fold) on every update
+        if hidden is not None:
+            monkeypatch.setattr(gcmi.gcin, "scale_architecture", lambda n, features: hidden)
         X, y, cfg = _reference_case(kind, n_rows)
         pair, trace = train_gcin(X, y, kind, cfg, n_levels=n_levels)
         gen, disc, ref_trace = reference_train(X, y, kind, cfg, n_levels)
@@ -631,6 +665,88 @@ class TestTrainGcinMatchesReferenceLoop:
             assert np.abs(trained.params - reference.params).max() <= 1e-12 * scale
 
 
+def _group_case(kind, members=3, n=200, width=4):
+    rng = np.random.default_rng(37)
+    X = rng.normal(size=(members, n, width))
+    if kind == "continuous":
+        y = X[..., 0] + rng.normal(size=(members, n))
+    elif kind == "binary":
+        y = (X[..., 0] + rng.normal(size=(members, n)) > 0).astype(float)
+    else:
+        y = np.digitize(X[..., 0], [-0.5, 0.5]).astype(float)
+    return X, y
+
+
+class TestGroupFits:
+    """A group fit gives each member bit for bit its fit on its own, with
+    its own data and seed, whatever the other members do."""
+
+    CFG = TrainConfig(
+        max_epochs=30, gen_iters_per_cycle=5, disc_iters_per_cycle=3, batch_size=64, noise_dim=3
+    )
+
+    @staticmethod
+    def _assert_members_are_lone_fits(X, y, kind, cfgs, n_levels=None):
+        fits = train_gcin(X, y, kind, cfgs, n_levels=n_levels)
+        assert len(fits) == len(cfgs)
+        for (pair, trace), x_c, x_t, cfg in zip(fits, X, y, cfgs):
+            lone, lone_trace = train_gcin(x_c, x_t, kind, cfg, n_levels=n_levels)
+            for got, want in (
+                (pair.generator, lone.generator),
+                (pair.discriminator, lone.discriminator),
+            ):
+                assert got.stack == ()
+                assert got.params.tobytes() == want.params.tobytes()
+            assert pair.cond_shift.tobytes() == lone.cond_shift.tobytes()
+            assert pair.cond_scale.tobytes() == lone.cond_scale.tobytes()
+            assert (pair.target_shift, pair.target_scale, pair.n_levels) == (
+                lone.target_shift,
+                lone.target_scale,
+                lone.n_levels,
+            )
+            assert trace == lone_trace
+        return fits
+
+    @pytest.mark.parametrize("hidden", [None, [12, 9]])
+    @pytest.mark.parametrize(
+        "kind,n_levels", [("continuous", None), ("binary", None), ("categorical", 3)]
+    )
+    def test_members_equal_lone_fits(self, monkeypatch, kind, n_levels, hidden):
+        if hidden is not None:
+            monkeypatch.setattr(gcmi.gcin, "scale_architecture", lambda n, features: hidden)
+        X, y = _group_case(kind)
+        cfgs = [replace(self.CFG, seed=s) for s in (3, 1, 4)]
+        fits = self._assert_members_are_lone_fits(X, y, kind, cfgs, n_levels)
+        # every returned network owns its buffer: none views the stack's
+        nets = [net for pair, _ in fits for net in (pair.generator, pair.discriminator)]
+        assert all(net.params.flags.owndata for net in nets)
+
+    def test_members_that_stop_at_different_cycles(self):
+        X, y = _group_case("continuous", members=4, n=300, width=5)
+        cfg = replace(self.CFG, max_epochs=400, early_stop_patience=2, early_stop_tol=0.02)
+        cfgs = [replace(cfg, seed=s) for s in range(10, 14)]
+        fits = self._assert_members_are_lone_fits(X, y, "continuous", cfgs)
+        cycles = [len(trace) for _, trace in fits]
+        # every member stopped early, and not all at one cycle
+        assert max(cycles) < cfg.max_epochs // cfg.gen_iters_per_cycle
+        assert len(set(cycles)) > 1
+
+    def test_members_may_differ_in_seed_only(self):
+        X, y = _group_case("continuous", members=2)
+        with pytest.raises(ConfigError):
+            train_gcin(X, y, "continuous", [self.CFG, replace(self.CFG, lr_generator=0.01)])
+
+    def test_one_input_row_and_config_per_member(self):
+        X, y = _group_case("continuous", members=2)
+        for X_cond, x_target, cfgs in [
+            (X, y, [self.CFG]),  # two members, one config
+            (X, y[0], [self.CFG] * 2),  # one target for two members
+            (X[0], y[0], [self.CFG]),  # a group needs the leading axis
+        ]:
+            with pytest.raises(ShapeError):
+                train_gcin(X_cond, x_target, "continuous", cfgs)
+
+
 class TestFoldedBackward:
     """``_backward_from_cache`` against the backward pass that forms every
     layer's delta, for every head and depth, with and without parameter
@@ -650,9 +766,10 @@ class TestFoldedBackward:
         x = with_ones(rng.normal(size=(n, 5)))
         g = rng.normal(size=(n, width)) / n
         out, acts = _forward_cache(net, x)
+        # the reference first: the backward pass overwrites the activations
+        ref_grads, ref_input = _ref_backward(net, acts, out, g, input_rows)
         grads = ParamGrads.zeros_like(net) if want_grads else None
         input_grads = _backward_from_cache(net, acts, out, g, grads, input_rows)
-        ref_grads, ref_input = _ref_backward(net, acts, out, g, input_rows)
         if want_grads:
             for got, ref in zip(grads.layers, ref_grads):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -766,10 +883,13 @@ class TestOnesColumns:
             ws.disc_in[n:, :-1] = np.hstack([cond, fake])
             _disc_grads(disc, ws.disc_in, ws)
             gen_grads(gen, disc, cond, target, z, 1.0, "categorical", ws)
-        for buf in [ws.gen_in, ws.disc_in, *ws.gen_hidden, *ws.disc_hidden]:
+        for buf in [ws.gen_in, ws.disc_in, *ws.gen_bufs.hidden, *ws.disc_bufs.hidden]:
             assert np.array_equal(buf[:, -1], np.ones(buf.shape[0]))
-        assert [d.shape[1] for d in ws.gen_deltas] == gen.hidden_dims
-        assert [d.shape[1] for d in ws.disc_deltas] == disc.hidden_dims
+        for net, bufs in ((gen, ws.gen_bufs), (disc, ws.disc_bufs)):
+            # every per-layer buffer is (rows, width+1); the ReLU's zeros stay zero
+            for name in ("hidden", "zeros", "deltas"):
+                assert [a.shape[1] - 1 for a in getattr(bufs, name)] == net.hidden_dims
+            assert not any(z.any() for z in bufs.zeros)
         for net, grads in ((gen, ws.gen_grads), (disc, ws.disc_grads)):
             assert [g.shape for g in grads.layers] == [p.shape for p in net.layers]
         # built from float64 nets, every buffer stays float64
@@ -808,8 +928,9 @@ def _workspace_arrays(ws):
     for value in vars(ws).values():
         if isinstance(value, ParamGrads):
             yield value.flat
-        elif isinstance(value, list):
-            yield from value
+        elif isinstance(value, _Buffers):
+            for arrays in vars(value).values():
+                yield from arrays
         else:
             yield value
 
@@ -884,6 +1005,13 @@ class TestImputeColumn:
         # noise must contribute real spread across seeds, not just ties broken
         draws = np.stack([impute_column(noisy_pair, X, seed=s) for s in range(10)])
         assert np.median(draws.std(axis=0)) > 0.05
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_conditioning_rejected(self, noisy_pair, bad):
+        X = np.zeros((5, 3))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="X_cond_mis must not contain"):
+            impute_column(noisy_pair, X, seed=0)
 
     def test_width_mismatch_rejected(self, noisy_pair):
         with pytest.raises(ShapeError):

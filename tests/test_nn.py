@@ -19,7 +19,16 @@ from gcmi import (
     forward,
     mlp_new,
 )
-from gcmi.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, Mlp, ParamGrads, _sigmoid, _sigmoid_clip
+from gcmi.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
+    Mlp,
+    ParamGrads,
+    _sigmoid,
+    _sigmoid_clip,
+    mlp_stack,
+)
 
 
 def finite_difference_grads(mlp, inputs, output_grads, h=1e-5):
@@ -361,3 +370,68 @@ class TestDtype:
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
         assert copy.deepcopy(net).params.dtype == np.float32
         assert pickle.loads(pickle.dumps(net)).params.dtype == np.float32
+
+
+class TestStacks:
+    """A stack of K nets of one shape computes, for each member, bit for bit
+    what that net computes on its own."""
+
+    @staticmethod
+    def _nets(hidden=(6, 5), out=1, head="sigmoid", dtype=np.float32):
+        rng = np.random.default_rng(83)
+        nets = [mlp_new(4, list(hidden), out, head, seed, dtype=dtype) for seed in (5, 8, 13)]
+        for net in nets:
+            net.params += rng.normal(scale=0.1, size=net.params.size).astype(dtype)
+        return nets
+
+    def test_members_are_rows_of_one_buffer_and_copy_out(self):
+        nets = self._nets()
+        stack = mlp_stack(nets)
+        assert stack.stack == (3,) and stack.params.shape == (3, nets[0].params.size)
+        assert (stack.input_dim, stack.hidden_dims, stack.output_dim) == (4, [6, 5], 1)
+        for layer in stack.layers:
+            assert layer.base is stack.params
+        for k, net in enumerate(nets):
+            assert stack.params[k].tobytes() == net.params.tobytes()
+            member = stack.member(k)
+            assert member.stack == () and member.weights[0].base is member.params
+            assert member.params.tobytes() == net.params.tobytes()
+            assert not np.shares_memory(member.params, stack.params)
+        kept = stack.member([2, 0])
+        assert kept.params.tobytes() == np.stack([nets[2].params, nets[0].params]).tobytes()
+        assert not np.shares_memory(kept.params, stack.params)
+
+    def test_nets_of_different_shapes_do_not_stack(self):
+        with pytest.raises(ShapeError):
+            mlp_stack([mlp_new(4, [6], 1, seed=1), mlp_new(4, [7], 1, seed=1)])
+
+    @pytest.mark.parametrize(
+        "hidden,out,head", [((6,), 1, "scaled_sigmoid_0_2"), ((6, 5), 3, "sigmoid")]
+    )
+    def test_passes_and_adam_step_equal_each_member_alone(self, hidden, out, head):
+        nets = self._nets(hidden, out, head)
+        stack = mlp_stack(nets)
+        rng = np.random.default_rng(89)
+        x = rng.normal(size=(3, 7, 4)).astype(np.float32)
+        g = rng.normal(size=(3, 7, out)).astype(np.float32)
+        outputs = forward(stack, x)
+        grads, input_grads = backward_with_input_grads(stack, x, g)
+        state = adam_new(stack, 0.01, 0.1)
+        adam_step(stack, grads, state)
+        for k, net in enumerate(nets):
+            assert outputs[k].tobytes() == forward(net, x[k]).tobytes()
+            alone, alone_input = backward_with_input_grads(net, x[k], g[k])
+            assert grads.flat[k].tobytes() == alone.flat.tobytes()
+            assert input_grads[k].tobytes() == alone_input.tobytes()
+            alone_state = adam_new(net, 0.01, 0.1)
+            adam_step(net, alone, alone_state)
+            assert stack.params[k].tobytes() == net.params.tobytes()
+            assert state.m[k].tobytes() == alone_state.m.tobytes()
+            assert state.v[k].tobytes() == alone_state.v.tobytes()
+
+    def test_inputs_without_the_stack_axis_rejected(self):
+        stack = mlp_stack(self._nets())
+        with pytest.raises(ShapeError):
+            forward(stack, np.zeros((7, 4)))
+        with pytest.raises(ShapeError):
+            forward(stack, np.zeros((2, 7, 4)))

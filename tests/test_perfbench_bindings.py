@@ -56,6 +56,36 @@ def test_train_gcin_steps_adam_through_the_module_attribute(monkeypatch):
     assert calls == {"gen": 20, "disc": 16}
 
 
+def test_group_fit_steps_adam_once_per_update_for_the_whole_group(monkeypatch):
+    # a group of chains fits each column in one stacked call: each update
+    # steps each network's stack once, so the traced counts are the
+    # stacked calls, whatever the group size
+    import dataclasses
+
+    import numpy as np
+
+    import gcmi.gcin
+
+    stacks = []
+    step = gcmi.gcin.adam_step
+
+    def counted(mlp, grads, state):
+        stacks.append((mlp.output_activation, mlp.stack))
+        return step(mlp, grads, state)
+
+    monkeypatch.setattr(gcmi.gcin, "adam_step", counted)
+    X = np.random.default_rng(3).normal(size=(3, 80, 3))
+    cfg = gcmi.gcin.TrainConfig(
+        max_epochs=20, gen_iters_per_cycle=6, disc_iters_per_cycle=4, batch_size=32
+    )
+    cfgs = [dataclasses.replace(cfg, seed=s) for s in (1, 2, 3)]
+    fits = gcmi.gcin.train_gcin(X, X.sum(axis=2), "continuous", cfgs)
+    assert [len(trace) for _, trace in fits] == [4, 4, 4]
+    assert stacks.count(("scaled_sigmoid_0_2", (3,))) == 16
+    assert stacks.count(("identity", (3,))) == 20
+    assert len(stacks) == 36
+
+
 def test_impute_command_calls_each_binding_through_its_traced_route(tmp_path, monkeypatch):
     # an attribute that exists but that its caller no longer looks up would
     # pass the test above and still blank the traced metrics: count the
