@@ -57,10 +57,7 @@ from .gcin import (
 )
 from .losses import (
     DiscreteDist,
-    accuracy_penalty,
     chi2_generator_objective,
-    discriminator_loss,
-    generator_loss,
     optimal_discriminator,
 )
 from .nn import (
@@ -69,7 +66,6 @@ from .nn import (
     ParamGrads,
     adam_new,
     adam_step,
-    backward,
     backward_with_input_grads,
     forward,
     mlp_new,

@@ -16,7 +16,7 @@ each sweep refits every column once for all of them, one stacked
 ``train_gcin`` call per column, since the mask, and so each column's
 observed rows, is shared.  A chain that meets its stop rule leaves the
 group.  Each chain keeps its own seeds, so its numbers are bit for bit
-those of running it alone, whatever its group.
+its run in a group of one, whatever its group.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 import logging
 import time
 from contextlib import closing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -205,31 +205,32 @@ def _refit_column(
     encoded: np.ndarray,
     dm: DataMatrix,
     j: int,
-    cfgs: list[GcmiConfig],
-    seed_path: tuple[int, ...],
+    train: TrainConfig,
+    seeds: list[int],
 ) -> np.ndarray:
     """Train on obs(j) rows of each chain's completed matrix, ``values``
     (K, n, p), conditioning on the other columns of its encoding
     ``encoded``; return the (K, n_miss) imputations for miss(j).  One
-    ``train_gcin`` call fits the K chains' pairs in lock-step; each chain
-    imputes with its own pair and seed."""
+    ``train_gcin`` call fits the K chains' pairs in lock-step, chain k's
+    with ``seeds[k]``; each chain imputes with its own pair and seed."""
     col = dm.schema[j]
     miss = dm.mask[:, j]
     sl = column_slices(dm.schema)[j]
-    cond = np.concatenate([encoded[..., : sl.start], encoded[..., sl.stop :]], axis=-1)
-    seeds = [derive_seed(cfg.seed, *seed_path) for cfg in cfgs]
+    # each side's rows of the other columns, in one gather per side
+    chains, others = np.arange(len(encoded)), np.r_[: sl.start, sl.stop : encoded.shape[-1]]
+    cond_obs, cond_mis = (encoded[np.ix_(chains, rows, others)] for rows in (~miss, miss))
     fits = train_gcin(
-        cond[:, ~miss],
+        cond_obs,
         values[:, ~miss, j],
         col.kind,
-        [replace(cfg.train, seed=seed) for cfg, seed in zip(cfgs, seeds)],
+        train,
+        seeds,
         n_levels=len(col.levels) if col.kind == "categorical" else None,
-        column_index=j,
     )
     return np.stack(
         [
-            impute_column(pair, chain_cond[miss], seed=seed ^ 1)
-            for (pair, _), chain_cond, seed in zip(fits, cond, seeds)
+            impute_column(pair, chain_cond, seed=seed ^ 1)
+            for (pair, _), chain_cond, seed in zip(fits, cond_mis, seeds)
         ]
     )
 
@@ -238,37 +239,36 @@ def sweep(
     values: np.ndarray,
     dm: DataMatrix,
     cols: list[int],
-    cfg: GcmiConfig | list[GcmiConfig],
-    seed_path: tuple[int, ...] = (),
+    train: TrainConfig,
+    seeds: list[int],
+    seed_path: tuple[int, ...],
 ) -> np.ndarray:
-    """One pass over the columns ``cols``; returns the updated code matrix.
+    """One pass of a group of chains over the columns ``cols``; returns the
+    updated code matrices.
 
-    Columns are refit one after another in the order given, each
-    conditioning on the current completion of the others: its fresh
-    imputations are written back before the next column trains.  Each
-    column's pair is fit from scratch per sweep.  The completion is
-    encoded once per sweep; after each column only that column's slice of
-    its missing rows is encoded again.
-
-    A group of chains sweeps in lock-step: ``values`` (K, n, p), one
-    completion per chain, and ``cfg`` the K chains' configs; each column is
-    refit for all K at once, and each chain's result is bit for bit its
-    sweep on its own.  One chain is a group of one.
+    ``values`` holds one completion per chain, (K, n, p), and ``seeds`` the
+    K chains' seeds.  Columns are refit one after another in the order
+    given, each conditioning on the current completion of the others: its
+    fresh imputations are written back before the next column trains.
+    Each column is refit from scratch for all K chains at once, chain k's
+    pair with the seed ``derive_seed(seeds[k], *seed_path, j)``.  The
+    completions are encoded once per sweep; after each column only that
+    column's slice of its missing rows is encoded again.  Each chain's
+    result is bit for bit its sweep in a group of one.
     """
     if np.isnan(values).any():
         raise ValueError("sweep requires a completed matrix")
-    group = not isinstance(cfg, GcmiConfig)
-    cfgs = list(cfg) if group else [cfg]
-    current = np.array(values if group else values[None], dtype=float)
+    current = np.array(values, dtype=float)
     n_chains, n_rows, n_cols = current.shape
     encoded = encode_columns(current.reshape(-1, n_cols), dm.schema).reshape(n_chains, n_rows, -1)
     slices = column_slices(dm.schema)
     for j in cols:
         miss = dm.mask[:, j]
-        current[:, miss, j] = _refit_column(current, encoded, dm, j, cfgs, (*seed_path, j))
+        fit_seeds = [derive_seed(seed, *seed_path, j) for seed in seeds]
+        current[:, miss, j] = _refit_column(current, encoded, dm, j, train, fit_seeds)
         fresh = encode_columns(current[:, miss, j].reshape(-1, 1), [dm.schema[j]])
         encoded[:, miss, slices[j]] = fresh.reshape(n_chains, -1, fresh.shape[1])
-    return current if group else current[0]
+    return current
 
 
 def _run_chains(
@@ -286,7 +286,6 @@ def _run_chains(
             trace.stop_reason = "no_trainable_columns"
         return [(filled.values[dm.mask], trace) for trace in traces]
 
-    chain_cfgs = [replace(cfg, seed=seed) for seed in chain_seeds]
     # each chain's missing cells at its best sweep: a copy, so that a group's
     # finished sweeps are not kept whole
     best = [filled.values[dm.mask]] * len(chain_seeds)
@@ -295,7 +294,7 @@ def _run_chains(
     live = list(range(len(chain_seeds)))  # the chain in each row of ``current``
     current = np.stack([filled.values] * len(chain_seeds))
     for s in range(cfg.max_chain_iters):
-        new = sweep(current, dm, cols, [chain_cfgs[c] for c in live], seed_path=(s,))
+        new = sweep(current, dm, cols, cfg.train, [chain_seeds[c] for c in live], (s,))
         running = []
         for a, c in enumerate(live):
             gamma = convergence_gamma(new[a], current[a], dm.mask, dm.schema)

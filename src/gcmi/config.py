@@ -203,7 +203,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)

@@ -190,21 +190,24 @@ def read_csv(
     path = Path(path)
     hints = schema_hints or {}
     missing = set(missing_tokens) | {""}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        p = len(header)
-        rows: list[list[str]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row and p == 1:
-                row = [""]  # blank line in a one-column file is a missing cell
-            if len(row) != p:
-                raise DataError(f"{path}: line {lineno} has {len(row)} fields, expected {p}")
-            rows.append(row)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: file is empty") from None
+            header = [h.strip() for h in header]
+            p = len(header)
+            rows: list[list[str]] = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row and p == 1:
+                    row = [""]  # blank line in a one-column file is a missing cell
+                if len(row) != p:
+                    raise DataError(f"{path}: line {lineno} has {len(row)} fields, expected {p}")
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not readable as text: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
 

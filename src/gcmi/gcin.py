@@ -29,15 +29,15 @@ M chains of a multiple imputation share each column's observed rows):
 the members' networks are stacked (``nn.mlp_stack``), and each update is
 one stacked pass and one ``adam_step`` per network for all of them.
 Everything that makes a member's numbers its own stays per member: its
-standardisation, initialisation, random stream (minibatches and noise,
-in the order of a lone fit), cycle losses and early stop.  So every
-member's pair and trace are bit for bit those of fitting it alone.
+standardisation, seed, initialisation, random stream (minibatches and
+noise), cycle losses and early stop.  So every member's pair and trace
+are bit for bit its fit in a group of one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,7 +73,7 @@ TRAIN_DTYPE = np.float32
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters for one adversarial fit.
+    """Hyperparameters of an adversarial fit, shared by every member of a group.
 
     ``max_epochs`` caps the total number of generator updates; one cycle
     runs ``disc_iters_per_cycle`` discriminator updates followed by up to
@@ -96,7 +96,6 @@ class TrainConfig:
     early_stop_patience: int = 50
     early_stop_tol: float = 1e-4
     noise_dim: int = 8
-    seed: int = 0
 
     def validate(self) -> None:
         if self.lr_generator <= 0 or self.lr_discriminator <= 0:
@@ -137,7 +136,6 @@ class GcinPair:
     generator: Mlp
     discriminator: Mlp
     noise_dim: int
-    column_index: int
     column_kind: str
     n_levels: int
     cond_shift: np.ndarray
@@ -254,7 +252,7 @@ def _disc_grads(
     fake rows (cond | fake | 1); one forward and one backward pass over
     the stack, with output gradient [(d_real - 2) / B; d_fake / B], give
     the (2B, 1) scores and the summed gradient of both halves, in ``ws``
-    when given.  ``discriminator_loss`` of the two halves is the loss.
+    when given.  ``discriminator_losses`` of the two halves is the loss.
     """
     n = inputs.shape[-2] // 2
     if ws is None:
@@ -284,7 +282,7 @@ def _gen_grads(
 
     Backpropagates the adversarial + accuracy loss through the frozen
     discriminator into the generated values only (the target columns of
-    its input) and from there through the generator; ``generator_loss``
+    its input) and from there through the generator; ``generator_losses``
     of the scores is the adversarial loss and the mean of the terms, in
     ``pen_terms`` when given, the penalty.  The discriminator's own
     parameter gradients are never formed.  The gradients are built in
@@ -325,48 +323,39 @@ def train_gcin(
     X_cond: np.ndarray,
     x_target: np.ndarray,
     kind: str,
-    cfg: TrainConfig | list[TrainConfig],
+    cfg: TrainConfig,
+    seeds: list[int],
     n_levels: int | None = None,
-    column_index: int = 0,
-) -> tuple[GcinPair, TrainTrace] | list[tuple[GcinPair, TrainTrace]]:
-    """Fit a generator/discriminator pair on fully observed rows.
+) -> list[tuple[GcinPair, TrainTrace]]:
+    """Fit K generator/discriminator pairs in lock-step, one per seed.
 
-    ``X_cond`` is the (n_obs, width) conditioning matrix and ``x_target``
-    the observed column (raw values for continuous, 0/1 codes for binary,
-    integer codes for categorical).  Deterministic given ``cfg.seed``.
-    The pair's networks are float32 (``TRAIN_DTYPE``); its normalisation
-    stays float64.
+    ``X_cond`` holds each member's (n_obs, width) conditioning matrix, so
+    it is (K, n_obs, width), and ``x_target`` its observed column, (K,
+    n_obs): raw values for continuous, 0/1 codes for binary, integer codes
+    for categorical.  All members train with ``cfg``; member a is
+    deterministic given ``seeds[a]``.  Returns the K (pair, trace)
+    results, in order.  The pairs' networks are float32
+    (``TRAIN_DTYPE``); their normalisation stays float64.
 
-    A group fits K pairs in lock-step: ``X_cond`` (K, n_obs, width),
-    ``x_target`` (K, n_obs) and ``cfg`` a list of K configs that differ in
-    ``seed`` only; it returns the K (pair, trace) results, in order.  Each
-    member keeps its own standardisation, initialisation, random stream,
-    losses and early stop, and every update runs one stacked pass and one
-    ``adam_step`` per network for all members still training; a member
-    that stops is copied out and leaves the stack.  So each member's
-    result is bit for bit its fit on its own.  One pair is a group of one.
+    Each member keeps its own standardisation, initialisation, random
+    stream, losses and early stop, and every update runs one stacked pass
+    and one ``adam_step`` per network for all members still training; a
+    member that stops is copied out and leaves the stack.  So each
+    member's result is bit for bit its fit in a group of one.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown column kind {kind!r}")
-    group = not isinstance(cfg, TrainConfig)
-    cfgs = list(cfg) if group else [cfg]
-    if not cfgs:
-        raise ValueError("a group needs at least one member")
-    for c in cfgs:
-        c.validate()
-    cfg = cfgs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
-        raise ConfigError("the members of a group may differ in seed only")
+    cfg.validate()
     X_cond = np.asarray(X_cond, dtype=float)
     x_target = np.asarray(x_target, dtype=float)
-    if X_cond.ndim != 2 + group:
-        raise ShapeError(f"X_cond must be {2 + group}-D, got shape {X_cond.shape}")
-    if x_target.ndim != 1 + group:
-        raise ShapeError(f"x_target must be {1 + group}-D, got shape {x_target.shape}")
-    if not group:
-        X_cond, x_target = X_cond[None], x_target[None]
-    if X_cond.shape[0] != len(cfgs) or x_target.shape[0] != len(cfgs):
-        raise ShapeError("a group needs one X_cond, x_target and config per member")
+    if X_cond.ndim != 3:
+        raise ShapeError(f"X_cond must be 3-D, got shape {X_cond.shape}")
+    if x_target.ndim != 2:
+        raise ShapeError(f"x_target must be 2-D, got shape {x_target.shape}")
+    if len(seeds) == 0:
+        raise ShapeError("a group needs at least one member")
+    if X_cond.shape[0] != len(seeds) or x_target.shape[0] != len(seeds):
+        raise ShapeError("a group needs one X_cond, x_target and seed per member")
     n_obs, width = X_cond.shape[1:]
     if n_obs < 2:
         raise InsufficientDataError(f"need at least 2 observed rows, got {n_obs}")
@@ -385,7 +374,7 @@ def train_gcin(
     # per member: its pair's normalisation, its networks before they are
     # stacked, its rows (cond | target | 1) and its minibatch stream
     norms, gens, discs, rows, batches, rngs = [], [], [], [], [], []
-    for x_c, x_t, c in zip(X_cond, x_target, cfgs):
+    for x_c, x_t, seed in zip(X_cond, x_target, seeds):
         target_enc, t_shift, t_scale, t_width, levels = _encode_target(x_t, kind, n_levels)
         cond_shift, cond_scale = _standardize_fit(x_c)
         norms.append(
@@ -397,7 +386,7 @@ def train_gcin(
                 target_scale=t_scale,
             )
         )
-        seed = canonical_seed(c.seed)
+        seed = canonical_seed(seed)
         gens.append(mlp_new(width + k, hidden, t_width, gen_head, seed=seed, dtype=TRAIN_DTYPE))
         discs.append(
             mlp_new(width + t_width, hidden, 1, disc_head, seed=seed ^ 1, dtype=TRAIN_DTYPE)
@@ -415,17 +404,17 @@ def train_gcin(
     disc_opt = adam_new(disc, cfg.lr_discriminator, cfg.l2)
     rows = np.stack(rows)
     ws = _Workspace(gen, disc, batch, width)
-    traces = [TrainTrace() for _ in cfgs]
-    nets: list[tuple[Mlp, Mlp] | None] = [None] * len(cfgs)
-    live = list(range(len(cfgs)))  # the member in each row of the stack
+    traces = [TrainTrace() for _ in seeds]
+    nets: list[tuple[Mlp, Mlp] | None] = [None] * len(seeds)
+    live = list(range(len(seeds)))  # the member in each row of the stack
     # one cycle's scores and per-row penalty terms, one row per update,
     # reduced once a cycle row by row into the same per-update losses that
     # the loss functions give
-    disc_scores = np.empty((len(cfgs), cfg.disc_iters_per_cycle, 2 * batch))
-    gen_scores = np.empty((len(cfgs), min(cfg.gen_iters_per_cycle, cfg.max_epochs), batch))
+    disc_scores = np.empty((len(seeds), cfg.disc_iters_per_cycle, 2 * batch))
+    gen_scores = np.empty((len(seeds), min(cfg.gen_iters_per_cycle, cfg.max_epochs), batch))
     pen_terms = np.empty(gen_scores.shape, dtype=TRAIN_DTYPE)
-    best_total = [np.inf] * len(cfgs)
-    stall = [0] * len(cfgs)
+    best_total = [np.inf] * len(seeds)
+    stall = [0] * len(seeds)
     gen_done = 0
     cycle = 0
 
@@ -493,21 +482,10 @@ def train_gcin(
     for a, m in enumerate(live):
         nets[m] = (gen.member(a), disc.member(a))
 
-    fits = [
-        (
-            GcinPair(
-                generator=g,
-                discriminator=d,
-                noise_dim=k,
-                column_index=column_index,
-                column_kind=kind,
-                **norm,
-            ),
-            trace,
-        )
+    return [
+        (GcinPair(generator=g, discriminator=d, noise_dim=k, column_kind=kind, **norm), trace)
         for (g, d), norm, trace in zip(nets, norms, traces)
     ]
-    return fits if group else fits[0]
 
 
 def impute_column(

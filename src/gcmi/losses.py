@@ -21,64 +21,26 @@ REAL_TARGET = 2.0
 GEN_TARGET = 1.0
 
 
-def discriminator_loss(d_real: np.ndarray, d_fake: np.ndarray) -> float:
-    """Squared-error loss pushing d_real -> 2 and d_fake -> 0.
+def discriminator_losses(d_real: np.ndarray, d_fake: np.ndarray) -> np.ndarray:
+    """Squared-error loss pushing d_real -> 2 and d_fake -> 0, for each row
+    of (k, n_real) real and (k, n_fake) fake scores.
 
     Each term averages over its own sample count, so real and generated
     batches may differ in size.
     """
-    d_real = np.asarray(d_real, dtype=float).ravel()
-    d_fake = np.asarray(d_fake, dtype=float).ravel()
-    if d_real.size == 0 or d_fake.size == 0:
-        raise ValueError("discriminator_loss requires non-empty real and fake scores")
-    return float(discriminator_losses(d_real[None], d_fake[None])[0])
-
-
-def discriminator_losses(d_real: np.ndarray, d_fake: np.ndarray) -> np.ndarray:
-    """``discriminator_loss`` of each row of (k, n_real) real and (k, n_fake)
-    fake scores, bit for bit, in one pass over all k rows."""
     real_term = 0.5 * np.mean((d_real - REAL_TARGET) ** 2, axis=1)
     fake_term = 0.5 * np.mean(d_fake**2, axis=1)
     return real_term + fake_term
 
 
-def generator_loss(d_fake: np.ndarray) -> float:
-    """Squared-error loss pushing discriminator scores on fakes toward 1."""
-    d_fake = np.asarray(d_fake, dtype=float).ravel()
-    if d_fake.size == 0:
-        raise ValueError("generator_loss requires non-empty fake scores")
-    return float(generator_losses(d_fake[None])[0])
-
-
 def generator_losses(d_fake: np.ndarray) -> np.ndarray:
-    """``generator_loss`` of each row of (k, n) fake scores, bit for bit."""
+    """Squared-error loss pushing discriminator scores on fakes toward 1,
+    for each row of (k, n) fake scores."""
     return 0.5 * np.mean((d_fake - GEN_TARGET) ** 2, axis=1)
 
 
 def _cross_entropy(x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
     return -x * np.log(x_hat) - (1.0 - x) * np.log(1.0 - x_hat)
-
-
-def accuracy_penalty(x, x_hat, kind: str):
-    """Supervised penalty on generated values for observed targets.
-
-    continuous: squared error.  binary: cross-entropy, requiring
-    x in {0, 1} and x_hat strictly inside (0, 1).
-    Accepts scalars or arrays (elementwise).
-    """
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    if kind == "continuous":
-        out = (x_hat - x) ** 2
-    elif kind == "binary":
-        if not np.all((x == 0.0) | (x == 1.0)):
-            raise ValueError("binary accuracy penalty requires x in {0, 1}")
-        if not np.all((x_hat > 0.0) & (x_hat < 1.0)):
-            raise ValueError("binary accuracy penalty requires x_hat in the open interval (0, 1)")
-        out = _cross_entropy(x, x_hat)
-    else:
-        raise ValueError(f"unknown kind {kind!r}; expected 'continuous' or 'binary'")
-    return float(out) if out.ndim == 0 else out
 
 
 def accuracy_penalty_terms(

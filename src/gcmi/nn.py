@@ -9,7 +9,7 @@ parallel but one network is never mutated concurrently.
 A network computes in the dtype of its parameters, float64 unless
 ``mlp_new`` is given another (``gcin`` trains its pairs in float32): its
 buffers, gradients and Adam moments take that dtype, and the public
-``forward``/``backward*`` cast their inputs to it.
+``forward``/``backward_with_input_grads`` cast their inputs to it.
 
 Layer layout: each layer stores its (in, out) weight matrix ``W`` row-major
 followed by its bias ``b``, so the layer's slice of the flat parameter
@@ -18,8 +18,9 @@ buffer *is* the (in+1, out) matrix ``[W; b]`` (``Mlp.layers[i]``;
 backward passes take inputs and keep hidden activations with a trailing
 column of ones, so each layer is one GEMM: ``a @ [W; b]`` forward (ReLU
 leaves the ones at 1) and ``a.T @ delta = [dW; db]`` backward, straight
-into the flat gradient.  The public ``forward``/``backward*`` take inputs
-without that column and append it themselves.
+into the flat gradient.  The public ``forward`` and
+``backward_with_input_grads`` take inputs without that column and append
+it themselves.
 
 Stacks: an ``Mlp`` whose weights carry a leading axis, (K, in, out), is a
 stack of K networks of one shape (``mlp_stack``).  Its parameters are the
@@ -440,16 +441,11 @@ def _backward_from_cache(
             np.matmul(acts[i].swapaxes(-1, -2), delta, out=grads.layers[i])
 
 
-def backward(mlp: Mlp, inputs: np.ndarray, output_grads: np.ndarray) -> ParamGrads:
-    """Gradients of sum(outputs * output_grads) w.r.t. every parameter."""
-    grads, _ = backward_with_input_grads(mlp, inputs, output_grads)
-    return grads
-
-
 def backward_with_input_grads(
     mlp: Mlp, inputs: np.ndarray, output_grads: np.ndarray
 ) -> tuple[ParamGrads, np.ndarray]:
-    """Like ``backward`` but also returns gradients w.r.t. the inputs.
+    """Gradients of sum(outputs * output_grads) w.r.t. every parameter and
+    w.r.t. the inputs.
 
     The input gradient is what lets a generator receive feedback through a
     frozen discriminator stacked on top of it.

@@ -160,7 +160,7 @@ class TestConvergenceGamma:
 class TestSweep:
     def test_no_missing_returns_input(self):
         dm = matrix_from_array(np.random.default_rng(1).normal(size=(30, 3)))
-        out = sweep(dm.values, dm, _trainable_columns(dm), tiny_config())
+        (out,) = sweep(dm.values[None], dm, _trainable_columns(dm), TINY_TRAIN, [0], ())
         assert np.array_equal(out, dm.values)
 
     def test_single_missing_column_trains_one_pair(self, monkeypatch):
@@ -169,17 +169,20 @@ class TestSweep:
         mask = np.zeros_like(X, dtype=bool)
         mask[:10, 1] = True
         dm = matrix_from_array(X, mask)
-        trained = []
+        targets = []
         train_gcin = gcmi.chained.train_gcin
 
-        def counting_train_gcin(*args, column_index=None, **kwargs):
-            trained.append(column_index)
-            return train_gcin(*args, column_index=column_index, **kwargs)
+        def counting_train_gcin(X_cond, x_target, *args, **kwargs):
+            targets.append(x_target)
+            return train_gcin(X_cond, x_target, *args, **kwargs)
 
         # the module attribute sweep looks up, as a tracer wrapping it would see
         monkeypatch.setattr(gcmi.chained, "train_gcin", counting_train_gcin)
-        out = sweep(initial_fill(dm).values, dm, _trainable_columns(dm), tiny_config())
-        assert trained == [1]
+        filled = initial_fill(dm).values
+        (out,) = sweep(filled[None], dm, _trainable_columns(dm), TINY_TRAIN, [0], ())
+        # one fit, on the observed cells of column 1
+        assert len(targets) == 1
+        assert np.array_equal(targets[0], X[None, 10:, 1])
         assert not np.isnan(out).any()
 
     def test_each_column_conditions_on_the_encoded_current_completion(self, monkeypatch):
@@ -189,22 +192,22 @@ class TestSweep:
         refit = gcmi.chained._refit_column
         seen = []
 
-        def checked(values, encoded, dm_, j, cfgs, seed_path):
+        def checked(values, encoded, dm_, j, train, seeds):
             # one completion, and one encoding, per chain of the group
-            assert len(values) == len(encoded) == len(cfgs) == 1
+            assert len(values) == len(encoded) == len(seeds) == 1
             assert np.array_equal(encoded[0], encode_columns(values[0], dm_.schema))
             seen.append(j)
-            return refit(values, encoded, dm_, j, cfgs, seed_path)
+            return refit(values, encoded, dm_, j, train, seeds)
 
         monkeypatch.setattr(gcmi.chained, "_refit_column", checked)
         assert all(dm.mask[:, j].any() for j in range(4))
-        sweep(initial_fill(dm).values, dm, [3, 2, 0, 1], tiny_config())
+        sweep(initial_fill(dm).values[None], dm, [3, 2, 0, 1], TINY_TRAIN, [0], ())
         assert seen == [3, 2, 0, 1]
 
     def test_sequential_and_snapshot_both_complete(self):
         dm, _ = mixed_matrix(seed=5)
         filled = initial_fill(dm).values
-        out = sweep(filled, dm, _trainable_columns(dm), tiny_config())
+        (out,) = sweep(filled[None], dm, _trainable_columns(dm), TINY_TRAIN, [0], ())
         assert not np.isnan(out).any()
         assert np.array_equal(out[~dm.mask], filled[~dm.mask])
 

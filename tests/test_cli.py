@@ -456,6 +456,32 @@ class TestBadArgumentsExitCleanly:
         assert run(["--output-dir", str(tmp_path), "impute", str(path)]) == 2
         self.assert_one_line(capsys)
 
+    @pytest.mark.parametrize(
+        "command, code, prefix",
+        [
+            ("impute", 2, "data error"),
+            ("ampute", 2, "data error"),
+            ("simulate", 1, "configuration error"),
+        ],
+    )
+    def test_undecodable_input_file_exits_one_line_naming_it(
+        self, tmp_path, command, code, prefix, capsys
+    ):
+        # a CSV input of impute or ampute, or the config file of simulate,
+        # holding a byte that is not UTF-8
+        path = tmp_path / "bad"
+        path.write_bytes(b'{"seed": \xff}' if command == "simulate" else b"a,b\n\xff,2\n3,4\n")
+        argv = ["--output-dir", str(tmp_path / "out")]
+        if command == "simulate":
+            argv += ["--config", str(path), command]
+        else:
+            argv += [command, str(path)]
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"{prefix}: ") and str(path) in err
+        assert not (tmp_path / "out").exists()
+
 
 CSV_TOKENS = ["1", "-2.5", "0", "3e2", "x", "y", "z", "", "NA", "inf", "-inf", "nan"]
 
@@ -658,7 +684,7 @@ class TestConfigParsing:
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({"seed": 1, "threads": 2, "simulate": {"n": 12}}))
         cfg = load_config(cfg_path, {"seed": 5})
-        assert (cfg.seed, cfg.gcmi.seed, cfg.gcmi.train.seed) == (5, 5, 5)
+        assert (cfg.seed, cfg.gcmi.seed) == (5, 5)
         assert cfg.simulate.spec.seed == 5
         assert cfg.gcmi.workers == 2
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from gcmi import (
-    ConfigError,
     InsufficientDataError,
     ShapeError,
     TrainConfig,
@@ -28,10 +27,10 @@ from gcmi.gcin import (
     _Workspace,
 )
 from gcmi.losses import (
-    accuracy_penalty,
+    _cross_entropy,
     accuracy_penalty_terms,
-    discriminator_loss,
-    generator_loss,
+    discriminator_losses,
+    generator_losses,
 )
 from gcmi.nn import (
     ParamGrads,
@@ -40,14 +39,29 @@ from gcmi.nn import (
     _forward_cache,
     adam_new,
     adam_step,
-    backward,
     backward_with_input_grads,
     forward,
     mlp_new,
 )
 from gcmi.seeding import canonical_seed
 
-FAST = TrainConfig(max_epochs=150, batch_size=64, noise_dim=4, seed=0)
+FAST = TrainConfig(max_epochs=150, batch_size=64, noise_dim=4)
+
+
+def fit_one(X, y, kind, cfg, seed=0, n_levels=None):
+    """``train_gcin`` of one member: the (pair, trace) of a group of one."""
+    (fit,) = train_gcin([X], [y], kind, cfg, [seed], n_levels)
+    return fit
+
+
+def disc_loss(d_real, d_fake):
+    """``discriminator_losses`` of one update's (n, 1) scores, in float64."""
+    return float(discriminator_losses(d_real.astype(float).T, d_fake.astype(float).T)[0])
+
+
+def gen_loss(d_fake):
+    """``generator_losses`` of one update's (n, 1) scores, in float64."""
+    return float(generator_losses(d_fake.astype(float).T)[0])
 
 
 def with_ones(x):
@@ -124,12 +138,12 @@ class TestComposedGradients:
     def _gen_objective(gen, disc, cond, target, z, lam, kind):
         fake = forward(gen, np.hstack([cond, z]))
         d_fake = forward(disc, np.hstack([cond, fake]))
-        adv = generator_loss(d_fake)
+        adv = gen_loss(d_fake)
         if kind == "continuous":
             pen = float(np.mean((fake - target) ** 2))
         else:
             clipped = np.clip(fake, 1e-12, 1.0 - 1e-12)
-            pen = float(np.mean(accuracy_penalty(target, clipped, "binary").sum(axis=1)))
+            pen = float(np.mean(_cross_entropy(target, clipped).sum(axis=1)))
         return adv + lam * pen
 
     @pytest.mark.parametrize("kind,seed", [("continuous", 0), ("binary", 1), ("continuous", 2)])
@@ -171,7 +185,7 @@ class TestComposedGradients:
         _, grads = _disc_grads(disc, stacked(real, fake))
 
         def objective():
-            return discriminator_loss(forward(disc, real), forward(disc, fake))
+            return disc_loss(forward(disc, real), forward(disc, fake))
 
         h = 1e-6
         for li, w_arr in enumerate(disc.weights):
@@ -193,7 +207,7 @@ class TestTrainGcin:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(300, 4))
         y = np.full(300, 3.0)
-        pair, _ = train_gcin(X, y, "continuous", TrainConfig(max_epochs=300, seed=5))
+        pair, _ = fit_one(X, y, "continuous", TrainConfig(max_epochs=300), seed=5)
         imputed = impute_column(pair, rng.normal(size=(200, 4)), seed=1)
         assert abs(imputed.mean() - 3.0) < 0.05
 
@@ -202,7 +216,7 @@ class TestTrainGcin:
         n = 1000
         X = rng.normal(size=(n, 5))
         y = 0.9 * X[:, 0] + 0.1 * rng.normal(size=n)
-        pair, _ = train_gcin(X, y, "continuous", TrainConfig(max_epochs=400, seed=8))
+        pair, _ = fit_one(X, y, "continuous", TrainConfig(max_epochs=400), seed=8)
         X_held = rng.normal(size=(400, 5))
         y_held = 0.9 * X_held[:, 0] + 0.1 * rng.normal(size=400)
         imputed = impute_column(pair, X_held, seed=2)
@@ -214,27 +228,27 @@ class TestTrainGcin:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(60, 3))
         y = X.sum(axis=1)
-        _, t1 = train_gcin(X, y, "continuous", FAST)
-        _, t2 = train_gcin(X, y, "continuous", FAST)
+        _, t1 = fit_one(X, y, "continuous", FAST)
+        _, t2 = fit_one(X, y, "continuous", FAST)
         assert t1.gen_loss == t2.gen_loss
         assert t1.disc_loss == t2.disc_loss
         assert t1.acc_penalty == t2.acc_penalty
 
     def test_insufficient_rows_rejected(self):
         with pytest.raises(InsufficientDataError):
-            train_gcin(np.zeros((1, 3)), np.zeros(1), "continuous", FAST)
+            fit_one(np.zeros((1, 3)), np.zeros(1), "continuous", FAST)
 
     def test_missing_conditioning_rejected(self):
         X = np.random.default_rng(0).normal(size=(30, 3))
         X[0, 0] = np.nan
         with pytest.raises(ValueError):
-            train_gcin(X, np.zeros(30), "continuous", FAST)
+            fit_one(X, np.zeros(30), "continuous", FAST)
 
     def test_binary_target_trains_and_samples_codes(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(200, 3))
         y = (X[:, 0] > 0).astype(float)
-        pair, _ = train_gcin(X, y, "binary", TrainConfig(max_epochs=200, seed=13))
+        pair, _ = fit_one(X, y, "binary", TrainConfig(max_epochs=200), seed=13)
         imputed = impute_column(pair, rng.normal(size=(50, 3)), seed=3)
         assert set(np.unique(imputed)) <= {0.0, 1.0}
 
@@ -242,21 +256,21 @@ class TestTrainGcin:
         rng = np.random.default_rng(17)
         X = rng.normal(size=(200, 3))
         y = rng.integers(0, 3, size=200).astype(float)
-        pair, _ = train_gcin(X, y, "categorical", FAST, n_levels=3)
+        pair, _ = fit_one(X, y, "categorical", FAST, n_levels=3)
         imputed = impute_column(pair, rng.normal(size=(80, 3)), seed=4)
         assert set(np.unique(imputed)) <= {0.0, 1.0, 2.0}
         assert pair.generator.output_dim == 3
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
-            train_gcin(np.zeros((20, 3)), np.zeros(20), "ordinal", FAST)
+            fit_one(np.zeros((20, 3)), np.zeros(20), "ordinal", FAST)
 
     def test_list_target_fits_as_its_array(self):
         rng = np.random.default_rng(23)
         X = rng.normal(size=(60, 3))
         y = X.sum(axis=1)
-        from_list, list_trace = train_gcin(X.tolist(), y.tolist(), "continuous", FAST)
-        from_array, array_trace = train_gcin(X, y, "continuous", FAST)
+        from_list, list_trace = fit_one(X.tolist(), y.tolist(), "continuous", FAST)
+        from_array, array_trace = fit_one(X, y, "continuous", FAST)
         assert from_list.generator.params.tobytes() == from_array.generator.params.tobytes()
         assert list_trace == array_trace
 
@@ -264,7 +278,7 @@ class TestTrainGcin:
     def test_target_of_wrong_shape_rejected(self, bad):
         X = np.random.default_rng(0).normal(size=(60, 3))
         with pytest.raises(ShapeError):
-            train_gcin(X, bad, "continuous", FAST)
+            fit_one(X, bad, "continuous", FAST)
 
     @pytest.mark.parametrize(
         "kind,bad",
@@ -281,16 +295,16 @@ class TestTrainGcin:
         y = np.zeros(30)
         y[4] = bad
         with pytest.raises(ValueError, match="x_target must not contain"):
-            train_gcin(X, y, kind, FAST)
+            fit_one(X, y, kind, FAST)
 
     def test_diverging_training_raises_numeric_error(self):
         from gcmi import NumericError
 
         rng = np.random.default_rng(31)
         X = rng.normal(size=(40, 3))
-        absurd = TrainConfig(max_epochs=60, lr_generator=1e150, batch_size=16, seed=0)
+        absurd = TrainConfig(max_epochs=60, lr_generator=1e150, batch_size=16)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
-            train_gcin(X, X.sum(axis=1), "continuous", absurd)
+            fit_one(X, X.sum(axis=1), "continuous", absurd)
 
 
 class _RecordingRng:
@@ -358,8 +372,8 @@ def _encode(X, y, kind, n_levels):
     return (X - X.mean(axis=0)) / X.std(axis=0), target
 
 
-def _init_nets(n, width, t, cfg, kind, dtype):
-    seed = canonical_seed(cfg.seed)
+def _init_nets(n, width, t, cfg, seed, kind, dtype):
+    seed = canonical_seed(seed)
     # looked up where train_gcin looks it up, so that a test can replace it for both
     hidden = gcmi.gcin.scale_architecture(n, width + 1)
     head = "identity" if kind == "continuous" else "sigmoid"
@@ -494,7 +508,7 @@ def _penalty(fake, t, kind):
 
 
 def reference_train(
-    X, y, kind, cfg, n_levels=None, backward_pass=_ref_backward_folded, dtype=TRAIN_DTYPE
+    X, y, kind, cfg, seed, n_levels=None, backward_pass=_ref_backward_folded, dtype=TRAIN_DTYPE
 ):
     """A plain numpy training loop in ``train_gcin``'s order: the same RNG
     draws, each layer as one product with its [W; b] matrix on inputs with
@@ -503,13 +517,13 @@ def reference_train(
     gradient, and the fold of every one-wide output.  It standardises in
     float64 and trains in ``dtype`` (noise drawn in it too), runs whole
     cycles and never stops early.  Returns both nets and the trace, each
-    cycle's mean of the per-update losses: the public loss functions of
-    the scores, and the penalty in ``dtype``."""
+    cycle's mean of the per-update losses: ``discriminator_losses`` and
+    ``generator_losses`` of the scores, and the penalty in ``dtype``."""
     X = np.asarray(X, dtype=float)
     n, width = X.shape
     cond, target = (a.astype(dtype) for a in _encode(X, y, kind, n_levels))
     t = target.shape[1]
-    gen, disc, gen_opt, disc_opt, rng = _init_nets(n, width, t, cfg, kind, dtype)
+    gen, disc, gen_opt, disc_opt, rng = _init_nets(n, width, t, cfg, seed, kind, dtype)
     batch = min(cfg.batch_size, n)
     draw = _sampler(rng, cond, target, batch, cfg.noise_dim)
     trace = TrainTrace()
@@ -522,7 +536,7 @@ def reference_train(
             g = np.vstack([(d[:batch] - 2.0) / batch, d[batch:] / batch])
             grads, _ = backward_pass(disc, acts, d, g)
             adam_step(disc, _as_param_grads(grads), disc_opt)
-            disc_losses.append(discriminator_loss(d[:batch], d[batch:]))
+            disc_losses.append(disc_loss(d[:batch], d[batch:]))
         for _ in range(cfg.gen_iters_per_cycle):
             c, tg, z = draw()
             fake, gen_acts = _ref_forward(gen, with_ones(np.hstack([c, z])))
@@ -532,7 +546,7 @@ def reference_train(
             g = d_in + _pen_grad(fake, tg, kind, cfg.acc_penalty_weight, batch)
             grads, _ = backward_pass(gen, gen_acts, fake, g)
             adam_step(gen, _as_param_grads(grads), gen_opt)
-            gen_losses.append(generator_loss(d_fake))
+            gen_losses.append(gen_loss(d_fake))
             pens.append(_penalty(fake, tg, kind))
         trace.disc_loss.append(float(np.mean(disc_losses)))
         trace.gen_loss.append(float(np.mean(gen_losses)))
@@ -540,15 +554,15 @@ def reference_train(
     return gen, disc, trace
 
 
-def reference_train_formed_delta(X, y, kind, cfg, n_levels=None):
+def reference_train_formed_delta(X, y, kind, cfg, seed, n_levels=None):
     """``reference_train`` in float64 with every layer's delta formed, as
     ``train_gcin`` ran before the fold."""
     return reference_train(
-        X, y, kind, cfg, n_levels, backward_pass=_ref_backward, dtype=np.float64
+        X, y, kind, cfg, seed, n_levels, backward_pass=_ref_backward, dtype=np.float64
     )
 
 
-def reference_train_separate_passes(X, y, kind, cfg, n_levels=None):
+def reference_train_separate_passes(X, y, kind, cfg, seed, n_levels=None):
     """The same loop in float64 from the public nn functions in the older
     order: the real and fake discriminator passes backpropagated
     separately and their gradients summed, and the discriminator's full
@@ -557,7 +571,7 @@ def reference_train_separate_passes(X, y, kind, cfg, n_levels=None):
     n, width = X.shape
     cond, target = _encode(X, y, kind, n_levels)
     gen, disc, gen_opt, disc_opt, rng = _init_nets(
-        n, width, target.shape[1], cfg, kind, np.float64
+        n, width, target.shape[1], cfg, seed, kind, np.float64
     )
     batch = min(cfg.batch_size, n)
     draw = _sampler(rng, cond, target, batch, cfg.noise_dim)
@@ -613,9 +627,8 @@ def _reference_case(kind, n_rows):
         batch_size=64,
         noise_dim=3,
         early_stop_patience=1000,
-        seed=5,
     )
-    return X, y, cfg
+    return X, y, cfg, 5
 
 
 class TestTrainGcinMatchesReferenceLoop:
@@ -638,9 +651,9 @@ class TestTrainGcinMatchesReferenceLoop:
         # categorical head, the loop with no fold) on every update
         if hidden is not None:
             monkeypatch.setattr(gcmi.gcin, "scale_architecture", lambda n, features: hidden)
-        X, y, cfg = _reference_case(kind, n_rows)
-        pair, trace = train_gcin(X, y, kind, cfg, n_levels=n_levels)
-        gen, disc, ref_trace = reference_train(X, y, kind, cfg, n_levels)
+        X, y, cfg, seed = _reference_case(kind, n_rows)
+        pair, trace = fit_one(X, y, kind, cfg, seed, n_levels)
+        gen, disc, ref_trace = reference_train(X, y, kind, cfg, seed, n_levels)
         assert len(trace) == 4
         for trained, reference in ((pair.generator, gen), (pair.discriminator, disc)):
             assert trained.params.tobytes() == reference.params.tobytes()
@@ -648,18 +661,18 @@ class TestTrainGcinMatchesReferenceLoop:
 
     @pytest.mark.parametrize("kind,n_levels,n_rows", REFERENCE_CASES)
     def test_formed_delta_order_within_reassociation(self, kind, n_levels, n_rows):
-        X, y, cfg = _reference_case(kind, n_rows)
-        folded = reference_train(X, y, kind, cfg, n_levels, dtype=np.float64)
-        gen, disc, _ = reference_train_formed_delta(X, y, kind, cfg, n_levels)
+        X, y, cfg, seed = _reference_case(kind, n_rows)
+        folded = reference_train(X, y, kind, cfg, seed, n_levels, dtype=np.float64)
+        gen, disc, _ = reference_train_formed_delta(X, y, kind, cfg, seed, n_levels)
         for trained, reference in zip(folded[:2], (gen, disc)):
             scale = np.abs(reference.params).max()
             assert np.abs(trained.params - reference.params).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("kind,n_levels,n_rows", REFERENCE_CASES)
     def test_separate_pass_order_within_reassociation(self, kind, n_levels, n_rows):
-        X, y, cfg = _reference_case(kind, n_rows)
-        folded = reference_train(X, y, kind, cfg, n_levels, dtype=np.float64)
-        gen, disc = reference_train_separate_passes(X, y, kind, cfg, n_levels)
+        X, y, cfg, seed = _reference_case(kind, n_rows)
+        folded = reference_train(X, y, kind, cfg, seed, n_levels, dtype=np.float64)
+        gen, disc = reference_train_separate_passes(X, y, kind, cfg, seed, n_levels)
         for trained, reference in zip(folded[:2], (gen, disc)):
             scale = np.abs(reference.params).max()
             assert np.abs(trained.params - reference.params).max() <= 1e-12 * scale
@@ -678,19 +691,19 @@ def _group_case(kind, members=3, n=200, width=4):
 
 
 class TestGroupFits:
-    """A group fit gives each member bit for bit its fit on its own, with
-    its own data and seed, whatever the other members do."""
+    """A group fit gives each member bit for bit its fit in a group of one,
+    with its own data and seed, whatever the other members do."""
 
     CFG = TrainConfig(
         max_epochs=30, gen_iters_per_cycle=5, disc_iters_per_cycle=3, batch_size=64, noise_dim=3
     )
 
     @staticmethod
-    def _assert_members_are_lone_fits(X, y, kind, cfgs, n_levels=None):
-        fits = train_gcin(X, y, kind, cfgs, n_levels=n_levels)
-        assert len(fits) == len(cfgs)
-        for (pair, trace), x_c, x_t, cfg in zip(fits, X, y, cfgs):
-            lone, lone_trace = train_gcin(x_c, x_t, kind, cfg, n_levels=n_levels)
+    def _assert_members_are_lone_fits(X, y, kind, cfg, seeds, n_levels=None):
+        fits = train_gcin(X, y, kind, cfg, seeds, n_levels)
+        assert len(fits) == len(seeds)
+        for (pair, trace), x_c, x_t, seed in zip(fits, X, y, seeds):
+            lone, lone_trace = fit_one(x_c, x_t, kind, cfg, seed, n_levels)
             for got, want in (
                 (pair.generator, lone.generator),
                 (pair.discriminator, lone.discriminator),
@@ -715,8 +728,7 @@ class TestGroupFits:
         if hidden is not None:
             monkeypatch.setattr(gcmi.gcin, "scale_architecture", lambda n, features: hidden)
         X, y = _group_case(kind)
-        cfgs = [replace(self.CFG, seed=s) for s in (3, 1, 4)]
-        fits = self._assert_members_are_lone_fits(X, y, kind, cfgs, n_levels)
+        fits = self._assert_members_are_lone_fits(X, y, kind, self.CFG, [3, 1, 4], n_levels)
         # every returned network owns its buffer: none views the stack's
         nets = [net for pair, _ in fits for net in (pair.generator, pair.discriminator)]
         assert all(net.params.flags.owndata for net in nets)
@@ -724,27 +736,33 @@ class TestGroupFits:
     def test_members_that_stop_at_different_cycles(self):
         X, y = _group_case("continuous", members=4, n=300, width=5)
         cfg = replace(self.CFG, max_epochs=400, early_stop_patience=2, early_stop_tol=0.02)
-        cfgs = [replace(cfg, seed=s) for s in range(10, 14)]
-        fits = self._assert_members_are_lone_fits(X, y, "continuous", cfgs)
+        fits = self._assert_members_are_lone_fits(X, y, "continuous", cfg, range(10, 14))
         cycles = [len(trace) for _, trace in fits]
         # every member stopped early, and not all at one cycle
         assert max(cycles) < cfg.max_epochs // cfg.gen_iters_per_cycle
         assert len(set(cycles)) > 1
 
-    def test_members_may_differ_in_seed_only(self):
+    def test_one_seed_per_member(self):
         X, y = _group_case("continuous", members=2)
-        with pytest.raises(ConfigError):
-            train_gcin(X, y, "continuous", [self.CFG, replace(self.CFG, lr_generator=0.01)])
+        for seeds, message in [
+            ([3], "one X_cond, x_target and seed per member"),
+            ([3, 1, 4], "one X_cond, x_target and seed per member"),
+            ([], "at least one member"),
+        ]:
+            with pytest.raises(ShapeError, match=message):
+                train_gcin(X, y, "continuous", self.CFG, seeds)
+        with pytest.raises(ShapeError, match="at least one member"):
+            train_gcin(X[:0], y[:0], "continuous", self.CFG, [])
 
-    def test_one_input_row_and_config_per_member(self):
+    def test_one_input_row_per_member(self):
         X, y = _group_case("continuous", members=2)
-        for X_cond, x_target, cfgs in [
-            (X, y, [self.CFG]),  # two members, one config
-            (X, y[0], [self.CFG] * 2),  # one target for two members
-            (X[0], y[0], [self.CFG]),  # a group needs the leading axis
+        for X_cond, x_target in [
+            (X, y[:1]),  # one target for two members
+            (X, y[0]),  # a target without the leading axis
+            (X[0], y[0]),  # a group needs the leading axis
         ]:
             with pytest.raises(ShapeError):
-                train_gcin(X_cond, x_target, "continuous", cfgs)
+                train_gcin(X_cond, x_target, "continuous", self.CFG, [3, 1])
 
 
 class TestFoldedBackward:
@@ -824,11 +842,11 @@ class TestTwoHiddenLayerGradients:
 
         def objective():
             fake = forward(gen, np.hstack([cond, z]))
-            adv = generator_loss(forward(disc, np.hstack([cond, fake])))
+            adv = gen_loss(forward(disc, np.hstack([cond, fake])))
             if kind == "continuous":
                 return adv + lam * float(np.mean((fake - target) ** 2))
             clipped = np.clip(fake, 1e-12, 1.0 - 1e-12)
-            return adv + lam * float(np.mean(accuracy_penalty(target, clipped, "binary").sum(axis=1)))
+            return adv + lam * float(np.mean(_cross_entropy(target, clipped).sum(axis=1)))
 
         _, _, grads = gen_grads(gen, disc, cond, target, z, lam, kind)
         self._assert_close(grads.flat, self._fd(gen.params, objective))
@@ -843,7 +861,7 @@ class TestTwoHiddenLayerGradients:
         _, grads = _disc_grads(disc, stacked(real, fake))
 
         def objective():
-            return discriminator_loss(forward(disc, real), forward(disc, fake))
+            return disc_loss(forward(disc, real), forward(disc, fake))
 
         self._assert_close(grads.flat, self._fd(disc.params, objective))
 
@@ -858,10 +876,12 @@ class TestStackedDiscriminatorPass:
         real = rng.normal(size=(n, w))
         fake = rng.normal(size=(n, w))
         scores, grads = _disc_grads(disc, stacked(real, fake))
-        loss = discriminator_loss(scores[:n], scores[n:])
+        loss = disc_loss(scores[:n], scores[n:])
         d_real, d_fake = forward(disc, real), forward(disc, fake)
-        summed = backward(disc, real, (d_real - 2.0) / n).flat + backward(disc, fake, d_fake / n).flat
-        assert loss == pytest.approx(discriminator_loss(d_real, d_fake), rel=1e-12)
+        real_grads, _ = backward_with_input_grads(disc, real, (d_real - 2.0) / n)
+        fake_grads, _ = backward_with_input_grads(disc, fake, d_fake / n)
+        summed = real_grads.flat + fake_grads.flat
+        assert loss == pytest.approx(disc_loss(d_real, d_fake), rel=1e-12)
         assert np.abs(grads.flat - summed).max() <= 1e-12 * np.abs(summed).max()
 
 
@@ -920,7 +940,7 @@ class TestOnesColumns:
         ws = _Workspace(gen, disc, n, w)
         gen_grads(gen, disc, cond, np.zeros((n, 2)), z, 0.0, "binary", ws)
         # with no penalty the generator's output gradient is the sliced input gradient
-        expect = backward(gen, np.hstack([cond, z]), full[:, w:]).flat
+        expect = backward_with_input_grads(gen, np.hstack([cond, z]), full[:, w:])[0].flat
         assert np.abs(ws.gen_grads.flat - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
@@ -956,7 +976,7 @@ class TestTrainingDtype:
         rng = np.random.default_rng(71)
         X = rng.normal(size=(120, 3))
         y = rng.integers(0, 3, size=120).astype(float)
-        pair, _ = train_gcin(X, y, "categorical", FAST, n_levels=3)
+        pair, _ = fit_one(X, y, "categorical", FAST, n_levels=3)
         (ws,) = workspaces
         arrays = [pair.generator.params, pair.discriminator.params, *_workspace_arrays(ws)]
         for grads, state in steps:
@@ -983,7 +1003,7 @@ def noisy_pair():
     rng = np.random.default_rng(19)
     X = rng.normal(size=(400, 3))
     y = X[:, 0] + rng.normal(size=400)  # genuinely noisy conditional
-    pair, _ = train_gcin(X, y, "continuous", TrainConfig(max_epochs=300, seed=19))
+    pair, _ = fit_one(X, y, "continuous", TrainConfig(max_epochs=300), seed=19)
     return pair
 
 
@@ -1025,7 +1045,7 @@ class TestImputeColumn:
         gen.biases[-1][:] = 0.3
         disc = mlp_new(4, [4], 1, "scaled_sigmoid_0_2", 2, dtype=np.float32)
         shift = 1e6 + 0.123456789
-        pair = GcinPair(gen, disc, 2, 0, "continuous", 1, np.zeros(3), np.ones(3), shift, 0.5)
+        pair = GcinPair(gen, disc, 2, "continuous", 1, np.zeros(3), np.ones(3), shift, 0.5)
         imputed = impute_column(pair, np.zeros((5, 3)), seed=0)
         assert imputed.dtype == np.float64
         assert np.all(imputed == float(np.float32(0.3)) * 0.5 + shift)

@@ -10,14 +10,36 @@ from hypothesis import strategies as st
 
 from gcmi import (
     DiscreteDist,
-    accuracy_penalty,
     chi2_generator_objective,
-    discriminator_loss,
-    generator_loss,
     optimal_discriminator,
 )
-from gcmi.losses import _cross_entropy, accuracy_penalty_terms
+from gcmi.losses import (
+    _cross_entropy,
+    accuracy_penalty_terms,
+    discriminator_losses,
+    generator_losses,
+)
 from gcmi.nn import _sigmoid_clip
+
+
+def accuracy_penalty(x, x_hat, kind: str):
+    """Float64 reference of the supervised penalty on generated values for
+    observed targets, elementwise: squared error for continuous, and for
+    binary cross-entropy, requiring x in {0, 1} and x_hat strictly inside
+    (0, 1).  Accepts scalars or arrays."""
+    x = np.asarray(x, dtype=float)
+    x_hat = np.asarray(x_hat, dtype=float)
+    if kind == "continuous":
+        out = (x_hat - x) ** 2
+    elif kind == "binary":
+        if not np.all((x == 0.0) | (x == 1.0)):
+            raise ValueError("binary accuracy penalty requires x in {0, 1}")
+        if not np.all((x_hat > 0.0) & (x_hat < 1.0)):
+            raise ValueError("binary accuracy penalty requires x_hat in the open interval (0, 1)")
+        out = _cross_entropy(x, x_hat)
+    else:
+        raise ValueError(f"unknown kind {kind!r}; expected 'continuous' or 'binary'")
+    return float(out) if out.ndim == 0 else out
 
 
 def random_dist_pair(rng, size):
@@ -65,45 +87,39 @@ def population_generator_loss(p, g, d_values):
 
 
 class TestDiscriminatorLoss:
+    """``discriminator_losses`` takes (k, n) scores and gives one loss per row."""
+
     def test_targets_met_exactly_zero(self):
-        assert discriminator_loss([2.0, 2.0], [0.0, 0.0]) == 0.0
+        real, fake = np.array([[2.0, 2.0]]), np.array([[0.0, 0.0]])
+        assert discriminator_losses(real, fake).tolist() == [0.0]
 
     def test_hand_value_middle(self):
-        assert discriminator_loss([1.0], [1.0]) == pytest.approx(1.0)
+        assert discriminator_losses(np.array([[1.0]]), np.array([[1.0]])) == pytest.approx([1.0])
 
     def test_hand_value_half(self):
-        assert discriminator_loss([2.0], [1.0]) == pytest.approx(0.5)
+        real, fake = np.array([[2.0], [1.0]]), np.array([[1.0], [1.0]])
+        assert discriminator_losses(real, fake) == pytest.approx([0.5, 1.0])
 
     def test_separate_averaging(self):
         # real and fake terms each average over their own count
-        assert discriminator_loss([2.0, 2.0, 2.0], [1.0]) == pytest.approx(0.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            discriminator_loss([], [1.0])
-        with pytest.raises(ValueError):
-            discriminator_loss([1.0], [])
+        real, fake = np.array([[2.0, 2.0, 2.0]]), np.array([[1.0]])
+        assert discriminator_losses(real, fake) == pytest.approx([0.5])
 
     @given(st.lists(st.floats(-3, 3), min_size=1, max_size=8))
     def test_non_negative(self, values):
-        assert discriminator_loss(values, values) >= 0.0
+        assert discriminator_losses(np.array([values]), np.array([values]))[0] >= 0.0
 
 
 class TestGeneratorLoss:
     def test_zero_at_target(self):
-        assert generator_loss([1.0, 1.0, 1.0]) == 0.0
+        assert generator_losses(np.array([[1.0, 1.0, 1.0]])).tolist() == [0.0]
 
     def test_hand_values(self):
-        assert generator_loss([0.0, 2.0]) == pytest.approx(0.5)
-        assert generator_loss([3.0]) == pytest.approx(2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            generator_loss([])
+        assert generator_losses(np.array([[0.0, 2.0], [3.0, 3.0]])) == pytest.approx([0.5, 2.0])
 
     @given(st.lists(st.floats(0, 2), min_size=1, max_size=10))
     def test_zero_iff_all_outputs_one(self, values):
-        loss = generator_loss(values)
+        loss = generator_losses(np.array([values]))[0]
         assert loss >= 0.0
         assert (loss == 0.0) == all(v == 1.0 for v in values)
 

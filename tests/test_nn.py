@@ -14,7 +14,6 @@ from gcmi import (
     ShapeError,
     adam_new,
     adam_step,
-    backward,
     backward_with_input_grads,
     forward,
     mlp_new,
@@ -163,7 +162,7 @@ class TestForward:
 class TestBackward:
     def test_zero_output_grads_zero_param_grads(self):
         mlp = mlp_new(3, [4], 2, "identity", 1)
-        grads = backward(mlp, np.ones((5, 3)), np.zeros((5, 2)))
+        grads, _ = backward_with_input_grads(mlp, np.ones((5, 3)), np.zeros((5, 2)))
         for g in grads.d_weights + grads.d_biases:
             assert np.array_equal(g, np.zeros_like(g))
 
@@ -173,7 +172,7 @@ class TestBackward:
         x = rng.normal(size=(6, 3))
         g = rng.normal(size=(6, 2))
         mlp = Mlp([rng.normal(size=(3, 2))], [rng.normal(size=2)], "identity")
-        grads = backward(mlp, x, g)
+        grads, _ = backward_with_input_grads(mlp, x, g)
         assert np.allclose(grads.d_weights[0], x.T @ g)
         assert np.allclose(grads.d_biases[0], g.sum(axis=0))
 
@@ -183,7 +182,8 @@ class TestBackward:
         mlp = mlp_new(3, [4], 1, activation, 11)
         x = rng.normal(size=(5, 3))
         g = rng.normal(size=(5, 1))
-        assert_grads_close(backward(mlp, x, g), finite_difference_grads(mlp, x, g))
+        grads, _ = backward_with_input_grads(mlp, x, g)
+        assert_grads_close(grads, finite_difference_grads(mlp, x, g))
 
     @pytest.mark.parametrize("activation", ["identity", "sigmoid", "scaled_sigmoid_0_2"])
     def test_two_hidden_layers_match_finite_differences(self, activation):
@@ -192,7 +192,8 @@ class TestBackward:
         mlp.params += rng.normal(scale=0.1, size=mlp.params.size)  # non-zero biases
         x = rng.normal(size=(6, 3))
         g = rng.normal(size=(6, 2))
-        assert_grads_close(backward(mlp, x, g), finite_difference_grads(mlp, x, g))
+        grads, _ = backward_with_input_grads(mlp, x, g)
+        assert_grads_close(grads, finite_difference_grads(mlp, x, g))
 
     def test_input_grads_match_finite_differences(self):
         assert_input_grads_close(mlp_new(4, [6], 2, "scaled_sigmoid_0_2", 5), 13)
@@ -203,7 +204,7 @@ class TestBackward:
     def test_shape_mismatch_raises(self):
         mlp = mlp_new(3, [4], 1, "identity", 0)
         with pytest.raises(ShapeError):
-            backward(mlp, np.zeros((2, 3)), np.zeros((2, 2)))
+            backward_with_input_grads(mlp, np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 class TestAdam:
@@ -284,7 +285,7 @@ class TestAdam:
             state = adam_new(mlp, learning_rate=0.01, l2_coeff=1e-4)
             x = np.random.default_rng(seed).normal(size=(4, 3))
             g = np.ones((4, 2))
-            adam_step(mlp, backward(mlp, x, g), state)
+            adam_step(mlp, backward_with_input_grads(mlp, x, g)[0], state)
             results.append(np.concatenate([w.ravel() for w in mlp.weights]))
         assert np.array_equal(results[0], results[1])
 
@@ -297,7 +298,7 @@ class TestFlatParameters:
 
     def test_layers_are_weights_over_biases(self):
         mlp = mlp_new(3, [4, 5], 2, "identity", 1)
-        grads = backward(mlp, np.ones((2, 3)), np.ones((2, 2)))
+        grads, _ = backward_with_input_grads(mlp, np.ones((2, 3)), np.ones((2, 2)))
         for owner, layers, weights, biases in (
             (mlp.params, mlp.layers, mlp.weights, mlp.biases),
             (grads.flat, grads.layers, grads.d_weights, grads.d_biases),
@@ -314,7 +315,7 @@ class TestFlatParameters:
         mlp = mlp_new(3, [4], 2, "identity", 1)
         twin = clone(mlp)
         state = adam_new(twin, learning_rate=0.1)
-        grads = backward(twin, np.ones((2, 3)), np.ones((2, 2)))
+        grads, _ = backward_with_input_grads(twin, np.ones((2, 3)), np.ones((2, 2)))
         adam_step(twin, clone(grads), state)
         assert twin.weights[0].base is twin.params
         assert not np.array_equal(twin.weights[0], mlp.weights[0])

@@ -1,6 +1,7 @@
 """The module attributes perfbench's tracer wraps must exist, ``train_gcin``
-must step Adam through the one it counts updates by, and ``gcmi impute``
-must call the CSV and imputation functions through the ones it wraps.
+must step Adam through the one it counts updates by, ``gcmi impute`` must
+call the CSV and imputation functions through the ones it wraps, and every
+gcmi name and config field perfbench's code uses must still be there.
 
 ``perfbench/tracing.py`` replaces each ``(module, attribute)`` in its
 ``WRAPPED`` list at the binding gcmi looks up at call time.  A missing
@@ -9,13 +10,16 @@ on it, so a rename is caught here instead.  The tracing module imports
 only the standard library; it is loaded by path, not as a package.
 """
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _wrapped():
@@ -48,9 +52,9 @@ def test_train_gcin_steps_adam_through_the_module_attribute(monkeypatch):
     monkeypatch.setattr(gcmi.gcin, "adam_step", counted)
     X = np.random.default_rng(3).normal(size=(80, 3))
     cfg = gcmi.gcin.TrainConfig(
-        max_epochs=20, gen_iters_per_cycle=6, disc_iters_per_cycle=4, batch_size=32, seed=1
+        max_epochs=20, gen_iters_per_cycle=6, disc_iters_per_cycle=4, batch_size=32
     )
-    _, trace = gcmi.gcin.train_gcin(X, X.sum(axis=1), "continuous", cfg)
+    ((_, trace),) = gcmi.gcin.train_gcin([X], [X.sum(axis=1)], "continuous", cfg, [1])
     # cycles of 6, 6, 6 and 2 generator updates, each after 4 discriminator updates
     assert len(trace) == 4
     assert calls == {"gen": 20, "disc": 16}
@@ -60,8 +64,6 @@ def test_group_fit_steps_adam_once_per_update_for_the_whole_group(monkeypatch):
     # a group of chains fits each column in one stacked call: each update
     # steps each network's stack once, so the traced counts are the
     # stacked calls, whatever the group size
-    import dataclasses
-
     import numpy as np
 
     import gcmi.gcin
@@ -78,8 +80,7 @@ def test_group_fit_steps_adam_once_per_update_for_the_whole_group(monkeypatch):
     cfg = gcmi.gcin.TrainConfig(
         max_epochs=20, gen_iters_per_cycle=6, disc_iters_per_cycle=4, batch_size=32
     )
-    cfgs = [dataclasses.replace(cfg, seed=s) for s in (1, 2, 3)]
-    fits = gcmi.gcin.train_gcin(X, X.sum(axis=2), "continuous", cfgs)
+    fits = gcmi.gcin.train_gcin(X, X.sum(axis=2), "continuous", cfg, [1, 2, 3])
     assert [len(trace) for _, trace in fits] == [4, 4, 4]
     assert stacks.count(("scaled_sigmoid_0_2", (3,))) == 16
     assert stacks.count(("identity", (3,))) == 20
@@ -131,3 +132,88 @@ def test_impute_command_calls_each_binding_through_its_traced_route(tmp_path, mo
         "gcmi.cli.save_result": 1,
         "gcmi.chained.write_csv": 3,
     }
+
+
+def _perfbench_sources():
+    return [(path.name, ast.parse(path.read_text())) for path in sorted(PERFBENCH.glob("*.py"))]
+
+
+def _dotted(node):
+    """``a.b.c`` of a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _resolves(dotted):
+    """Whether a dotted name under gcmi names a module or an attribute."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            return False
+    return True
+
+
+def test_every_gcmi_name_perfbench_uses_resolves():
+    # what perfbench imports from gcmi and the gcmi.x.y chains it calls
+    # through: a deletion that misses one fails the benchmark run, not tier-1
+    used = set()
+    for name, tree in _perfbench_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gcmi":
+                used |= {(name, f"{node.module}.{alias.name}") for alias in node.names}
+            elif isinstance(node, ast.Import):
+                used |= {(name, a.name) for a in node.names if a.name.split(".")[0] == "gcmi"}
+            elif isinstance(node, ast.Attribute) and (_dotted(node) or "").startswith("gcmi."):
+                used.add((name, _dotted(node)))
+    assert ("worker.py", "gcmi.nn.backward_with_input_grads") in used
+    assert [f"{name}: {dotted}" for name, dotted in sorted(used) if not _resolves(dotted)] == []
+
+
+def test_every_config_field_perfbench_sets_exists():
+    # keywords of TrainConfig(...) and GcmiConfig(...) calls, including a
+    # **NAME spread of a dict(...) assigned to NAME, and the keys of the
+    # "train" and "gcmi" sections of the config files it writes
+    import gcmi
+
+    configs = {name: getattr(gcmi, name) for name in ("TrainConfig", "GcmiConfig")}
+    sections = {"train": gcmi.TrainConfig, "gcmi": gcmi.GcmiConfig}
+    found = []  # (file, config class, field)
+    for name, tree in _perfbench_sources():
+        spreads = {
+            target.id: node.value.keywords
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and _dotted(node.value.func) == "dict"
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (_dotted(node.func) or "").split(".")[-1] in configs:
+                cls = configs[_dotted(node.func).split(".")[-1]]
+                for kw in node.keywords:
+                    if kw.arg is not None:
+                        found.append((name, cls, kw.arg))
+                        continue
+                    spread = (_dotted(kw.value) or "").split(".")[-1]  # **NAME or **self.NAME
+                    assert spread in spreads, f"{name}: cannot read **{ast.unparse(kw.value)}"
+                    found += [(name, cls, k.arg) for k in spreads[spread]]
+            elif isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Constant) and key.value in sections:
+                        assert isinstance(value, ast.Dict), f"{name}: cannot read {key.value!r}"
+                        cls = sections[key.value]
+                        found += [(name, cls, k.value) for k in value.keys]
+    assert len(found) >= 10
+    fields = {cls: {f.name for f in dataclasses.fields(cls)} for cls in configs.values()}
+    assert [f"{n}: {cls.__name__}.{key}" for n, cls, key in found if key not in fields[cls]] == []
