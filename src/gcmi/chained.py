@@ -4,19 +4,25 @@ Each of M independent chains starts from a mean/mode fill, orders columns
 by ascending missing fraction, and sweeps: for every column with missing
 cells, fit a generator/discriminator pair on the rows where that column is
 observed (conditioning on the current completion of the other columns) and
-regenerate the missing cells.  A dual criterion tracks the relative squared
-change of continuous cells and the change proportion of binary/categorical
-cells between sweeps; the chain continues while either improves and keeps
-the sweep with the smallest combined value.  Estimates from the M completed
-datasets pool with the usual within/between variance decomposition.
+regenerate the missing cells.  The first sweep fits every pair from
+scratch; each later one continues the pair the same chain fitted for that
+column in the sweep before, for a fifth of the update budget
+(``train_gcin``'s ``start``), as the sweeps are iterations of one set of
+conditional models (van Buuren & Groothuis-Oudshoorn 2011).  A dual
+criterion tracks the relative squared change of continuous cells and the
+change proportion of binary/categorical cells between sweeps; the chain
+continues while either improves and keeps the sweep with the smallest
+combined value.  Estimates from the M completed datasets pool with the
+usual within/between variance decomposition.
 
 ``gcmi_impute`` splits the M chains into ``min(workers, M)`` contiguous
 groups, one per process, and runs the chains of a group in lock-step:
 each sweep refits every column once for all of them, one stacked
 ``train_gcin`` call per column, since the mask, and so each column's
 observed rows, is shared.  A chain that meets its stop rule leaves the
-group.  Each chain keeps its own seeds, so its numbers are bit for bit
-its run in a group of one, whatever its group.
+group, and its pairs with it.  Each chain keeps its own seeds and pairs,
+so its numbers are bit for bit its run in a group of one, whatever its
+group.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .errors import (
     ShapeError,
     UnimputableColumnError,
 )
-from .gcin import TrainConfig, impute_column, train_gcin
+from .gcin import GcinPair, TrainConfig, impute_column, train_gcin
 from .seeding import derive_seed, parallel_map
 
 logger = logging.getLogger(__name__)
@@ -207,12 +213,14 @@ def _refit_column(
     j: int,
     train: TrainConfig,
     seeds: list[int],
-) -> np.ndarray:
+    start: list[GcinPair] | None,
+) -> tuple[np.ndarray, list[GcinPair]]:
     """Train on obs(j) rows of each chain's completed matrix, ``values``
     (K, n, p), conditioning on the other columns of its encoding
-    ``encoded``; return the (K, n_miss) imputations for miss(j).  One
-    ``train_gcin`` call fits the K chains' pairs in lock-step, chain k's
-    with ``seeds[k]``; each chain imputes with its own pair and seed."""
+    ``encoded``; return the (K, n_miss) imputations for miss(j) and the K
+    pairs.  One ``train_gcin`` call fits the K chains' pairs in lock-step,
+    chain k's with ``seeds[k]``, from scratch or, with ``start``, warm
+    from ``start[k]``; each chain imputes with its own pair and seed."""
     col = dm.schema[j]
     miss = dm.mask[:, j]
     sl = column_slices(dm.schema)[j]
@@ -226,13 +234,16 @@ def _refit_column(
         train,
         seeds,
         n_levels=len(col.levels) if col.kind == "categorical" else None,
+        start=start,
     )
-    return np.stack(
+    pairs = [pair for pair, _ in fits]
+    imputed = np.stack(
         [
             impute_column(pair, chain_cond, seed=seed ^ 1)
-            for (pair, _), chain_cond, seed in zip(fits, cond_mis, seeds)
+            for pair, chain_cond, seed in zip(pairs, cond_mis, seeds)
         ]
     )
+    return imputed, pairs
 
 
 def sweep(
@@ -242,19 +253,22 @@ def sweep(
     train: TrainConfig,
     seeds: list[int],
     seed_path: tuple[int, ...],
-) -> np.ndarray:
+    start: dict[int, list[GcinPair]] | None = None,
+) -> tuple[np.ndarray, dict[int, list[GcinPair]]]:
     """One pass of a group of chains over the columns ``cols``; returns the
-    updated code matrices.
+    updated code matrices and, for each column, the K chains' new pairs.
 
     ``values`` holds one completion per chain, (K, n, p), and ``seeds`` the
     K chains' seeds.  Columns are refit one after another in the order
     given, each conditioning on the current completion of the others: its
     fresh imputations are written back before the next column trains.
-    Each column is refit from scratch for all K chains at once, chain k's
-    pair with the seed ``derive_seed(seeds[k], *seed_path, j)``.  The
-    completions are encoded once per sweep; after each column only that
-    column's slice of its missing rows is encoded again.  Each chain's
-    result is bit for bit its sweep in a group of one.
+    Each column is refit for all K chains at once, chain k's pair with the
+    seed ``derive_seed(seeds[k], *seed_path, j)``: from scratch without
+    ``start``, and with it warm from ``start[j][k]``, the pair the last
+    sweep returned (see ``train_gcin``).  The completions are encoded once
+    per sweep; after each column only that column's slice of its missing
+    rows is encoded again.  Each chain's result is bit for bit its sweep
+    in a group of one.
     """
     if np.isnan(values).any():
         raise ValueError("sweep requires a completed matrix")
@@ -262,23 +276,29 @@ def sweep(
     n_chains, n_rows, n_cols = current.shape
     encoded = encode_columns(current.reshape(-1, n_cols), dm.schema).reshape(n_chains, n_rows, -1)
     slices = column_slices(dm.schema)
+    pairs = {}
     for j in cols:
         miss = dm.mask[:, j]
         fit_seeds = [derive_seed(seed, *seed_path, j) for seed in seeds]
-        current[:, miss, j] = _refit_column(current, encoded, dm, j, train, fit_seeds)
+        warm = None if start is None else start[j]
+        current[:, miss, j], pairs[j] = _refit_column(
+            current, encoded, dm, j, train, fit_seeds, warm
+        )
         fresh = encode_columns(current[:, miss, j].reshape(-1, 1), [dm.schema[j]])
         encoded[:, miss, slices[j]] = fresh.reshape(n_chains, -1, fresh.shape[1])
-    return current
+    return current, pairs
 
 
 def _run_chains(
     dm: DataMatrix, cfg: GcmiConfig, cols: list[int], chain_seeds: list[int]
 ) -> list[tuple[np.ndarray, ConvergenceTrace]]:
     """Run the chains of ``chain_seeds`` in lock-step: each ``sweep`` call
-    refits every column once for every chain still running, and a chain
-    that meets its stop rule leaves the group.  Returns each chain's values
-    for the missing cells, ``completed[dm.mask]`` (only those travel back
-    from a pool worker), and its trace, in seed order."""
+    refits every column once for every chain still running, from the
+    second on warm from the pairs the last one returned, and a chain that
+    meets its stop rule leaves the group with its pairs.  Returns each
+    chain's values for the missing cells, ``completed[dm.mask]`` (only
+    those travel back from a pool worker; the pairs never do), and its
+    trace, in seed order."""
     filled = initial_fill(dm)
     traces = [ConvergenceTrace() for _ in chain_seeds]
     if not cols:
@@ -293,8 +313,10 @@ def _run_chains(
     prev: list[tuple[float, float] | None] = [None] * len(chain_seeds)
     live = list(range(len(chain_seeds)))  # the chain in each row of ``current``
     current = np.stack([filled.values] * len(chain_seeds))
+    pairs = None  # each column's pairs from the last sweep, one per row of ``current``
     for s in range(cfg.max_chain_iters):
-        new = sweep(current, dm, cols, cfg.train, [chain_seeds[c] for c in live], (s,))
+        seeds = [chain_seeds[c] for c in live]
+        new, pairs = sweep(current, dm, cols, cfg.train, seeds, (s,), pairs)
         running = []
         for a, c in enumerate(live):
             gamma = convergence_gamma(new[a], current[a], dm.mask, dm.schema)
@@ -313,6 +335,7 @@ def _run_chains(
         if not live:
             break
         current = new[running]
+        pairs = {j: [fits[a] for a in running] for j, fits in pairs.items()}
     else:
         for c in live:
             traces[c].stop_reason = "max_iters"

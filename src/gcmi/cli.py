@@ -4,14 +4,16 @@ Subcommands: ``simulate`` (synthetic CSV), ``ampute`` (CSV -> values +
 mask CSVs), ``impute`` (CSV -> M completed CSVs + manifest), ``benchmark``
 (Monte Carlo grid -> table CSV/JSON).  Each flag overrides the config key
 of the same name, a subcommand's flags the keys of its section.  Exit
-codes: 0 success, 1 usage or configuration error, 2 data error, 3 numeric
-failure.
+codes: 0 success, 1 usage or configuration error, 2 data error or lack of
+resources (out of memory, or a worker process that died, say killed by
+the operating system's out-of-memory killer), 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +230,11 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except (MemoryError, BrokenExecutor) as exc:
+        # a pool worker that dies, say to the out-of-memory killer, breaks the pool
+        what = "out of memory" if isinstance(exc, MemoryError) else "a worker process died"
+        print(f"resource error: {what}{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 2
     except GcmiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

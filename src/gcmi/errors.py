@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the library.
 
 The CLI maps these onto exit codes: configuration/usage problems exit 1,
-data problems exit 2, numeric failures exit 3.
+data problems exit 2, numeric failures exit 3.  It also maps Python's
+``MemoryError`` and a broken process pool (``BrokenExecutor``, raised
+when a worker dies) onto exit 2.
 """
 
 

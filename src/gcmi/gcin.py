@@ -32,6 +32,11 @@ Everything that makes a member's numbers its own stays per member: its
 standardisation, seed, initialisation, random stream (minibatches and
 noise), cycle losses and early stop.  So every member's pair and trace
 are bit for bit its fit in a group of one.
+
+A fit may start warm, from pairs an earlier fit returned (``start``): it
+keeps each pair's weights and normalisation, starts Adam afresh and runs
+a ``WARM_START_DIVISOR``-th of the generator-update budget.  The chains
+warm-start every column's fit after their first sweep (``chained``).
 """
 
 from __future__ import annotations
@@ -70,12 +75,17 @@ _MIN_SCALE = 1e-9
 # The dtype every generator/discriminator pair is built, trained and run in.
 TRAIN_DTYPE = np.float32
 
+# A warm fit runs ceil(max_epochs / WARM_START_DIVISOR) generator updates.
+WARM_START_DIVISOR = 5
+
 
 @dataclass
 class TrainConfig:
     """Hyperparameters of an adversarial fit, shared by every member of a group.
 
-    ``max_epochs`` caps the total number of generator updates; one cycle
+    ``max_epochs`` caps the total number of generator updates of a fit
+    from scratch, and a warm fit (``train_gcin``'s ``start``) runs
+    ``ceil(max_epochs / WARM_START_DIVISOR)``, a fifth of it; one cycle
     runs ``disc_iters_per_cycle`` discriminator updates followed by up to
     ``gen_iters_per_cycle`` generator updates.  Each update takes the next
     ``batch_size`` rows of a permutation of the observed rows, redrawn once
@@ -175,13 +185,19 @@ def _standardize_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shift, scale
 
 
-def _encode_target(x_target: np.ndarray, kind: str, n_levels: int | None):
-    """Encodes the 1-D float target; returns (encoded (n, width) array,
-    shift, scale, width, n_levels)."""
+def _encode_target(
+    x_target: np.ndarray, kind: str, n_levels: int | None, fitted: GcinPair | None = None
+):
+    """Encodes the 1-D float target, a continuous one standardised as in
+    ``fitted`` when given (else fitted to it); returns (encoded (n, width)
+    array, shift, scale, width, n_levels)."""
     if kind == "continuous":
-        shift, scale = _standardize_fit(x_target[:, None])
+        if fitted is None:
+            shift, scale = (float(v[0]) for v in _standardize_fit(x_target[:, None]))
+        else:
+            shift, scale = fitted.target_shift, fitted.target_scale
         enc = (x_target[:, None] - shift) / scale
-        return enc, float(shift[0]), float(scale[0]), 1, 1
+        return enc, shift, scale, 1, 1
     if kind == "binary":
         if not np.all((x_target == 0.0) | (x_target == 1.0)):
             raise ValueError("binary targets must be coded 0/1")
@@ -303,6 +319,12 @@ def _gen_grads(
     return d_fake, pen_terms, ws.gen_grads
 
 
+def _fits_layers(net: Mlp, dims: list[int], head: str) -> bool:
+    """Whether ``net`` is one network of the layer widths ``dims`` and head ``head``."""
+    shapes = [(d_in + 1, d_out) for d_in, d_out in zip(dims[:-1], dims[1:])]
+    return net.output_activation == head and [layer.shape for layer in net.layers] == shapes
+
+
 def _batches(rng: np.random.Generator, n: int, batch: int) -> Iterator[np.ndarray]:
     """Row indices of one minibatch per ``next``: consecutive ``batch``-row
     slices of a permutation of range(n), with a new permutation drawn from
@@ -326,6 +348,7 @@ def train_gcin(
     cfg: TrainConfig,
     seeds: list[int],
     n_levels: int | None = None,
+    start: list[GcinPair] | None = None,
 ) -> list[tuple[GcinPair, TrainTrace]]:
     """Fit K generator/discriminator pairs in lock-step, one per seed.
 
@@ -336,6 +359,14 @@ def train_gcin(
     deterministic given ``seeds[a]``.  Returns the K (pair, trace)
     results, in order.  The pairs' networks are float32
     (``TRAIN_DTYPE``); their normalisation stays float64.
+
+    With ``start``, one pair per member fitted earlier for this column
+    (the same kind, conditioning width and networks), the fit is warm:
+    each member trains on from a copy of its pair's weights, keeps that
+    pair's normalisation, starts Adam afresh and runs
+    ``ceil(cfg.max_epochs / WARM_START_DIVISOR)`` generator updates.  The
+    seed still drives the minibatches and the noise; only the
+    initialisation draws are skipped.  ``start`` is not changed.
 
     Each member keeps its own standardisation, initialisation, random
     stream, losses and early stop, and every update runs one stacked pass
@@ -356,6 +387,8 @@ def train_gcin(
         raise ShapeError("a group needs at least one member")
     if X_cond.shape[0] != len(seeds) or x_target.shape[0] != len(seeds):
         raise ShapeError("a group needs one X_cond, x_target and seed per member")
+    if start is not None and len(start) != len(seeds):
+        raise ShapeError("a warm group needs one start pair per member")
     n_obs, width = X_cond.shape[1:]
     if n_obs < 2:
         raise InsufficientDataError(f"need at least 2 observed rows, got {n_obs}")
@@ -371,12 +404,33 @@ def train_gcin(
     gen_head = "identity" if kind == "continuous" else "sigmoid"
     disc_head = "scaled_sigmoid_0_2"
     batch = min(cfg.batch_size, n_obs)
+    budget = cfg.max_epochs if start is None else -(-cfg.max_epochs // WARM_START_DIVISOR)
     # per member: its pair's normalisation, its networks before they are
     # stacked, its rows (cond | target | 1) and its minibatch stream
     norms, gens, discs, rows, batches, rngs = [], [], [], [], [], []
-    for x_c, x_t, seed in zip(X_cond, x_target, seeds):
-        target_enc, t_shift, t_scale, t_width, levels = _encode_target(x_t, kind, n_levels)
-        cond_shift, cond_scale = _standardize_fit(x_c)
+    for a, (x_c, x_t, seed) in enumerate(zip(X_cond, x_target, seeds)):
+        warm = None if start is None else start[a]
+        target_enc, t_shift, t_scale, t_width, levels = _encode_target(x_t, kind, n_levels, warm)
+        seed = canonical_seed(seed)
+        if warm is None:
+            cond_shift, cond_scale = _standardize_fit(x_c)
+            gens.append(
+                mlp_new(width + k, hidden, t_width, gen_head, seed=seed, dtype=TRAIN_DTYPE)
+            )
+            discs.append(
+                mlp_new(width + t_width, hidden, 1, disc_head, seed=seed ^ 1, dtype=TRAIN_DTYPE)
+            )
+        elif (
+            warm.column_kind == kind
+            and warm.cond_shift.shape == (width,)
+            and _fits_layers(warm.generator, [width + k, *hidden, t_width], gen_head)
+            and _fits_layers(warm.discriminator, [width + t_width, *hidden, 1], disc_head)
+        ):
+            cond_shift, cond_scale = warm.cond_shift, warm.cond_scale
+            gens.append(warm.generator)
+            discs.append(warm.discriminator)
+        else:
+            raise ShapeError(f"start pair {a} does not fit this column's networks")
         norms.append(
             dict(
                 n_levels=levels,
@@ -386,11 +440,6 @@ def train_gcin(
                 target_scale=t_scale,
             )
         )
-        seed = canonical_seed(seed)
-        gens.append(mlp_new(width + k, hidden, t_width, gen_head, seed=seed, dtype=TRAIN_DTYPE))
-        discs.append(
-            mlp_new(width + t_width, hidden, 1, disc_head, seed=seed ^ 1, dtype=TRAIN_DTYPE)
-        )
         # every observed row as the discriminator sees a real one
         real = np.ones((n_obs, width + t_width + 1), dtype=TRAIN_DTYPE)
         real[:, :width] = (x_c - cond_shift) / cond_scale
@@ -399,6 +448,7 @@ def train_gcin(
         rngs.append(np.random.default_rng([seed, 2]))
         batches.append(_batches(rngs[-1], n_obs, batch))
 
+    # the stacks are copies, so a warm fit leaves its start pairs as they were
     gen, disc = mlp_stack(gens), mlp_stack(discs)
     gen_opt = adam_new(gen, cfg.lr_generator, cfg.l2)
     disc_opt = adam_new(disc, cfg.lr_discriminator, cfg.l2)
@@ -411,7 +461,7 @@ def train_gcin(
     # reduced once a cycle row by row into the same per-update losses that
     # the loss functions give
     disc_scores = np.empty((len(seeds), cfg.disc_iters_per_cycle, 2 * batch))
-    gen_scores = np.empty((len(seeds), min(cfg.gen_iters_per_cycle, cfg.max_epochs), batch))
+    gen_scores = np.empty((len(seeds), min(cfg.gen_iters_per_cycle, budget), batch))
     pen_terms = np.empty(gen_scores.shape, dtype=TRAIN_DTYPE)
     best_total = [np.inf] * len(seeds)
     stall = [0] * len(seeds)
@@ -424,7 +474,7 @@ def train_gcin(
             rows[a].take(next(member_batches), axis=0, out=ws.real_in[a])
             rng.standard_normal(dtype=TRAIN_DTYPE, out=ws.z[a])
 
-    while gen_done < cfg.max_epochs:
+    while gen_done < budget:
         for j in range(cfg.disc_iters_per_cycle):
             draw()
             fake, _ = _forward_cache(gen, ws.gen_input(), ws.gen_bufs)
@@ -433,7 +483,7 @@ def train_gcin(
             adam_step(disc, grads, disc_opt)
             disc_scores[:, j] = scores[..., 0]
 
-        n_gen = min(cfg.gen_iters_per_cycle, cfg.max_epochs - gen_done)
+        n_gen = min(cfg.gen_iters_per_cycle, budget - gen_done)
         for j in range(n_gen):
             draw()
             scores, _, grads = _gen_grads(

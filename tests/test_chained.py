@@ -160,7 +160,7 @@ class TestConvergenceGamma:
 class TestSweep:
     def test_no_missing_returns_input(self):
         dm = matrix_from_array(np.random.default_rng(1).normal(size=(30, 3)))
-        (out,) = sweep(dm.values[None], dm, _trainable_columns(dm), TINY_TRAIN, [0], ())
+        (out,), _ = sweep(dm.values[None], dm, _trainable_columns(dm), TINY_TRAIN, [0], ())
         assert np.array_equal(out, dm.values)
 
     def test_single_missing_column_trains_one_pair(self, monkeypatch):
@@ -179,7 +179,7 @@ class TestSweep:
         # the module attribute sweep looks up, as a tracer wrapping it would see
         monkeypatch.setattr(gcmi.chained, "train_gcin", counting_train_gcin)
         filled = initial_fill(dm).values
-        (out,) = sweep(filled[None], dm, _trainable_columns(dm), TINY_TRAIN, [0], ())
+        (out,), _ = sweep(filled[None], dm, _trainable_columns(dm), TINY_TRAIN, [0], ())
         # one fit, on the observed cells of column 1
         assert len(targets) == 1
         assert np.array_equal(targets[0], X[None, 10:, 1])
@@ -192,12 +192,12 @@ class TestSweep:
         refit = gcmi.chained._refit_column
         seen = []
 
-        def checked(values, encoded, dm_, j, train, seeds):
+        def checked(values, encoded, dm_, j, train, seeds, start):
             # one completion, and one encoding, per chain of the group
             assert len(values) == len(encoded) == len(seeds) == 1
             assert np.array_equal(encoded[0], encode_columns(values[0], dm_.schema))
             seen.append(j)
-            return refit(values, encoded, dm_, j, train, seeds)
+            return refit(values, encoded, dm_, j, train, seeds, start)
 
         monkeypatch.setattr(gcmi.chained, "_refit_column", checked)
         assert all(dm.mask[:, j].any() for j in range(4))
@@ -207,7 +207,7 @@ class TestSweep:
     def test_sequential_and_snapshot_both_complete(self):
         dm, _ = mixed_matrix(seed=5)
         filled = initial_fill(dm).values
-        (out,) = sweep(filled[None], dm, _trainable_columns(dm), TINY_TRAIN, [0], ())
+        (out,), _ = sweep(filled[None], dm, _trainable_columns(dm), TINY_TRAIN, [0], ())
         assert not np.isnan(out).any()
         assert np.array_equal(out[~dm.mask], filled[~dm.mask])
 
@@ -296,7 +296,7 @@ class TestGcmiImpute:
         # M 5 on 1, 2, 3 and 5 workers: chains in groups of 5; 2 + 3;
         # 1 + 2 + 2; and five of 1, each group in lock-step
         dm, _ = mixed_matrix(n=60, seed=29)
-        cfg = tiny_config(m_imputations=5, max_chain_iters=4, seed=7)
+        cfg = tiny_config(m_imputations=5, max_chain_iters=5, seed=7)
         manifests = {}
         for workers in (1, 2, 3, 5):
             out = tmp_path / str(workers)
@@ -314,6 +314,51 @@ class TestGcmiImpute:
             assert manifest.pop("wall_time_s") > 0
             assert manifest["config"].pop("workers") == workers
         assert all(manifest == manifests[1] for manifest in manifests.values())
+
+
+class TestWarmStarts:
+    def test_later_sweeps_start_from_the_chains_last_pairs(self, monkeypatch):
+        # M 4 in one group, up to 5 sweeps: chains leave at different sweeps
+        dm, _ = mixed_matrix(n=60, seed=29)
+        cfg = tiny_config(m_imputations=4, max_chain_iters=5, seed=7)
+        cols = _trainable_columns(dm)
+        chain_seeds = [gcmi.chained.derive_seed(cfg.seed, 0, i) for i in range(4)]
+        # every fit seed names its chain, sweep and column
+        fit_of = {
+            gcmi.chained.derive_seed(seed, s, j): (c, s, j)
+            for c, seed in enumerate(chain_seeds)
+            for s in range(cfg.max_chain_iters)
+            for j in cols
+        }
+        calls = []  # (chains, sweep, column, start, returned pairs) per group fit
+        train_gcin = gcmi.chained.train_gcin
+
+        def recording(*args, start=None, **kwargs):
+            fits = train_gcin(*args, start=start, **kwargs)
+            chains, sweeps, columns = zip(*(fit_of[seed] for seed in args[4]))
+            assert len(set(sweeps)) == len(set(columns)) == 1
+            calls.append((chains, sweeps[0], columns[0], start, [pair for pair, _ in fits]))
+            return fits
+
+        monkeypatch.setattr(gcmi.chained, "train_gcin", recording)
+        result = gcmi_impute(dm, cfg)
+        returned = {}
+        for chains, s, j, start, pairs in calls:
+            assert list(chains) == sorted(chains)  # the group's members in chain order
+            if s == 0:
+                assert start is None
+            else:
+                assert len(start) == len(chains)
+                assert all(got is returned[c, s - 1, j] for c, got in zip(chains, start))
+            returned.update({(c, s, j): pair for c, pair in zip(chains, pairs)})
+        # each chain fitted every column once in each of its sweeps
+        sweeps = [len(trace) for trace in result.traces]
+        assert sorted(returned) == sorted(
+            (c, s, j) for c, n in enumerate(sweeps) for s in range(n) for j in cols
+        )
+        # a chain left the group while others swept on
+        assert len(set(sweeps)) > 1 and min(sweeps) > 1
+        assert len({len(chains) for chains, *_ in calls}) > 1
 
 
 class TestRubinPool:

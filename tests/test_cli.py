@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcmi.chained
+import gcmi.cli
 import gcmi.seeding
 from gcmi import NumericError, gcmi_impute, read_csv, save_result
 from gcmi.cli import cli_main
@@ -481,6 +483,29 @@ class TestBadArgumentsExitCleanly:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith(f"{prefix}: ") and str(path) in err
         assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_exits_two_with_one_line(self, tmp_path, monkeypatch, capsys):
+        def no_memory(path):
+            raise MemoryError()
+
+        monkeypatch.setattr(gcmi.cli, "read_csv", no_memory)
+        assert run(["--output-dir", str(tmp_path / "out"), "impute", "in.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == "resource error: out of memory\n"
+
+    def test_dead_worker_exits_two_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # what parallel_map raises once a pool worker is killed
+        message = "A process in the process pool was terminated abruptly"
+
+        def pool_broke(*args, **kwargs):
+            raise BrokenProcessPool(message)
+
+        monkeypatch.setattr(gcmi.cli, "gcmi_impute", pool_broke)
+        (tmp_path / "in.csv").write_text("a,b\n1,\n2,3\n")
+        argv = ["--threads", "2", "--output-dir", str(tmp_path / "out")]
+        assert run([*argv, "impute", str(tmp_path / "in.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"resource error: a worker process died: {message}\n"
 
 
 CSV_TOKENS = ["1", "-2.5", "0", "3e2", "x", "y", "z", "", "NA", "inf", "-inf", "nan"]

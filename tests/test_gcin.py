@@ -48,9 +48,10 @@ from gcmi.seeding import canonical_seed
 FAST = TrainConfig(max_epochs=150, batch_size=64, noise_dim=4)
 
 
-def fit_one(X, y, kind, cfg, seed=0, n_levels=None):
-    """``train_gcin`` of one member: the (pair, trace) of a group of one."""
-    (fit,) = train_gcin([X], [y], kind, cfg, [seed], n_levels)
+def fit_one(X, y, kind, cfg, seed=0, n_levels=None, start=None):
+    """``train_gcin`` of one member: the (pair, trace) of a group of one,
+    warm from the pair ``start`` when given."""
+    (fit,) = train_gcin([X], [y], kind, cfg, [seed], n_levels, None if start is None else [start])
     return fit
 
 
@@ -699,11 +700,12 @@ class TestGroupFits:
     )
 
     @staticmethod
-    def _assert_members_are_lone_fits(X, y, kind, cfg, seeds, n_levels=None):
-        fits = train_gcin(X, y, kind, cfg, seeds, n_levels)
+    def _assert_members_are_lone_fits(X, y, kind, cfg, seeds, n_levels=None, start=None):
+        fits = train_gcin(X, y, kind, cfg, seeds, n_levels, start)
         assert len(fits) == len(seeds)
-        for (pair, trace), x_c, x_t, seed in zip(fits, X, y, seeds):
-            lone, lone_trace = fit_one(x_c, x_t, kind, cfg, seed, n_levels)
+        for a, ((pair, trace), x_c, x_t, seed) in enumerate(zip(fits, X, y, seeds)):
+            warm = None if start is None else start[a]
+            lone, lone_trace = fit_one(x_c, x_t, kind, cfg, seed, n_levels, warm)
             for got, want in (
                 (pair.generator, lone.generator),
                 (pair.discriminator, lone.discriminator),
@@ -741,6 +743,63 @@ class TestGroupFits:
         # every member stopped early, and not all at one cycle
         assert max(cycles) < cfg.max_epochs // cfg.gen_iters_per_cycle
         assert len(set(cycles)) > 1
+
+    @pytest.mark.parametrize(
+        "kind,n_levels", [("continuous", None), ("binary", None), ("categorical", 3)]
+    )
+    def test_warm_members_equal_lone_warm_fits(self, kind, n_levels):
+        # a second sweep: each member trains on from its first fit's pair, on
+        # data that moved, for a fifth of the budget with its pair's
+        # normalisation; the start pairs are copied, never changed
+        X, y = _group_case(kind)
+        start = [pair for pair, _ in train_gcin(X, y, kind, self.CFG, [3, 1, 4], n_levels)]
+        before = [(p.generator.params.copy(), p.discriminator.params.copy()) for p in start]
+        X_next = X + 0.1 * np.random.default_rng(41).normal(size=X.shape)
+        fits = self._assert_members_are_lone_fits(
+            X_next, y, kind, self.CFG, [5, 9, 2], n_levels, start
+        )
+        for (pair, trace), old, (gen, disc) in zip(fits, start, before):
+            assert old.generator.params.tobytes() == gen.tobytes()
+            assert old.discriminator.params.tobytes() == disc.tobytes()
+            assert pair.generator.params.tobytes() != gen.tobytes()
+            assert pair.cond_shift.tobytes() == old.cond_shift.tobytes()
+            assert pair.cond_scale.tobytes() == old.cond_scale.tobytes()
+            assert (pair.target_shift, pair.target_scale) == (old.target_shift, old.target_scale)
+            # ceil(30 / 5) = 6 generator updates: cycles of 5 and 1
+            assert len(trace) == 2
+
+    def test_warm_fit_runs_a_fifth_of_the_budget_rounded_up(self, monkeypatch):
+        X, y = _group_case("continuous", members=1)
+        (start, _) = fit_one(X[0], y[0], "continuous", self.CFG)
+        steps = []
+        step = gcmi.gcin.adam_step
+
+        def counted(mlp, grads, state):
+            steps.append(mlp.output_activation)
+            return step(mlp, grads, state)
+
+        monkeypatch.setattr(gcmi.gcin, "adam_step", counted)
+        for max_epochs, updates in [(30, 6), (31, 7), (4, 1), (1, 1)]:
+            steps.clear()
+            cfg = replace(self.CFG, max_epochs=max_epochs, early_stop_patience=1000)
+            fit_one(X[0], y[0], "continuous", cfg, 7, start=start)
+            assert -(-max_epochs // gcmi.gcin.WARM_START_DIVISOR) == updates
+            assert steps.count("identity") == updates
+
+    def test_start_needs_one_fitting_pair_per_member(self):
+        X, y = _group_case("continuous", members=2)
+        cfg = self.CFG
+        start = [pair for pair, _ in train_gcin(X, y, "continuous", cfg, [3, 1])]
+        with pytest.raises(ShapeError, match="one start pair per member"):
+            train_gcin(X, y, "continuous", cfg, [3, 1], start=start[:1])
+        with pytest.raises(ShapeError, match="one start pair per member"):
+            train_gcin(X[:1], y[:1], "continuous", cfg, [3], start=start)
+        narrow = fit_one(X[0, :, :3], y[0], "continuous", cfg)[0]
+        binary = fit_one(X[0], (y[0] > 0).astype(float), "binary", cfg)[0]
+        more_noise = fit_one(X[0], y[0], "continuous", replace(cfg, noise_dim=4))[0]
+        for other in (narrow, binary, more_noise):
+            with pytest.raises(ShapeError, match="start pair 1 does not fit"):
+                train_gcin(X, y, "continuous", cfg, [3, 1], start=[start[0], other])
 
     def test_one_seed_per_member(self):
         X, y = _group_case("continuous", members=2)

@@ -87,6 +87,39 @@ def test_group_fit_steps_adam_once_per_update_for_the_whole_group(monkeypatch):
     assert len(stacks) == 36
 
 
+def test_two_sweeps_take_a_full_and_a_warm_budget_of_generator_updates(monkeypatch):
+    # what the traced gcin.updates reads: the first sweep fits each column
+    # from scratch for B updates, the second continues each pair for
+    # ceil(B / 5)
+    import numpy as np
+
+    import gcmi.gcin
+    from gcmi import GcmiConfig, TrainConfig, gcmi_impute, matrix_from_array
+
+    gen_steps = []
+    step = gcmi.gcin.adam_step
+
+    def counted(mlp, grads, state):
+        if mlp.output_activation != "scaled_sigmoid_0_2":
+            gen_steps.append(mlp.stack)
+        return step(mlp, grads, state)
+
+    monkeypatch.setattr(gcmi.gcin, "adam_step", counted)
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(60, 4))
+    mask = rng.random(X.shape) < 0.2
+    mask[0] = False
+    assert mask.any(axis=0).all()  # all four columns are refit
+    budget = 12
+    train = TrainConfig(max_epochs=budget, gen_iters_per_cycle=5, disc_iters_per_cycle=2)
+    cfg = GcmiConfig(max_chain_iters=2, m_imputations=2, train=train, seed=3)
+    result = gcmi_impute(matrix_from_array(X, mask), cfg)
+    assert [len(trace) for trace in result.traces] == [2, 2]
+    n_cols = 4
+    assert len(gen_steps) == n_cols * (budget + 3)
+    assert set(gen_steps) == {(2,)}  # both chains in one stack
+
+
 def test_impute_command_calls_each_binding_through_its_traced_route(tmp_path, monkeypatch):
     # an attribute that exists but that its caller no longer looks up would
     # pass the test above and still blank the traced metrics: count the
