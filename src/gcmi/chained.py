@@ -5,15 +5,19 @@ by ascending missing fraction, and sweeps: for every column with missing
 cells, fit a generator/discriminator pair on the rows where that column is
 observed (conditioning on the current completion of the other columns) and
 regenerate the missing cells.  The first sweep fits every pair from
-scratch; each later one continues the pair the same chain fitted for that
-column in the sweep before, for a fifth of the update budget
+scratch; each later one refits a column warm from the pair the same chain
+fitted for it in the first sweep, for a fifth of the update budget
 (``train_gcin``'s ``start``), as the sweeps are iterations of one set of
-conditional models (van Buuren & Groothuis-Oudshoorn 2011).  A dual
-criterion tracks the relative squared change of continuous cells and the
-change proportion of binary/categorical cells between sweeps; the chain
-continues while either improves and keeps the sweep with the smallest
-combined value.  Estimates from the M completed datasets pool with the
-usual within/between variance decomposition.
+conditional models (van Buuren & Groothuis-Oudshoorn 2011).  Starting
+every later sweep from the first sweep's pair, not the last one's, keeps
+each pair's training at 1.2 budgets however many sweeps run: carried
+from sweep to sweep, training piles up, the draws narrow, and the stop
+rule below sees the change between sweeps fall for as long as the cap
+allows.  A dual criterion tracks the relative squared change of
+continuous cells and the change proportion of binary/categorical cells
+between sweeps; the chain continues while either improves and keeps the
+sweep with the smallest combined value.  Estimates from the M completed
+datasets pool with the usual within/between variance decomposition.
 
 ``gcmi_impute`` splits the M chains into ``min(workers, M)`` contiguous
 groups, one per process, and runs the chains of a group in lock-step:
@@ -264,10 +268,10 @@ def sweep(
     fresh imputations are written back before the next column trains.
     Each column is refit for all K chains at once, chain k's pair with the
     seed ``derive_seed(seeds[k], *seed_path, j)``: from scratch without
-    ``start``, and with it warm from ``start[j][k]``, the pair the last
-    sweep returned (see ``train_gcin``).  The completions are encoded once
-    per sweep; after each column only that column's slice of its missing
-    rows is encoded again.  Each chain's result is bit for bit its sweep
+    ``start``, and with it warm from ``start[j][k]``, the pair the
+    chain's first sweep returned (see ``train_gcin``).  The completions
+    are encoded once per sweep; after each column only that column's
+    slice of its missing rows is encoded again.  Each chain's result is bit for bit its sweep
     in a group of one.
     """
     if np.isnan(values).any():
@@ -294,11 +298,11 @@ def _run_chains(
 ) -> list[tuple[np.ndarray, ConvergenceTrace]]:
     """Run the chains of ``chain_seeds`` in lock-step: each ``sweep`` call
     refits every column once for every chain still running, from the
-    second on warm from the pairs the last one returned, and a chain that
-    meets its stop rule leaves the group with its pairs.  Returns each
-    chain's values for the missing cells, ``completed[dm.mask]`` (only
-    those travel back from a pool worker; the pairs never do), and its
-    trace, in seed order."""
+    second on warm from the pairs the first one returned, and a chain
+    that meets its stop rule leaves the group with its pairs.  Returns
+    each chain's values for the missing cells, ``completed[dm.mask]``
+    (only those travel back from a pool worker; the pairs never do), and
+    its trace, in seed order."""
     filled = initial_fill(dm)
     traces = [ConvergenceTrace() for _ in chain_seeds]
     if not cols:
@@ -313,10 +317,12 @@ def _run_chains(
     prev: list[tuple[float, float] | None] = [None] * len(chain_seeds)
     live = list(range(len(chain_seeds)))  # the chain in each row of ``current``
     current = np.stack([filled.values] * len(chain_seeds))
-    pairs = None  # each column's pairs from the last sweep, one per row of ``current``
+    first = None  # each column's pairs from the first sweep, one per row of ``current``
     for s in range(cfg.max_chain_iters):
         seeds = [chain_seeds[c] for c in live]
-        new, pairs = sweep(current, dm, cols, cfg.train, seeds, (s,), pairs)
+        new, pairs = sweep(current, dm, cols, cfg.train, seeds, (s,), first)
+        if first is None:
+            first = pairs
         running = []
         for a, c in enumerate(live):
             gamma = convergence_gamma(new[a], current[a], dm.mask, dm.schema)
@@ -335,7 +341,7 @@ def _run_chains(
         if not live:
             break
         current = new[running]
-        pairs = {j: [fits[a] for a in running] for j, fits in pairs.items()}
+        first = {j: [fits[a] for a in running] for j, fits in first.items()}
     else:
         for c in live:
             traces[c].stop_reason = "max_iters"

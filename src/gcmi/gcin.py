@@ -34,9 +34,10 @@ noise), cycle losses and early stop.  So every member's pair and trace
 are bit for bit its fit in a group of one.
 
 A fit may start warm, from pairs an earlier fit returned (``start``): it
-keeps each pair's weights and normalisation, starts Adam afresh and runs
-a ``WARM_START_DIVISOR``-th of the generator-update budget.  The chains
-warm-start every column's fit after their first sweep (``chained``).
+keeps each pair's weights and conditioning normalisation, starts Adam
+afresh and runs a ``WARM_START_DIVISOR``-th of the generator-update
+budget.  The chains warm-start every column's fit after their first
+sweep (``chained``).
 """
 
 from __future__ import annotations
@@ -185,19 +186,13 @@ def _standardize_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shift, scale
 
 
-def _encode_target(
-    x_target: np.ndarray, kind: str, n_levels: int | None, fitted: GcinPair | None = None
-):
-    """Encodes the 1-D float target, a continuous one standardised as in
-    ``fitted`` when given (else fitted to it); returns (encoded (n, width)
-    array, shift, scale, width, n_levels)."""
+def _encode_target(x_target: np.ndarray, kind: str, n_levels: int | None):
+    """Encodes the 1-D float target; returns (encoded (n, width) array,
+    shift, scale, width, n_levels)."""
     if kind == "continuous":
-        if fitted is None:
-            shift, scale = (float(v[0]) for v in _standardize_fit(x_target[:, None]))
-        else:
-            shift, scale = fitted.target_shift, fitted.target_scale
+        shift, scale = _standardize_fit(x_target[:, None])
         enc = (x_target[:, None] - shift) / scale
-        return enc, shift, scale, 1, 1
+        return enc, float(shift[0]), float(scale[0]), 1, 1
     if kind == "binary":
         if not np.all((x_target == 0.0) | (x_target == 1.0)):
             raise ValueError("binary targets must be coded 0/1")
@@ -363,10 +358,11 @@ def train_gcin(
     With ``start``, one pair per member fitted earlier for this column
     (the same kind, conditioning width and networks), the fit is warm:
     each member trains on from a copy of its pair's weights, keeps that
-    pair's normalisation, starts Adam afresh and runs
-    ``ceil(cfg.max_epochs / WARM_START_DIVISOR)`` generator updates.  The
-    seed still drives the minibatches and the noise; only the
-    initialisation draws are skipped.  ``start`` is not changed.
+    pair's conditioning normalisation (the target's is fitted as from
+    scratch; a chain's observed cells never move), starts Adam afresh
+    and runs ``ceil(cfg.max_epochs / WARM_START_DIVISOR)`` generator
+    updates.  The seed still drives the minibatches and the noise; only
+    the initialisation draws are skipped.  ``start`` is not changed.
 
     Each member keeps its own standardisation, initialisation, random
     stream, losses and early stop, and every update runs one stacked pass
@@ -410,7 +406,7 @@ def train_gcin(
     norms, gens, discs, rows, batches, rngs = [], [], [], [], [], []
     for a, (x_c, x_t, seed) in enumerate(zip(X_cond, x_target, seeds)):
         warm = None if start is None else start[a]
-        target_enc, t_shift, t_scale, t_width, levels = _encode_target(x_t, kind, n_levels, warm)
+        target_enc, t_shift, t_scale, t_width, levels = _encode_target(x_t, kind, n_levels)
         seed = canonical_seed(seed)
         if warm is None:
             cond_shift, cond_scale = _standardize_fit(x_c)

@@ -749,8 +749,10 @@ class TestGroupFits:
     )
     def test_warm_members_equal_lone_warm_fits(self, kind, n_levels):
         # a second sweep: each member trains on from its first fit's pair, on
-        # data that moved, for a fifth of the budget with its pair's
-        # normalisation; the start pairs are copied, never changed
+        # conditioning that moved, for a fifth of the budget with its pair's
+        # conditioning normalisation; the observed target did not move, so
+        # its normalisation is refitted to the same numbers; the start pairs
+        # are copied, never changed
         X, y = _group_case(kind)
         start = [pair for pair, _ in train_gcin(X, y, kind, self.CFG, [3, 1, 4], n_levels)]
         before = [(p.generator.params.copy(), p.discriminator.params.copy()) for p in start]
