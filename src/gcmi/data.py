@@ -186,12 +186,15 @@ def read_csv(
     Column kinds are inferred (numeric-parseable -> continuous, two
     distinct non-numeric levels -> binary, otherwise categorical) unless
     ``schema_hints`` maps a column name to an explicit kind.
+
+    The file is UTF-8, with or without a byte-order mark.  Blank lines end
+    a file of several columns; in a one-column file they are missing cells.
     """
     path = Path(path)
     hints = schema_hints or {}
     missing = set(missing_tokens) | {""}
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -199,8 +202,11 @@ def read_csv(
                 raise DataError(f"{path}: file is empty") from None
             header = [h.strip() for h in header]
             p = len(header)
+            records = list(reader)
+            while p > 1 and records and not records[-1]:
+                records.pop()  # blank lines that end the file
             rows: list[list[str]] = []
-            for lineno, row in enumerate(reader, start=2):
+            for lineno, row in enumerate(records, start=2):
                 if not row and p == 1:
                     row = [""]  # blank line in a one-column file is a missing cell
                 if len(row) != p:

@@ -30,8 +30,10 @@ the members' networks are stacked (``nn.mlp_stack``), and each update is
 one stacked pass and one ``adam_step`` per network for all of them.
 Everything that makes a member's numbers its own stays per member: its
 standardisation, seed, initialisation, random stream (minibatches and
-noise), cycle losses and early stop.  So every member's pair and trace
-are bit for bit its fit in a group of one.
+noise), cycle losses and early stop.  The stack is built once: a member
+that stops keeps its weights at its stop as its pair and trains on in
+the stack, unrecorded and on zero gradients, until the last one stops.
+So every member's pair and trace are bit for bit its fit in a group of one.
 
 A fit may start warm, from pairs an earlier fit returned (``start``): it
 keeps each pair's weights and conditioning normalisation, starts Adam
@@ -42,6 +44,7 @@ sweep (``chained``).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -64,7 +67,6 @@ from .nn import (
     _backward_from_cache,
     _Buffers,
     _forward_cache,
-    forward,
     mlp_new,
     mlp_stack,
 )
@@ -91,9 +93,10 @@ class TrainConfig:
     ``gen_iters_per_cycle`` generator updates.  Each update takes the next
     ``batch_size`` rows of a permutation of the observed rows, redrawn once
     fewer than ``batch_size`` rows of it remain (all rows when there are
-    no more than ``batch_size``).  Training stops early when
-    the generator total loss has not improved by ``early_stop_tol`` for
-    ``early_stop_patience`` consecutive cycles.
+    no more than ``batch_size``).  A member stops early when its
+    generator total loss has not improved by ``early_stop_tol`` for
+    ``early_stop_patience`` consecutive cycles; its pair holds its weights
+    at that stop.  The float fields must be finite.
     """
 
     lr_generator: float = 0.001
@@ -109,6 +112,10 @@ class TrainConfig:
     noise_dim: int = 8
 
     def validate(self) -> None:
+        floats = ("lr_generator", "lr_discriminator", "l2", "acc_penalty_weight", "early_stop_tol")
+        for name in floats:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr_generator <= 0 or self.lr_discriminator <= 0:
             raise ConfigError("learning rates must be positive")
         if self.l2 < 0:
@@ -366,9 +373,10 @@ def train_gcin(
 
     Each member keeps its own standardisation, initialisation, random
     stream, losses and early stop, and every update runs one stacked pass
-    and one ``adam_step`` per network for all members still training; a
-    member that stops is copied out and leaves the stack.  So each
-    member's result is bit for bit its fit in a group of one.
+    and one ``adam_step`` per network for the whole group.  A member that
+    stops returns its weights at its stop and trains on in the stack, its
+    losses unchecked and its gradients zeroed, until the last one stops.
+    So each member's result is bit for bit its fit in a group of one.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown column kind {kind!r}")
@@ -401,12 +409,18 @@ def train_gcin(
     disc_head = "scaled_sigmoid_0_2"
     batch = min(cfg.batch_size, n_obs)
     budget = cfg.max_epochs if start is None else -(-cfg.max_epochs // WARM_START_DIVISOR)
-    # per member: its pair's normalisation, its networks before they are
-    # stacked, its rows (cond | target | 1) and its minibatch stream
-    norms, gens, discs, rows, batches, rngs = [], [], [], [], [], []
-    for a, (x_c, x_t, seed) in enumerate(zip(X_cond, x_target, seeds)):
+    targets = [_encode_target(x_t, kind, n_levels) for x_t in x_target]
+    t_width = targets[0][3]
+    if any(target[3] != t_width for target in targets):
+        raise ShapeError("a group's members need one level count")
+    # each member's observed rows as the discriminator sees real ones: (cond | target | 1)
+    rows = np.ones((len(seeds), n_obs, width + t_width + 1), dtype=TRAIN_DTYPE)
+    # per member: its pair's (n_levels, cond_shift, cond_scale, target_shift,
+    # target_scale), its networks before they are stacked and its minibatch stream
+    norms, gens, discs, batches, rngs = [], [], [], [], []
+    for a, (x_c, target, seed) in enumerate(zip(X_cond, targets, seeds)):
         warm = None if start is None else start[a]
-        target_enc, t_shift, t_scale, t_width, levels = _encode_target(x_t, kind, n_levels)
+        target_enc, t_shift, t_scale, _, levels = target
         seed = canonical_seed(seed)
         if warm is None:
             cond_shift, cond_scale = _standardize_fit(x_c)
@@ -427,20 +441,9 @@ def train_gcin(
             discs.append(warm.discriminator)
         else:
             raise ShapeError(f"start pair {a} does not fit this column's networks")
-        norms.append(
-            dict(
-                n_levels=levels,
-                cond_shift=cond_shift,
-                cond_scale=cond_scale,
-                target_shift=t_shift,
-                target_scale=t_scale,
-            )
-        )
-        # every observed row as the discriminator sees a real one
-        real = np.ones((n_obs, width + t_width + 1), dtype=TRAIN_DTYPE)
-        real[:, :width] = (x_c - cond_shift) / cond_scale
-        real[:, width:-1] = target_enc
-        rows.append(real)
+        norms.append((levels, cond_shift, cond_scale, t_shift, t_scale))
+        rows[a, :, :width] = (x_c - cond_shift) / cond_scale
+        rows[a, :, width:-1] = target_enc
         rngs.append(np.random.default_rng([seed, 2]))
         batches.append(_batches(rngs[-1], n_obs, batch))
 
@@ -448,11 +451,10 @@ def train_gcin(
     gen, disc = mlp_stack(gens), mlp_stack(discs)
     gen_opt = adam_new(gen, cfg.lr_generator, cfg.l2)
     disc_opt = adam_new(disc, cfg.lr_discriminator, cfg.l2)
-    rows = np.stack(rows)
     ws = _Workspace(gen, disc, batch, width)
     traces = [TrainTrace() for _ in seeds]
-    nets: list[tuple[Mlp, Mlp] | None] = [None] * len(seeds)
-    live = list(range(len(seeds)))  # the member in each row of the stack
+    nets: list[tuple[Mlp, Mlp] | None] = [None] * len(seeds)  # copied out at each stop
+    done: list[int] = []  # the members that have stopped
     # one cycle's scores and per-row penalty terms, one row per update,
     # reduced once a cycle row by row into the same per-update losses that
     # the loss functions give
@@ -462,7 +464,6 @@ def train_gcin(
     best_total = [np.inf] * len(seeds)
     stall = [0] * len(seeds)
     gen_done = 0
-    cycle = 0
 
     def draw() -> None:
         # one minibatch per member: its rows gathered into the real half, then fresh noise
@@ -470,12 +471,16 @@ def train_gcin(
             rows[a].take(next(member_batches), axis=0, out=ws.real_in[a])
             rng.standard_normal(dtype=TRAIN_DTYPE, out=ws.z[a])
 
-    while gen_done < budget:
+    # a stopped member trains on in the stack on zero gradients, so that
+    # nothing it computes after its stop can raise for the group
+    while gen_done < budget and len(done) < len(seeds):
         for j in range(cfg.disc_iters_per_cycle):
             draw()
             fake, _ = _forward_cache(gen, ws.gen_input(), ws.gen_bufs)
             ws.fake_input(fake)
             scores, grads = _disc_grads(disc, ws.disc_in, ws)
+            if done:
+                grads.flat[done] = 0.0
             adam_step(disc, grads, disc_opt)
             disc_scores[:, j] = scores[..., 0]
 
@@ -485,52 +490,38 @@ def train_gcin(
             scores, _, grads = _gen_grads(
                 gen, disc, ws, cfg.acc_penalty_weight, kind, pen_terms[:, j]
             )
+            if done:
+                grads.flat[done] = 0.0
             adam_step(gen, grads, gen_opt)
             gen_scores[:, j] = scores[..., 0]
         gen_done += n_gen
 
-        stopped = []
-        for a, m in enumerate(live):
+        for a, trace in enumerate(traces):
+            if nets[a] is not None:
+                continue
             real, fake = disc_scores[a, :, :batch], disc_scores[a, :, batch:]
             cycle_disc = float(np.mean(discriminator_losses(real, fake)))
             cycle_gen = float(np.mean(generator_losses(gen_scores[a, :n_gen])))
             cycle_pen = float(np.mean(np.mean(pen_terms[a, :n_gen], axis=1).astype(float)))
             if not (np.isfinite(cycle_disc) and np.isfinite(cycle_gen) and np.isfinite(cycle_pen)):
-                raise NumericError(f"non-finite training loss at cycle {cycle}")
-            traces[m].disc_loss.append(cycle_disc)
-            traces[m].gen_loss.append(cycle_gen)
-            traces[m].acc_penalty.append(cycle_pen)
+                raise NumericError(f"non-finite training loss at cycle {len(trace)}")
+            trace.disc_loss.append(cycle_disc)
+            trace.gen_loss.append(cycle_gen)
+            trace.acc_penalty.append(cycle_pen)
 
             total = cycle_gen + cfg.acc_penalty_weight * cycle_pen
-            if total < best_total[m] - cfg.early_stop_tol:
-                best_total[m] = total
-                stall[m] = 0
+            if total < best_total[a] - cfg.early_stop_tol:
+                best_total[a] = total
+                stall[a] = 0
             else:
-                stall[m] += 1
-                if stall[m] >= cfg.early_stop_patience:
-                    stopped.append(a)
-        if stopped:
-            # copy the stopped members out and train on with the rest
-            for a in stopped:
-                nets[live[a]] = (gen.member(a), disc.member(a))
-            keep = [a for a in range(len(live)) if a not in stopped]
-            live = [live[a] for a in keep]
-            if not live:
-                break
-            gen, disc = gen.member(keep), disc.member(keep)
-            gen_opt, disc_opt = gen_opt.member(keep), disc_opt.member(keep)
-            rows, disc_scores, gen_scores, pen_terms = (
-                a[keep] for a in (rows, disc_scores, gen_scores, pen_terms)
-            )
-            batches, rngs = [batches[a] for a in keep], [rngs[a] for a in keep]
-            ws = _Workspace(gen, disc, batch, width)
-        cycle += 1
-    for a, m in enumerate(live):
-        nets[m] = (gen.member(a), disc.member(a))
+                stall[a] += 1
+                if stall[a] >= cfg.early_stop_patience:
+                    nets[a] = (gen.member(a), disc.member(a))
+                    done.append(a)
+    nets = [net or (gen.member(a), disc.member(a)) for a, net in enumerate(nets)]
 
     return [
-        (GcinPair(generator=g, discriminator=d, noise_dim=k, column_kind=kind, **norm), trace)
-        for (g, d), norm, trace in zip(nets, norms, traces)
+        (GcinPair(g, d, k, kind, *norm), trace) for (g, d), norm, trace in zip(nets, norms, traces)
     ]
 
 
@@ -558,9 +549,13 @@ def impute_column(
     if n_mis == 0:
         return np.empty(0)
     rng = np.random.default_rng(canonical_seed(seed))
-    cond = (X_cond_mis - pair.cond_shift) / pair.cond_scale
-    z = rng.standard_normal((n_mis, pair.noise_dim))
-    out = forward(pair.generator, np.hstack([cond, z])).astype(np.float64)
+    # (cond | z | 1), standardised and drawn in float64, in the generator's dtype
+    width = pair.cond_shift.size
+    inputs = np.empty((n_mis, width + pair.noise_dim + 1), dtype=pair.generator.dtype)
+    inputs[:, :width] = (X_cond_mis - pair.cond_shift) / pair.cond_scale
+    inputs[:, width:-1] = rng.standard_normal((n_mis, pair.noise_dim))
+    inputs[:, -1] = 1.0
+    out = _forward_cache(pair.generator, inputs)[0].astype(np.float64)
     if pair.column_kind == "continuous":
         return out[:, 0] * pair.target_scale + pair.target_shift
     if pair.column_kind == "binary":

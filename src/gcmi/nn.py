@@ -43,6 +43,7 @@ from forming the delta by float reassociation only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -170,10 +171,10 @@ class Mlp:
     def hidden_dims(self) -> list[int]:
         return [w.shape[-1] for w in self.weights[:-1]]
 
-    def member(self, k) -> "Mlp":
-        """Net ``k`` of a stack (a stack of those nets for a list of
-        indices), in its own buffer."""
-        return self._on(np.array(self.params[k]))
+    def member(self, k: int) -> "Mlp":
+        """Net ``k`` of a stack, copied into its own buffer (``train_gcin``
+        takes a member's pair so at its stop; the stack trains on)."""
+        return self._on(np.array(self.params[operator.index(k)]))
 
     def _on(self, params: np.ndarray) -> "Mlp":
         # a net of this one's layer shapes on ``params``, already checked
@@ -233,12 +234,6 @@ class AdamState:
 
     def __post_init__(self):
         self.scratch = np.empty((2, *self.m.shape), dtype=self.m.dtype)
-
-    def member(self, k) -> "AdamState":
-        """The moments of net ``k`` of a stack (of the nets ``k`` for a
-        list of indices), copied, at this state's step count."""
-        m, v = np.array(self.m[k]), np.array(self.v[k])
-        return AdamState(m, v, self.learning_rate, self.l2_coeff, self.step_count)
 
 
 def mlp_new(
@@ -301,6 +296,8 @@ class _Buffers:
       layer's activation in its first ``width`` columns, so that the ReLU
       mask multiplies the whole contiguous buffer (the last column is
       never read).
+
+    A forward-only set holds just ``hidden``, with scalar ``zeros``.
     """
 
     hidden: list[np.ndarray]
@@ -308,16 +305,17 @@ class _Buffers:
     deltas: list[np.ndarray]
 
     @classmethod
-    def new(cls, mlp: Mlp, batch: int) -> "_Buffers":
+    def new(cls, mlp: Mlp, batch: int, forward_only: bool = False) -> "_Buffers":
         shapes = [(*mlp.stack, batch, width + 1) for width in mlp.hidden_dims]
+        hidden = [np.empty(shape, dtype=mlp.dtype) for shape in shapes]
+        for h in hidden:
+            h[..., -1] = 1.0
+        if forward_only:
+            return cls(hidden, [0.0] * len(shapes), [])
         deltas = [np.empty(shape, dtype=mlp.dtype) for shape in shapes]
         for delta in deltas:
             delta[..., -1] = 0.0  # never read, but kept finite
-        return cls(
-            [np.ones(shape, dtype=mlp.dtype) for shape in shapes],
-            [np.zeros(shape, dtype=mlp.dtype) for shape in shapes],
-            deltas,
-        )
+        return cls(hidden, [np.zeros(shape, dtype=mlp.dtype) for shape in shapes], deltas)
 
     def rows(self, rows: slice) -> "_Buffers":
         """Views of the rows ``rows`` of every buffer."""
@@ -330,11 +328,11 @@ def _forward_cache(
     """Forward pass returning the output and every layer input (post-ReLU).
 
     ``inputs`` carries a trailing column of ones, and so does every hidden
-    activation, written into ``bufs.hidden`` (fresh buffers when ``bufs``
-    is None).  The output is always a new array.
+    activation, written into ``bufs.hidden`` (fresh forward-only buffers
+    when ``bufs`` is None).  The output is always a new array.
     """
     if bufs is None:
-        bufs = _Buffers.new(mlp, inputs.shape[-2])
+        bufs = _Buffers.new(mlp, inputs.shape[-2], forward_only=True)
     acts = [inputs]
     for layer, h, zeros in zip(mlp.layers, bufs.hidden, bufs.zeros):
         np.matmul(acts[-1], layer, out=h[..., :-1])

@@ -59,6 +59,15 @@ class TestReadCsv:
         with pytest.raises(DataError, match="line 3"):
             read_csv(write(tmp_path, "a,b\n1,2\n1\n"))
 
+    def test_trailing_blank_lines_dropped(self, tmp_path):
+        dm = read_csv(write(tmp_path, "a,b\n1,2\n3,4\n\n\n"))
+        assert dm.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_byte_order_mark_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
+        assert [col.name for col in read_csv(path).schema] == ["a", "b"]
+
     def test_zero_rows_rejected(self, tmp_path):
         with pytest.raises(DataError, match="no data rows"):
             read_csv(write(tmp_path, "a,b\n"))
@@ -179,15 +188,18 @@ def _try_float(token):
 def reference_read_csv(path, schema_hints=None, missing_tokens=DEFAULT_MISSING_TOKENS):
     hints = schema_hints or {}
     missing = set(missing_tokens) | {""}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        records = list(reader)
+        while len(header) > 1 and records and not records[-1]:
+            records.pop()  # trailing blank lines
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(records, start=2):
             if not row and len(header) == 1:
                 row = [""]
             if len(row) != len(header):
@@ -421,6 +433,10 @@ READ_CASES = {
     "padded_tokens": "a , b\n  1.5 , yes \n2.5,no  \n 3 ,  yes\n",
     "missing_tokens": "a,b,c\n1,NA,x\nNaN,2,\n,3,y\n4,NaN,NA\n",
     "one_column_blank_lines": "a\n1\n\n2\n\n",
+    "trailing_blank_lines": "a,b\n1,x\n2,y\n3,x\n\n\n",
+    "blank_line_inside": "a,b\n1,x\n\n\n2,y\n\n",
+    "only_blank_lines": "a,b\n\n\n",
+    "byte_order_mark": "\ufeffa,b\n1,x\n2,y\n",
     "one_column_coded_blank_lines": "flag\nyes\n\nno\n",
     "categorical": "c,d\nred,1e-3\ngreen,-0.0\nblue,5e-324\nred,1e300\n",
     "all_missing_column": "a,b\n1,\n2,NA\n",

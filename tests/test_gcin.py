@@ -2,12 +2,14 @@
 through the composed discriminator-of-generator graph, trained behaviour
 on constant and linear targets, and imputation determinism."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gcmi import (
+    ConfigError,
     InsufficientDataError,
     ShapeError,
     TrainConfig,
@@ -129,6 +131,14 @@ class TestTrainConfig:
             TrainConfig(lr_generator=0.0).validate()
         with pytest.raises(ValueError):
             TrainConfig(noise_dim=0).validate()
+
+    @pytest.mark.parametrize(
+        "name", ["lr_generator", "lr_discriminator", "l2", "acc_penalty_weight", "early_stop_tol"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_rejected_by_name(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            replace(TrainConfig(), **{name: value}).validate()
 
 
 class TestComposedGradients:
@@ -735,14 +745,48 @@ class TestGroupFits:
         nets = [net for pair, _ in fits for net in (pair.generator, pair.discriminator)]
         assert all(net.params.flags.owndata for net in nets)
 
-    def test_members_that_stop_at_different_cycles(self):
+    def test_members_that_stop_at_different_cycles(self, monkeypatch):
         X, y = _group_case("continuous", members=4, n=300, width=5)
         cfg = replace(self.CFG, max_epochs=400, early_stop_patience=2, early_stop_tol=0.02)
+        stacks = []
+        step = gcmi.gcin.adam_step
+
+        def recorded(mlp, grads, state):
+            stacks.append(mlp.stack)
+            return step(mlp, grads, state)
+
+        monkeypatch.setattr(gcmi.gcin, "adam_step", recorded)
         fits = self._assert_members_are_lone_fits(X, y, "continuous", cfg, range(10, 14))
         cycles = [len(trace) for _, trace in fits]
         # every member stopped early, and not all at one cycle
         assert max(cycles) < cfg.max_epochs // cfg.gen_iters_per_cycle
         assert len(set(cycles)) > 1
+        # the group stepped its whole stack on every update until its last
+        # member stopped; the lone fits, groups of one, stepped stacks of one
+        per_cycle = cfg.disc_iters_per_cycle + cfg.gen_iters_per_cycle
+        group = stacks[: max(cycles) * per_cycle]
+        assert group == [(4,)] * len(group)
+        assert set(stacks[len(group) :]) == {(1,)}
+
+        # a stopped member's gradients no longer reach Adam: made non-finite
+        # from the cycle after its stop on, they raise nothing and change no
+        # member's result
+        disc_grads = gcmi.gcin._disc_grads
+        calls = [0]
+
+        def poisoned(disc, inputs, ws=None):
+            scores, grads = disc_grads(disc, inputs, ws)
+            if disc.stack == (4,):
+                cycle = calls[0] // cfg.disc_iters_per_cycle
+                calls[0] += 1
+                for a, stop in enumerate(cycles):
+                    if cycle >= stop:
+                        grads.flat[a] = np.nan
+            return scores, grads
+
+        monkeypatch.setattr(gcmi.gcin, "_disc_grads", poisoned)
+        self._assert_members_are_lone_fits(X, y, "continuous", cfg, range(10, 14))
+        assert calls[0] == max(cycles) * cfg.disc_iters_per_cycle
 
     @pytest.mark.parametrize(
         "kind,n_levels", [("continuous", None), ("binary", None), ("categorical", 3)]
@@ -1069,6 +1113,24 @@ def noisy_pair():
 
 
 class TestImputeColumn:
+    def test_peak_memory_is_the_hidden_activations(self):
+        # a [200, 100] generator over 40 000 rows: the forward-only pass
+        # holds its input and the two hidden activations, nothing of the
+        # training passes' buffers
+        n, width, noise = 40_000, 7, 8
+        gen = mlp_new(width + noise, [200, 100], 1, "identity", 1, dtype=TRAIN_DTYPE)
+        disc = mlp_new(width + 1, [200, 100], 1, "scaled_sigmoid_0_2", 2, dtype=TRAIN_DTYPE)
+        pair = GcinPair(gen, disc, noise, "continuous", 1, np.zeros(width), np.ones(width), 0, 1)
+        X = np.random.default_rng(3).normal(size=(n, width))
+        tracemalloc.start()
+        try:
+            impute_column(pair, X, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        activations = n * (201 + 101) * np.dtype(TRAIN_DTYPE).itemsize
+        assert peak < 1.1 * activations
+
     def test_empty_input_empty_output(self, noisy_pair):
         assert impute_column(noisy_pair, np.zeros((0, 3)), seed=0).size == 0
 
