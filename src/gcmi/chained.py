@@ -224,7 +224,9 @@ def _refit_column(
     ``encoded``; return the (K, n_miss) imputations for miss(j) and the K
     pairs.  One ``train_gcin`` call fits the K chains' pairs in lock-step,
     chain k's with ``seeds[k]``, from scratch or, with ``start``, warm
-    from ``start[k]``; each chain imputes with its own pair and seed."""
+    from ``start[k]``; each chain imputes with its own pair and the seed
+    ``derive_seed(seeds[k], 3)``, the imputation's address under the fit
+    seed (see ``seeding``)."""
     col = dm.schema[j]
     miss = dm.mask[:, j]
     sl = column_slices(dm.schema)[j]
@@ -243,7 +245,7 @@ def _refit_column(
     pairs = [pair for pair, _ in fits]
     imputed = np.stack(
         [
-            impute_column(pair, chain_cond, seed=seed ^ 1)
+            impute_column(pair, chain_cond, seed=derive_seed(seed, 3))
             for pair, chain_cond, seed in zip(pairs, cond_mis, seeds)
         ]
     )

@@ -10,8 +10,11 @@ a boolean mask (True = missing).
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,14 +122,29 @@ def matrix_from_array(
     return DataMatrix(schema, values, mask)
 
 
+def _start_line(records: list[list[str]], first: int, i: int) -> int:
+    """The file line on which ``records[i]`` starts, ``records[0]`` starting
+    on line ``first``: a line per record before it and one more per line
+    break (CR LF, CR or LF, as ``csv.reader.line_num`` counts them) inside
+    their quoted fields.  Only an error message needs it."""
+    fields = (f for row in itertools.islice(records, i) for f in row)
+    return first + i + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in fields)
+
+
 def _parse_column(
-    path: Path, name: str, tokens: list[str], miss: np.ndarray, hint: str | None
+    path: Path,
+    name: str,
+    tokens: list[str],
+    miss: np.ndarray,
+    hint: str | None,
+    line_of: Callable[[int], int],
 ) -> tuple[ColumnSchema, np.ndarray]:
     """Schema and values of one column whose observed cells are ``~miss``.
 
     A column is continuous when every observed token parses as a float
     (one ``np.array(..., dtype=float)`` attempt), otherwise coded by its
-    sorted distinct tokens; ``hint`` overrides the inference.
+    sorted distinct tokens; ``hint`` overrides the inference.  A message
+    about row ``i`` names the file line ``line_of(i)``.
     """
     if hint not in (None, "", *KINDS):
         raise DataError(
@@ -157,7 +175,8 @@ def _parse_column(
         if bad.size:
             i = int(bad[0])
             raise DataError(
-                f"{path}: line {i + 2}, column {name!r}: non-finite value {tokens[i]!r}"
+                f"{path}: line {line_of(i)}, column {name!r}: "
+                f"non-finite value {tokens[i]!r}"
             )
         return ColumnSchema(name, "continuous"), values
     levels = tuple(sorted(set(observed)))
@@ -189,6 +208,8 @@ def read_csv(
 
     The file is UTF-8, with or without a byte-order mark.  Blank lines end
     a file of several columns; in a one-column file they are missing cells.
+    A message about a row names the file line its record starts on, which
+    a quoted field that spans lines moves down from its row number.
     """
     path = Path(path)
     hints = schema_hints or {}
@@ -202,15 +223,19 @@ def read_csv(
                 raise DataError(f"{path}: file is empty") from None
             header = [h.strip() for h in header]
             p = len(header)
+            first = reader.line_num + 1  # the line the first record starts on
             records = list(reader)
+            line_of = functools.partial(_start_line, records, first)
             while p > 1 and records and not records[-1]:
                 records.pop()  # blank lines that end the file
             rows: list[list[str]] = []
-            for lineno, row in enumerate(records, start=2):
+            for i, row in enumerate(records):
                 if not row and p == 1:
                     row = [""]  # blank line in a one-column file is a missing cell
                 if len(row) != p:
-                    raise DataError(f"{path}: line {lineno} has {len(row)} fields, expected {p}")
+                    raise DataError(
+                        f"{path}: line {line_of(i)} has {len(row)} fields, expected {p}"
+                    )
                 rows.append(row)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not readable as text: {exc}") from None
@@ -224,7 +249,7 @@ def read_csv(
     for j, (name, column) in enumerate(zip(header, zip(*rows))):
         tokens = list(map(str.strip, column))
         mask[:, j] = list(map(missing.__contains__, tokens))
-        col, values[:, j] = _parse_column(path, name, tokens, mask[:, j], hints.get(name))
+        col, values[:, j] = _parse_column(path, name, tokens, mask[:, j], hints.get(name), line_of)
         schema.append(col)
 
     dm = DataMatrix(schema, values, mask)

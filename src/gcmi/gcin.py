@@ -70,7 +70,7 @@ from .nn import (
     mlp_new,
     mlp_stack,
 )
-from .seeding import canonical_seed
+from .seeding import derive_seed, spawn_rng
 
 # Standard deviations below this are treated as degenerate (scale 1).
 _MIN_SCALE = 1e-9
@@ -358,9 +358,13 @@ def train_gcin(
     it is (K, n_obs, width), and ``x_target`` its observed column, (K,
     n_obs): raw values for continuous, 0/1 codes for binary, integer codes
     for categorical.  All members train with ``cfg``; member a is
-    deterministic given ``seeds[a]``.  Returns the K (pair, trace)
-    results, in order.  The pairs' networks are float32
-    (``TRAIN_DTYPE``); their normalisation stays float64.
+    deterministic given its seed ``s = seeds[a]``, which addresses its
+    three streams (see ``seeding``): the generator's initial weights
+    from ``spawn_rng(s)``, the discriminator's from ``mlp_new`` seeded
+    with ``derive_seed(s, 1)``, and the minibatches and noise from
+    ``spawn_rng(s, 2)``.  Returns the K (pair, trace) results, in order.
+    The pairs' networks are float32 (``TRAIN_DTYPE``); their
+    normalisation stays float64.
 
     With ``start``, one pair per member fitted earlier for this column
     (the same kind, conditioning width and networks), the fit is warm:
@@ -368,8 +372,8 @@ def train_gcin(
     pair's conditioning normalisation (the target's is fitted as from
     scratch; a chain's observed cells never move), starts Adam afresh
     and runs ``ceil(cfg.max_epochs / WARM_START_DIVISOR)`` generator
-    updates.  The seed still drives the minibatches and the noise; only
-    the initialisation draws are skipped.  ``start`` is not changed.
+    updates.  The seed still drives the minibatches and the noise; the
+    two initialisation streams are not drawn.  ``start`` is not changed.
 
     Each member keeps its own standardisation, initialisation, random
     stream, losses and early stop, and every update runs one stacked pass
@@ -421,14 +425,14 @@ def train_gcin(
     for a, (x_c, target, seed) in enumerate(zip(X_cond, targets, seeds)):
         warm = None if start is None else start[a]
         target_enc, t_shift, t_scale, _, levels = target
-        seed = canonical_seed(seed)
         if warm is None:
             cond_shift, cond_scale = _standardize_fit(x_c)
             gens.append(
                 mlp_new(width + k, hidden, t_width, gen_head, seed=seed, dtype=TRAIN_DTYPE)
             )
+            disc_seed = derive_seed(seed, 1)
             discs.append(
-                mlp_new(width + t_width, hidden, 1, disc_head, seed=seed ^ 1, dtype=TRAIN_DTYPE)
+                mlp_new(width + t_width, hidden, 1, disc_head, seed=disc_seed, dtype=TRAIN_DTYPE)
             )
         elif (
             warm.column_kind == kind
@@ -444,7 +448,7 @@ def train_gcin(
         norms.append((levels, cond_shift, cond_scale, t_shift, t_scale))
         rows[a, :, :width] = (x_c - cond_shift) / cond_scale
         rows[a, :, width:-1] = target_enc
-        rngs.append(np.random.default_rng([seed, 2]))
+        rngs.append(spawn_rng(seed, 2))
         batches.append(_batches(rngs[-1], n_obs, batch))
 
     # the stacks are copies, so a warm fit leaves its start pairs as they were
@@ -535,6 +539,9 @@ def impute_column(
     A fresh noise vector is drawn per row, so repeated calls with
     different seeds yield distinct multiple-imputation draws.  Binary and
     categorical columns are sampled from the generated probabilities.
+    The noise and those samples are one stream, ``spawn_rng(seed)``; a
+    chain passes ``derive_seed(s, 3)`` of the pair's fit seed ``s``, an
+    address no stream of the fit itself takes (see ``seeding``).
     The generator runs in its own dtype; its output is de-standardised,
     and its level probabilities normalised, in float64.
     """
@@ -548,7 +555,7 @@ def impute_column(
     n_mis = X_cond_mis.shape[0]
     if n_mis == 0:
         return np.empty(0)
-    rng = np.random.default_rng(canonical_seed(seed))
+    rng = spawn_rng(seed)
     # (cond | z | 1), standardised and drawn in float64, in the generator's dtype
     width = pair.cond_shift.size
     inputs = np.empty((n_mis, width + pair.noise_dim + 1), dtype=pair.generator.dtype)

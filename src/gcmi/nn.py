@@ -50,7 +50,7 @@ from functools import cache
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .seeding import canonical_seed
+from .seeding import spawn_rng
 
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid", "scaled_sigmoid_0_2")
 
@@ -246,9 +246,9 @@ def mlp_new(
 ) -> Mlp:
     """Build a network with He-initialised weights (variance 2/fan_in).
 
-    Deterministic given ``seed``; biases start at zero.  The weights are
-    drawn in float64 and rounded to ``dtype``, the dtype the network
-    computes in.
+    The weights are drawn in float64 from ``spawn_rng(seed)``, the one
+    stream the network's initialisation takes, and rounded to ``dtype``,
+    the dtype the network computes in; biases start at zero.
     """
     dims = [input_dim, *hidden_dims, output_dim]
     if not hidden_dims:
@@ -260,7 +260,7 @@ def mlp_new(
         raise ValueError(
             f"unknown output_activation {output_activation!r}; expected one of {OUTPUT_ACTIVATIONS}"
         )
-    rng = np.random.default_rng(canonical_seed(seed))
+    rng = spawn_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         scale = np.sqrt(2.0 / fan_in)
@@ -385,8 +385,10 @@ def _backward_from_cache(
     ``[dW; db]`` per layer into ``grads.layers[i]``.  Returns the gradient
     w.r.t. the input columns ``input_rows`` (rows of layer 0's ``W``), or
     None when that is None; work that neither needs is skipped.  The
-    gradients w.r.t. the hidden activations go into ``bufs.deltas`` (fresh
-    buffers when ``bufs`` is None).
+    gradients w.r.t. the hidden activations go into ``bufs.deltas``; when
+    ``bufs`` is None, each goes into a fresh array shaped like that
+    layer's activation, the only arrays the pass allocates, each dropped
+    once the layer below has its delta.
 
     It consumes ``acts``: once a hidden activation has no further use, its
     0/1 ReLU mask, compared over the whole contiguous buffer, is written
@@ -401,8 +403,6 @@ def _backward_from_cache(
     ``d * (M @ (W * w).T)``, where ``W`` are its weight rows.
     """
     delta = _output_delta(out, output_grads, mlp.output_activation)
-    if bufs is None:
-        bufs = _Buffers.new(mlp, delta.shape[-2])
     i = len(mlp.layers) - 1
     if grads is not None:
         np.matmul(acts[i].swapaxes(-1, -2), delta, out=grads.layers[i])
@@ -427,7 +427,7 @@ def _backward_from_cache(
             if scale is not None:
                 delta *= scale
             return delta
-        buf = bufs.deltas[i - 1]
+        buf = np.zeros_like(acts[i]) if bufs is None else bufs.deltas[i - 1]
         np.matmul(delta, rows.swapaxes(-1, -2), out=buf[..., :-1])
         if scale is not None:
             buf *= scale

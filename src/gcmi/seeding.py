@@ -5,7 +5,40 @@ generator addressed by ``(root_seed, *path)`` where the path is a fixed
 tuple of small non-negative integers naming the consumer (chain index,
 sweep index, column index, ...).  Derivation is order-independent, so
 parallel workers and serial runs produce identical streams: the same seed
-gives the same output at any worker count.
+gives the same output at any worker count.  This module alone turns a seed
+into a generator (``spawn_rng``).
+
+The addresses, each under the seed on its left:
+
+===============  ===================  ====================================
+seed             path                 consumer
+===============  ===================  ====================================
+run              ``(0, i)``           chain ``i``: its chain seed
+chain            ``(sweep, column)``  one column fit: its fit seed ``s``
+fit ``s``        ``()``               generator initialisation
+fit ``s``        ``(1,)``             discriminator initialisation
+fit ``s``        ``(2,)``             minibatches and noise
+fit ``s``        ``(3,)``             imputation draws
+benchmark        ``(100, r)``         repeat ``r``: its simulation seed
+benchmark        ``(200, r, i)``      repeat ``r``, mechanism ``i``: its
+                                      amputation seed
+benchmark        ``(300, r, i)``      the same: its gcmi run seed
+simulation       ``(0|1|2,)``         data: X, coefficients, noise
+amputation       ``(10|11|12,)``      MCAR, MAR, MNAR masks
+===============  ===================  ====================================
+
+A consumer given "its ... seed" above receives ``derive_seed`` of the
+address, an int it hands on.  Of a fit's streams, the generator's
+``mlp_new`` takes the fit seed itself, the discriminator's takes
+``derive_seed(s, 1)`` and ``impute_column`` takes ``derive_seed(s, 3)``,
+each drawing from ``spawn_rng`` of its int; the minibatches and noise,
+like the simulation and amputation streams, draw from ``spawn_rng`` of
+their address.  No seed is made by arithmetic on another, which can land
+on a stream that is already taken.
+
+Trailing zeros in a path do not change the stream (numpy pads a short
+seed with zeros), so ``(s)``, ``(s, 0)`` and ``(s, 0, 0)`` are one
+address; no two consumers under one seed above differ only by them.
 """
 
 from __future__ import annotations
@@ -20,15 +53,10 @@ import numpy as np
 _U64 = (1 << 64) - 1
 
 
-def canonical_seed(seed: int) -> int:
-    """Map an arbitrary Python int (possibly negative) onto [0, 2^64)."""
-    return int(seed) & _U64
-
-
 def spawn_rng(seed: int, *path: int) -> np.random.Generator:
-    """Child generator for ``seed`` addressed by an integer path."""
-    entropy = [canonical_seed(seed)] + [int(p) & _U64 for p in path]
-    return np.random.default_rng(entropy)
+    """Child generator for ``seed`` addressed by an integer path; the seed
+    and each entry may be any int (taken modulo 2^64)."""
+    return np.random.default_rng([int(x) & _U64 for x in (seed, *path)])
 
 
 def derive_seed(seed: int, *path: int) -> int:

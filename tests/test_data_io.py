@@ -59,6 +59,24 @@ class TestReadCsv:
         with pytest.raises(DataError, match="line 3"):
             read_csv(write(tmp_path, "a,b\n1,2\n1\n"))
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('a,b\n1,"two\nlines"\ninf,z\n', "line 4, column 'a': non-finite value 'inf'"),
+            ('a,b\n1,"two\nlines"\n3\n', "line 4 has 1 fields, expected 2"),
+            ('a,b\r\n1,"two\r\nlines"\r\n3\r\n', "line 4 has 1 fields, expected 2"),
+        ],
+    )
+    def test_line_after_a_field_that_spans_lines(self, tmp_path, text, message):
+        # the record starts on line 4: the quoted field before it took two
+        path = write(tmp_path, text)
+        with pytest.raises(DataError) as err:
+            read_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+        with pytest.raises(DataError) as err:
+            reference_read_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_trailing_blank_lines_dropped(self, tmp_path):
         dm = read_csv(write(tmp_path, "a,b\n1,2\n3,4\n\n\n"))
         assert dm.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
@@ -195,11 +213,16 @@ def reference_read_csv(path, schema_hints=None, missing_tokens=DEFAULT_MISSING_T
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
-        records = list(reader)
+        records, lines = [], []  # each record and the line it starts on
+        end = reader.line_num
+        for row in reader:
+            records.append(row)
+            lines.append(end + 1)
+            end = reader.line_num
         while len(header) > 1 and records and not records[-1]:
             records.pop()  # trailing blank lines
         rows = []
-        for lineno, row in enumerate(records, start=2):
+        for lineno, row in zip(lines, records):
             if not row and len(header) == 1:
                 row = [""]
             if len(row) != len(header):
@@ -265,7 +288,7 @@ def reference_read_csv(path, schema_hints=None, missing_tokens=DEFAULT_MISSING_T
             if bad.size:
                 i = int(bad[0])
                 raise DataError(
-                    f"{path}: line {i + 2}, column {name!r}: non-finite value {col_tokens[i]!r}"
+                    f"{path}: line {lines[i]}, column {name!r}: non-finite value {col_tokens[i]!r}"
                 )
         schema.append(col_schema)
     return DataMatrix(schema, values, mask)

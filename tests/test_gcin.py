@@ -45,7 +45,7 @@ from gcmi.nn import (
     forward,
     mlp_new,
 )
-from gcmi.seeding import canonical_seed
+from gcmi.seeding import derive_seed, spawn_rng
 
 FAST = TrainConfig(max_epochs=150, batch_size=64, noise_dim=4)
 
@@ -384,15 +384,16 @@ def _encode(X, y, kind, n_levels):
 
 
 def _init_nets(n, width, t, cfg, seed, kind, dtype):
-    seed = canonical_seed(seed)
     # looked up where train_gcin looks it up, so that a test can replace it for both
     hidden = gcmi.gcin.scale_architecture(n, width + 1)
     head = "identity" if kind == "continuous" else "sigmoid"
+    # each stream at its address under the fit seed (see gcmi.seeding)
     gen = mlp_new(width + cfg.noise_dim, hidden, t, head, seed=seed, dtype=dtype)
-    disc = mlp_new(width + t, hidden, 1, "scaled_sigmoid_0_2", seed=seed ^ 1, dtype=dtype)
+    disc_seed = derive_seed(seed, 1)
+    disc = mlp_new(width + t, hidden, 1, "scaled_sigmoid_0_2", seed=disc_seed, dtype=dtype)
     gen_opt = adam_new(gen, cfg.lr_generator, cfg.l2)
     disc_opt = adam_new(disc, cfg.lr_discriminator, cfg.l2)
-    return gen, disc, gen_opt, disc_opt, np.random.default_rng([seed, 2])
+    return gen, disc, gen_opt, disc_opt, spawn_rng(seed, 2)
 
 
 def _sampler(rng, cond, target, batch, k):
@@ -1130,6 +1131,33 @@ class TestImputeColumn:
             tracemalloc.stop()
         activations = n * (201 + 101) * np.dtype(TRAIN_DTYPE).itemsize
         assert peak < 1.1 * activations
+
+    def test_backward_with_input_grads_peak_memory(self):
+        # the same [200, 100] net as the discriminator over 20 000 rows:
+        # the backward reuses the forward's hidden activations and adds
+        # only the deltas it carries down, and its bits are those of a
+        # pass in a full set of training buffers
+        n, width = 20_000, 8
+        disc = mlp_new(width, [200, 100], 1, "scaled_sigmoid_0_2", 2, dtype=TRAIN_DTYPE)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(n, width)).astype(TRAIN_DTYPE)
+        out_grad = rng.normal(size=(n, 1)).astype(TRAIN_DTYPE)
+        tracemalloc.start()
+        try:
+            grads, input_grads = backward_with_input_grads(disc, x, out_grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        activations = n * (201 + 101) * np.dtype(TRAIN_DTYPE).itemsize
+        assert peak <= 3 * activations
+
+        bufs = _Buffers.new(disc, n)
+        ones = np.ones((n, 1), dtype=TRAIN_DTYPE)
+        out, acts = _forward_cache(disc, np.concatenate([x, ones], axis=1), bufs)
+        want = ParamGrads.zeros_like(disc)
+        want_input = _backward_from_cache(disc, acts, out, out_grad, want, slice(0, width), bufs)
+        assert np.array_equal(grads.flat, want.flat)
+        assert np.array_equal(input_grads, want_input)
 
     def test_empty_input_empty_output(self, noisy_pair):
         assert impute_column(noisy_pair, np.zeros((0, 3)), seed=0).size == 0

@@ -1,13 +1,87 @@
-"""The one process pool: results in task order as they arrive, freed
-workers fed without waiting for the consumer, and no queued task started
-once the consumer stops."""
+"""The seed tree and the one process pool.
 
+Seeds: only ``gcmi.seeding`` builds a generator, and no two generators of
+a run start from the same state.  Pool: results in task order as they
+arrive, freed workers fed without waiting for the consumer, and no queued
+task started once the consumer stops."""
+
+import ast
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gcmi import GcmiConfig, gcmi_impute
 from gcmi.seeding import parallel_map
+
+from test_chained import TINY_TRAIN, mixed_matrix
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gcmi"
+
+# names that build a generator, a bit generator or a seed sequence
+_BUILDERS = {
+    "default_rng",
+    "Generator",
+    "RandomState",
+    "SeedSequence",
+    "BitGenerator",
+    "PCG64",
+    "PCG64DXSM",
+    "MT19937",
+    "Philox",
+    "SFC64",
+}
+
+
+def _name(node):
+    """The last identifier of a name or attribute chain, else ''."""
+    return getattr(node, "id", None) or getattr(node, "attr", "")
+
+
+def _violations(path):
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), path.name)):
+        if isinstance(node, ast.Call) and _name(node.func) in _BUILDERS:
+            out.append(f"{path.name}:{node.lineno}: builds a generator ({_name(node.func)})")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor):
+            if any("seed" in _name(side).lower() for side in (node.left, node.right)):
+                out.append(f"{path.name}:{node.lineno}: ^ on a seed")
+    return out
+
+
+def test_only_the_seeding_module_builds_generators():
+    # every other module takes its generators from spawn_rng and hands on
+    # derive_seed of an address: a seed made by arithmetic can land on
+    # another consumer's stream
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "seeding.py")
+    assert modules
+    assert [v for path in modules for v in _violations(path)] == []
+
+
+def test_no_two_generators_of_a_run_start_alike(monkeypatch):
+    # every generator a run builds, caught where numpy builds it: two
+    # chains in one group over two sweeps (cold fits, then warm ones) and
+    # continuous, binary and categorical columns.  Two generators in one
+    # state would give one consumer another's draws
+    built = []
+    default_rng = np.random.default_rng
+
+    def recorded(seed=None):
+        rng = default_rng(seed)
+        state = rng.bit_generator.state["state"]
+        built.append((state["state"], state["inc"]))
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    dm, _ = mixed_matrix(n=60, seed=4)
+    assert dm.mask.any(axis=0).all()  # every column is refit in every sweep
+    cfg = GcmiConfig(m_imputations=2, max_chain_iters=2, train=TINY_TRAIN, seed=11)
+    result = gcmi_impute(dm, cfg)
+    assert [len(trace) for trace in result.traces] == [2, 2]
+    # at least a fit seed, a minibatch stream and an imputation per fit
+    assert len(built) >= 3 * 2 * 2 * 4
+    assert len(set(built)) == len(built)
 
 
 def _started(directory, k, seconds):
