@@ -362,6 +362,76 @@ class TestWarmStarts:
         assert len({len(chains) for chains, *_ in calls}) > 1
 
 
+class TestDualCriterion:
+    """Which sweep a chain keeps and when it stops, on scripted gamma pairs:
+    a chain sweeps on while either gamma falls below its value one sweep
+    earlier, and keeps the sweep with the smallest gamma_num + gamma_cat,
+    the earliest in a tie (none, so the initial fill, when no sum is below
+    inf)."""
+
+    STOPS = [(0.5, 0.2), (0.3, 0.25), (0.4, 0.1), (0.45, 0.15)]
+    RUNS_ON = [(0.5, 0.5), (0.25, 0.5), (0.125, 0.5), (0.0625, 0.5), (0.03125, 0.5)]
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize(
+        "scripts,cap,expected",
+        [
+            # sweep 4 improves neither gamma; sweep 3 has the smallest sum, 0.5
+            ([STOPS], 6, [(4, "both_stabilized", 3)]),
+            # sweeps 2 and 3 tie at 0.625: the earlier one is kept
+            ([[(0.5, 0.25), (0.25, 0.375), (0.125, 0.5), (0.375, 0.625)]], 6,
+             [(4, "both_stabilized", 2)]),
+            # gamma_num still falls at the cap
+            ([[(0.5, 0.5), (0.25, 0.125), (0.125, 0.75)]], 3, [(3, "max_iters", 2)]),
+            # no sum below inf: the chain keeps its initial fill
+            ([[(INF, 0.5), (INF, 0.5)]], 6, [(2, "both_stabilized", 0)]),
+            # a NaN sum is never the best, and never blocks a later one
+            ([[(NAN, 0.5), (0.25, 0.25), (0.125, 0.5), (0.25, 0.5)]], 6,
+             [(4, "both_stabilized", 2)]),
+            # two chains in one group: the first leaves, the second runs on
+            ([STOPS, RUNS_ON], 5, [(4, "both_stabilized", 3), (5, "max_iters", 5)]),
+        ],
+    )
+    def test_stop_and_kept_sweep(self, monkeypatch, scripts, cap, expected):
+        dm, _ = mixed_matrix(seed=6)
+        cfg = tiny_config(m_imputations=len(scripts), max_chain_iters=cap)
+        chain_seeds = [gcmi.chained.derive_seed(cfg.seed, 0, i) for i in range(len(scripts))]
+        outputs = []  # (chain per row, completions) of each sweep call
+        calls = [0] * len(scripts)
+        sweep_ = gcmi.chained.sweep
+
+        def recording(*args, **kwargs):
+            new, pairs = sweep_(*args, **kwargs)
+            outputs.append(([chain_seeds.index(seed) for seed in args[4]], new.copy()))
+            return new, pairs
+
+        def scripted(X_new, X_old, mask, schema):
+            chains, new = outputs[-1]
+            (c,) = [c for c, row in zip(chains, new) if np.array_equal(row, X_new)]
+            calls[c] += 1
+            return scripts[c][calls[c] - 1]
+
+        monkeypatch.setattr(gcmi.chained, "sweep", recording)
+        monkeypatch.setattr(gcmi.chained, "convergence_gamma", scripted)
+        result = gcmi_impute(dm, cfg)
+
+        # the group shrinks as chains leave it
+        live = [len(chains) for chains, _ in outputs]
+        assert live == [sum(n > s for n, _, _ in expected) for s in range(len(outputs))]
+        filled = initial_fill(dm).values[dm.mask]
+        for c, (n_sweeps, reason, kept) in enumerate(expected):
+            trace = result.traces[c]
+            assert len(trace) == n_sweeps and trace.stop_reason == reason
+            gammas = np.array([trace.gamma_num, trace.gamma_cat]).T
+            assert np.array_equal(gammas, np.array(scripts[c][:n_sweeps]), equal_nan=True)
+            # the chain's missing cells after each of its sweeps
+            cells = [filled] + [
+                new[chains.index(c)][dm.mask] for chains, new in outputs if c in chains
+            ]
+            got = result.completed[c].values[dm.mask]
+            assert [s for s, v in enumerate(cells) if np.array_equal(v, got)] == [kept]
+
+
 class TestRubinPool:
     def test_degenerate_identical_entries(self):
         pooled = rubin_pool([(3.0, 0.5)] * 4)
