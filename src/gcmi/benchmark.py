@@ -165,34 +165,49 @@ def _pool_completed(result) -> np.ndarray:
 
 
 def _load_truth(spec: BenchmarkSpec, repeat: int) -> DataMatrix:
-    if isinstance(spec.data, SyntheticSpec):
-        seed = derive_seed(spec.seed, 100, repeat)
-        X, _ = gen_synthetic(replace(spec.data, seed=seed))
-        return matrix_from_array(X)
-    return read_csv(spec.data)
+    """The synthetic truth of repeat ``repeat``, drawn under (100, repeat)."""
+    seed = derive_seed(spec.seed, 100, repeat)
+    X, _ = gen_synthetic(replace(spec.data, seed=seed))
+    return matrix_from_array(X)
 
 
 def _external_result(method: MethodSpec, mech_label: str, repeat: int, dm_truth: DataMatrix) -> np.ndarray:
+    """The external method's completion of one repeat, in the truth's level
+    codes: its file must have the truth's header, in order, and each coded
+    column only levels of the truth's column."""
     path = Path(method.path) / f"{mech_label}_rep{repeat:03d}.csv"
     if not path.exists():
         raise DataError(f"external method {method.name!r}: missing results file for repeat {repeat}: {path}")
     ext = read_csv(path)
+    where = f"external method {method.name!r}: repeat {repeat}"
+    names, truth_names = [c.name for c in ext.schema], [c.name for c in dm_truth.schema]
+    if names != truth_names:
+        raise DataError(f"{where} has columns {names}, expected the truth's {truth_names}")
     if ext.values.shape != dm_truth.values.shape:
-        raise DataError(
-            f"external method {method.name!r}: repeat {repeat} has shape "
-            f"{ext.values.shape}, expected {dm_truth.values.shape}"
-        )
+        raise DataError(f"{where} has shape {ext.values.shape}, expected {dm_truth.values.shape}")
     if ext.mask.any():
-        raise DataError(f"external method {method.name!r}: repeat {repeat} still contains missing cells")
+        raise DataError(f"{where} still contains missing cells")
+    for j, (col, truth_col) in enumerate(zip(ext.schema, dm_truth.schema)):
+        at = f"{where}, column {col.name!r}"
+        if (col.kind == "continuous") != (truth_col.kind == "continuous"):
+            raise DataError(f"{at} is {col.kind}, but the truth's is {truth_col.kind}")
+        if col.kind != "continuous":
+            unknown = [lev for lev in col.levels if lev not in truth_col.levels]
+            if unknown:
+                raise DataError(f"{at} has level {unknown[0]!r}, which the truth lacks")
+            codes = np.array([truth_col.levels.index(lev) for lev in col.levels], dtype=float)
+            ext.values[:, j] = codes[ext.values[:, j].astype(int)]
     return ext.values
 
 
 def _run_repeat(
-    spec: BenchmarkSpec, repeat: int
+    spec: BenchmarkSpec, repeat: int, truth: DataMatrix | None = None
 ) -> tuple[list[tuple[str, str, float]], dict[str, float]]:
     """All (method, mechanism) scores for one Monte Carlo repeat, and the
-    share of cells each mechanism deleted."""
-    truth = _load_truth(spec, repeat)
+    share of cells each mechanism deleted; ``truth`` is a CSV-sourced
+    benchmark's table, and a synthetic one draws the repeat's own."""
+    if truth is None:
+        truth = _load_truth(spec, repeat)
     out = []
     deleted = {}
     for i, mech in enumerate(spec.mechanisms):
@@ -224,9 +239,16 @@ def _run_repeat(
 
 
 def run_benchmark(spec: BenchmarkSpec) -> BenchmarkTable:
-    """Run the full grid; deterministic per spec.seed regardless of workers."""
+    """Run the full grid; deterministic per spec.seed regardless of workers.
+    A CSV-sourced benchmark reads its table once, here, and it must be
+    complete."""
     spec.validate()
-    tasks = [(spec, r) for r in range(spec.mc_repeats)]
+    truth = None  # a synthetic benchmark draws each repeat's own
+    if not isinstance(spec.data, SyntheticSpec):
+        truth = read_csv(spec.data)
+        if truth.mask.any():
+            raise DataError(f"{spec.data}: benchmark data must be complete")
+    tasks = [(spec, r, truth) for r in range(spec.mc_repeats)]
     per_repeat = parallel_map(_run_repeat, tasks, spec.workers)
 
     raw: dict[tuple[str, str], list[float]] = {}

@@ -210,71 +210,32 @@ def _trainable_columns(dm: DataMatrix) -> list[int]:
     return cols
 
 
-def _refit_column(
-    values: np.ndarray,
-    encoded: np.ndarray,
-    dm: DataMatrix,
-    j: int,
-    train: TrainConfig,
-    seeds: list[int],
-    start: list[GcinPair] | None,
-) -> tuple[np.ndarray, list[GcinPair]]:
-    """Train on obs(j) rows of each chain's completed matrix, ``values``
-    (K, n, p), conditioning on the other columns of its encoding
-    ``encoded``; return the (K, n_miss) imputations for miss(j) and the K
-    pairs.  One ``train_gcin`` call fits the K chains' pairs in lock-step,
-    chain k's with ``seeds[k]``, from scratch or, with ``start``, warm
-    from ``start[k]``; each chain imputes with its own pair and the seed
-    ``derive_seed(seeds[k], 3)``, the imputation's address under the fit
-    seed (see ``seeding``)."""
-    col = dm.schema[j]
-    miss = dm.mask[:, j]
-    sl = column_slices(dm.schema)[j]
-    # each side's rows of the other columns, in one gather per side
-    chains, others = np.arange(len(encoded)), np.r_[: sl.start, sl.stop : encoded.shape[-1]]
-    cond_obs, cond_mis = (encoded[np.ix_(chains, rows, others)] for rows in (~miss, miss))
-    fits = train_gcin(
-        cond_obs,
-        values[:, ~miss, j],
-        col.kind,
-        train,
-        seeds,
-        n_levels=len(col.levels) if col.kind == "categorical" else None,
-        start=start,
-    )
-    pairs = [pair for pair, _ in fits]
-    imputed = np.stack(
-        [
-            impute_column(pair, chain_cond, seed=derive_seed(seed, 3))
-            for pair, chain_cond, seed in zip(pairs, cond_mis, seeds)
-        ]
-    )
-    return imputed, pairs
-
-
 def sweep(
     values: np.ndarray,
     dm: DataMatrix,
     cols: list[int],
     train: TrainConfig,
     seeds: list[int],
-    seed_path: tuple[int, ...],
+    index: int,
     start: dict[int, list[GcinPair]] | None = None,
 ) -> tuple[np.ndarray, dict[int, list[GcinPair]]]:
-    """One pass of a group of chains over the columns ``cols``; returns the
-    updated code matrices and, for each column, the K chains' new pairs.
+    """Sweep ``index`` of a group of chains over the columns ``cols``;
+    returns the updated code matrices and, for each column, the K chains'
+    new pairs.
 
     ``values`` holds one completion per chain, (K, n, p), and ``seeds`` the
     K chains' seeds.  Columns are refit one after another in the order
     given, each conditioning on the current completion of the others: its
     fresh imputations are written back before the next column trains.
-    Each column is refit for all K chains at once, chain k's pair with the
-    seed ``derive_seed(seeds[k], *seed_path, j)``: from scratch without
+    Column j is fitted on its observed rows with one ``train_gcin`` call
+    for all K chains, chain k's pair with the fit seed
+    ``s = derive_seed(seeds[k], index, j)``: from scratch without
     ``start``, and with it warm from ``start[j][k]``, the pair the
-    chain's first sweep returned (see ``train_gcin``).  The completions
-    are encoded once per sweep; after each column only that column's
-    slice of its missing rows is encoded again.  Each chain's result is bit for bit its sweep
-    in a group of one.
+    chain's first sweep returned.  Chain k then imputes j's missing rows
+    with its pair and the seed ``derive_seed(s, 3)`` (see ``seeding``).
+    The completions are encoded once per sweep; after each column only
+    that column's slice of its missing rows is encoded again.  Each
+    chain's result is bit for bit its sweep in a group of one.
     """
     if np.isnan(values).any():
         raise ValueError("sweep requires a completed matrix")
@@ -282,16 +243,30 @@ def sweep(
     n_chains, n_rows, n_cols = current.shape
     encoded = encode_columns(current.reshape(-1, n_cols), dm.schema).reshape(n_chains, n_rows, -1)
     slices = column_slices(dm.schema)
+    chains = np.arange(n_chains)
     pairs = {}
     for j in cols:
-        miss = dm.mask[:, j]
-        fit_seeds = [derive_seed(seed, *seed_path, j) for seed in seeds]
-        warm = None if start is None else start[j]
-        current[:, miss, j], pairs[j] = _refit_column(
-            current, encoded, dm, j, train, fit_seeds, warm
+        col, miss, sl = dm.schema[j], dm.mask[:, j], slices[j]
+        fit_seeds = [derive_seed(seed, index, j) for seed in seeds]
+        # each side's rows of the other columns, in one gather per side
+        others = np.r_[: sl.start, sl.stop : encoded.shape[-1]]
+        cond_obs, cond_mis = (encoded[np.ix_(chains, rows, others)] for rows in (~miss, miss))
+        fits = train_gcin(
+            cond_obs,
+            current[:, ~miss, j],
+            col.kind,
+            train,
+            fit_seeds,
+            n_levels=len(col.levels) if col.kind == "categorical" else None,
+            start=None if start is None else start[j],
         )
-        fresh = encode_columns(current[:, miss, j].reshape(-1, 1), [dm.schema[j]])
-        encoded[:, miss, slices[j]] = fresh.reshape(n_chains, -1, fresh.shape[1])
+        pairs[j] = [pair for pair, _ in fits]
+        current[:, miss, j] = [
+            impute_column(pair, chain_cond, seed=derive_seed(seed, 3))
+            for pair, chain_cond, seed in zip(pairs[j], cond_mis, fit_seeds)
+        ]
+        fresh = encode_columns(current[:, miss, j].reshape(-1, 1), [col])
+        encoded[:, miss, sl] = fresh.reshape(n_chains, -1, fresh.shape[1])
     return current, pairs
 
 
@@ -315,30 +290,30 @@ def _run_chains(
     # each chain's missing cells at its best sweep: a copy, so that a group's
     # finished sweeps are not kept whole
     best = [filled.values[dm.mask]] * len(chain_seeds)
+    # a running minimum, not min() over the trace, so that a NaN sum is
+    # never the best and never hides a later one
     best_score = [np.inf] * len(chain_seeds)
-    prev: list[tuple[float, float] | None] = [None] * len(chain_seeds)
     live = list(range(len(chain_seeds)))  # the chain in each row of ``current``
     current = np.stack([filled.values] * len(chain_seeds))
     first = None  # each column's pairs from the first sweep, one per row of ``current``
     for s in range(cfg.max_chain_iters):
         seeds = [chain_seeds[c] for c in live]
-        new, pairs = sweep(current, dm, cols, cfg.train, seeds, (s,), first)
+        new, pairs = sweep(current, dm, cols, cfg.train, seeds, s, first)
         if first is None:
             first = pairs
         running = []
         for a, c in enumerate(live):
-            gamma = convergence_gamma(new[a], current[a], dm.mask, dm.schema)
-            traces[c].gamma_num.append(gamma[0])
-            traces[c].gamma_cat.append(gamma[1])
-            score = gamma[0] + gamma[1]
-            if score < best_score[c]:
-                best_score[c] = score
+            trace = traces[c]
+            gamma_num, gamma_cat = convergence_gamma(new[a], current[a], dm.mask, dm.schema)
+            if gamma_num + gamma_cat < best_score[c]:
+                best_score[c] = gamma_num + gamma_cat
                 best[c] = new[a][dm.mask]
-            if prev[c] is not None and not (gamma[0] < prev[c][0] or gamma[1] < prev[c][1]):
-                traces[c].stop_reason = "both_stabilized"
-            else:
-                prev[c] = gamma
+            # a chain sweeps on while either gamma falls below its last one;
+            # one that leaves keeps the trace's default reason, both_stabilized
+            if not trace or gamma_num < trace.gamma_num[-1] or gamma_cat < trace.gamma_cat[-1]:
                 running.append(a)
+            trace.gamma_num.append(gamma_num)
+            trace.gamma_cat.append(gamma_cat)
         live = [live[a] for a in running]
         if not live:
             break
@@ -467,18 +442,8 @@ def save_result(result: ImputationResult, out_dir: str | Path, stem: str = "impu
         "m_imputations": result.m,
         "chain_seeds": result.chain_seeds,
         "config": asdict(result.config),
-        "traces": [
-            {
-                "gamma_num": t.gamma_num,
-                "gamma_cat": t.gamma_cat,
-                "stop_reason": t.stop_reason,
-            }
-            for t in result.traces
-        ],
-        "columns": [
-            {"name": c.name, "kind": c.kind, "levels": list(c.levels)}
-            for c in result.completed[0].schema
-        ],
+        "traces": [asdict(t) for t in result.traces],
+        "columns": [asdict(c) for c in result.completed[0].schema],
         "wall_time_s": result.wall_time_s,
         "files": [p.name for p in paths],
     }

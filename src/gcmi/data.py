@@ -382,10 +382,6 @@ def write_mask_csv(mask: np.ndarray, names: list[str], path: str | Path) -> None
     _write_table(path, names, len(mask), block)
 
 
-def encoded_width(schema: list[ColumnSchema]) -> int:
-    return sum(c.width for c in schema)
-
-
 def column_slices(schema: list[ColumnSchema]) -> list[slice]:
     """Slice of each column inside the one-hot encoded matrix."""
     slices = []
@@ -399,7 +395,7 @@ def column_slices(schema: list[ColumnSchema]) -> list[slice]:
 def encode_columns(values: np.ndarray, schema: list[ColumnSchema]) -> np.ndarray:
     """Encode a complete code matrix: continuous/binary as-is, categorical one-hot."""
     n = values.shape[0]
-    out = np.zeros((n, encoded_width(schema)))
+    out = np.zeros((n, sum(col.width for col in schema)))
     for j, (col, sl) in enumerate(zip(schema, column_slices(schema))):
         if col.kind == "categorical":
             codes = values[:, j].astype(int)

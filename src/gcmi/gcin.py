@@ -153,23 +153,29 @@ class GcinPair:
 
     generator: Mlp
     discriminator: Mlp
-    noise_dim: int
     column_kind: str
-    n_levels: int
     cond_shift: np.ndarray
     cond_scale: np.ndarray
     target_shift: float
     target_scale: float
 
     def __post_init__(self):
-        if self.noise_dim < 1:
-            raise ValueError("noise_dim must be at least 1")
-        cond_width = self.cond_shift.size
-        target_width = self.n_levels if self.column_kind == "categorical" else 1
-        if self.generator.input_dim != cond_width + self.noise_dim:
-            raise ShapeError("generator input width != conditioning width + noise_dim")
-        if self.discriminator.input_dim != cond_width + target_width:
+        cond_width, gen = self.cond_shift.size, self.generator
+        if gen.input_dim <= cond_width:
+            raise ShapeError("generator input width must exceed the conditioning width")
+        if self.column_kind != "categorical" and gen.output_dim != 1:
+            raise ShapeError(f"a {self.column_kind} generator must be one wide")
+        if self.discriminator.input_dim != cond_width + gen.output_dim:
             raise ShapeError("discriminator input width != conditioning width + target width")
+
+    @property
+    def noise_dim(self) -> int:
+        return self.generator.input_dim - self.cond_shift.size
+
+    @property
+    def n_levels(self) -> int:
+        # a categorical generator has one output per level
+        return {"continuous": 1, "binary": 2}.get(self.column_kind, self.generator.output_dim)
 
 
 def scale_architecture(n_samples: int, n_features: int) -> list[int]:
@@ -195,26 +201,24 @@ def _standardize_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _encode_target(x_target: np.ndarray, kind: str, n_levels: int | None):
     """Encodes the 1-D float target; returns (encoded (n, width) array,
-    shift, scale, width, n_levels)."""
+    shift, scale)."""
     if kind == "continuous":
         shift, scale = _standardize_fit(x_target[:, None])
         enc = (x_target[:, None] - shift) / scale
-        return enc, float(shift[0]), float(scale[0]), 1, 1
+        return enc, float(shift[0]), float(scale[0])
     if kind == "binary":
         if not np.all((x_target == 0.0) | (x_target == 1.0)):
             raise ValueError("binary targets must be coded 0/1")
-        return x_target[:, None], 0.0, 1.0, 1, 2
-    if kind == "categorical":
-        codes = x_target.astype(int)
-        if np.any(codes != x_target) or codes.min() < 0:
-            raise ValueError("categorical targets must be non-negative integer codes")
-        levels = int(n_levels) if n_levels is not None else int(codes.max()) + 1
-        if codes.max() >= levels:
-            raise ValueError("categorical code out of range for declared level count")
-        enc = np.zeros((codes.size, levels))
-        enc[np.arange(codes.size), codes] = 1.0
-        return enc, 0.0, 1.0, levels, levels
-    raise ValueError(f"unknown column kind {kind!r}")
+        return x_target[:, None], 0.0, 1.0
+    codes = x_target.astype(int)
+    if np.any(codes != x_target) or codes.min() < 0:
+        raise ValueError("categorical targets must be non-negative integer codes")
+    levels = int(n_levels) if n_levels is not None else int(codes.max()) + 1
+    if codes.max() >= levels:
+        raise ValueError("categorical code out of range for declared level count")
+    enc = np.zeros((codes.size, levels))
+    enc[np.arange(codes.size), codes] = 1.0
+    return enc, 0.0, 1.0
 
 
 class _Workspace:
@@ -414,17 +418,17 @@ def train_gcin(
     batch = min(cfg.batch_size, n_obs)
     budget = cfg.max_epochs if start is None else -(-cfg.max_epochs // WARM_START_DIVISOR)
     targets = [_encode_target(x_t, kind, n_levels) for x_t in x_target]
-    t_width = targets[0][3]
-    if any(target[3] != t_width for target in targets):
+    t_width = targets[0][0].shape[1]
+    if any(target[0].shape[1] != t_width for target in targets):
         raise ShapeError("a group's members need one level count")
     # each member's observed rows as the discriminator sees real ones: (cond | target | 1)
     rows = np.ones((len(seeds), n_obs, width + t_width + 1), dtype=TRAIN_DTYPE)
-    # per member: its pair's (n_levels, cond_shift, cond_scale, target_shift,
-    # target_scale), its networks before they are stacked and its minibatch stream
+    # per member: its pair's (cond_shift, cond_scale, target_shift, target_scale),
+    # its networks before they are stacked and its minibatch stream
     norms, gens, discs, batches, rngs = [], [], [], [], []
     for a, (x_c, target, seed) in enumerate(zip(X_cond, targets, seeds)):
         warm = None if start is None else start[a]
-        target_enc, t_shift, t_scale, _, levels = target
+        target_enc, t_shift, t_scale = target
         if warm is None:
             cond_shift, cond_scale = _standardize_fit(x_c)
             gens.append(
@@ -445,7 +449,7 @@ def train_gcin(
             discs.append(warm.discriminator)
         else:
             raise ShapeError(f"start pair {a} does not fit this column's networks")
-        norms.append((levels, cond_shift, cond_scale, t_shift, t_scale))
+        norms.append((cond_shift, cond_scale, t_shift, t_scale))
         rows[a, :, :width] = (x_c - cond_shift) / cond_scale
         rows[a, :, width:-1] = target_enc
         rngs.append(spawn_rng(seed, 2))
@@ -525,7 +529,7 @@ def train_gcin(
     nets = [net or (gen.member(a), disc.member(a)) for a, net in enumerate(nets)]
 
     return [
-        (GcinPair(g, d, k, kind, *norm), trace) for (g, d), norm, trace in zip(nets, norms, traces)
+        (GcinPair(g, d, kind, *norm), trace) for (g, d), norm, trace in zip(nets, norms, traces)
     ]
 
 

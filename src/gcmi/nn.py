@@ -256,10 +256,6 @@ def mlp_new(
     for d in dims:
         if not isinstance(d, (int, np.integer)) or d <= 0:
             raise ValueError(f"all layer dimensions must be positive integers, got {d}")
-    if output_activation not in OUTPUT_ACTIVATIONS:
-        raise ValueError(
-            f"unknown output_activation {output_activation!r}; expected one of {OUTPUT_ACTIVATIONS}"
-        )
     rng = spawn_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):

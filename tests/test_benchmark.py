@@ -1,5 +1,8 @@
 """Baseline imputation, masked-cell RMSE, and the Monte Carlo harness."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,16 +11,21 @@ from gcmi import (
     BenchmarkSpec,
     ColumnSchema,
     DataError,
+    DataMatrix,
     GcmiConfig,
     MethodSpec,
     SyntheticSpec,
     TrainConfig,
     initial_fill,
     matrix_from_array,
+    read_csv,
     rmse,
     run_benchmark,
     write_csv,
 )
+from gcmi.cli import cli_main
+from gcmi.seeding import derive_seed
+from gcmi.simulate import ampute
 
 TINY_GCMI = GcmiConfig(
     m_imputations=1,
@@ -265,4 +273,115 @@ class TestExternalMethod:
             mc_repeats=1, methods=[MethodSpec("external", "bad", str(ext_dir))]
         )
         with pytest.raises(DataError, match="missing cells"):
+            run_benchmark(spec)
+
+
+def mixed_truth_csv(path, n=60, seed=0):
+    """A complete table of three continuous columns and a categorical one
+    with levels a/b/c, written to ``path``; returns the table read back."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 3))
+    c = np.digitize(x[:, 0] + rng.normal(size=n), [-0.5, 0.5]).astype(float)
+    schema = [ColumnSchema(f"x{i}", "continuous") for i in range(3)]
+    schema.append(ColumnSchema("c", "categorical", ("a", "b", "c")))
+    write_csv(DataMatrix(schema, np.column_stack([x, c]), np.zeros((n, 4), bool)), path)
+    return read_csv(path)
+
+
+def repeat_mask(spec, truth, repeat, i):
+    """The mask ``run_benchmark`` draws for mechanism ``i`` of a repeat."""
+    mech = spec.mechanisms[i]
+    return ampute(truth.values, replace(mech, seed=derive_seed(spec.seed, 200, repeat, i)))
+
+
+class TestCsvTruth:
+    def test_table_read_once_per_run(self, tmp_path, monkeypatch):
+        import gcmi.benchmark
+
+        path = tmp_path / "truth.csv"
+        mixed_truth_csv(path)
+        reads = []
+        read = gcmi.benchmark.read_csv
+
+        def counting(*args, **kwargs):
+            reads.append(args[0])
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(gcmi.benchmark, "read_csv", counting)
+        mechanisms = [AmputationSpec("mcar", rate=0.2), AmputationSpec("mcar", rate=0.4)]
+        table = run_benchmark(tiny_spec(data=str(path), mechanisms=mechanisms, mc_repeats=3))
+        assert reads == [str(path)]
+        assert [row.n_repeats for row in table.rows] == [3, 3]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_incomplete_table_exits_2_with_one_line(self, tmp_path, capsys, seed):
+        path = tmp_path / "truth.csv"
+        path.write_text("a,b,c\n1,2,3\n4,,6\n7,8,9\n1,5,2\n3,1,4\n")
+        config = {
+            "seed": seed,
+            "benchmark": {
+                "data": str(path),
+                "mechanisms": [{"mechanism": "mcar", "rate": 0.3}],
+                "methods": [{"kind": "mean"}],
+                "mc_repeats": 2,
+            },
+        }
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = cli_main(["--config", str(cfg_path), "--output-dir", str(out), "benchmark"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"data error: {path}: benchmark data must be complete\n"
+        assert not (out / "benchmark.csv").exists()
+
+
+class TestExternalScoring:
+    def _spec(self, tmp_path, ext_dir):
+        truth_path = tmp_path / "truth.csv"
+        truth = mixed_truth_csv(truth_path)
+        spec = tiny_spec(
+            data=str(truth_path),
+            mc_repeats=1,
+            methods=[MethodSpec("external", "ext", str(ext_dir))],
+        )
+        return spec, truth
+
+    def test_coded_levels_scored_on_the_truths_codes(self, tmp_path):
+        # every "a" of the categorical column rewritten to "b": the file's
+        # column has levels b/c, which must score as the truth's codes 1/2
+        ext_dir = tmp_path / "ext"
+        ext_dir.mkdir()
+        spec, truth = self._spec(tmp_path, ext_dir)
+        mask = repeat_mask(spec, truth, 0, 0)
+        completed = initial_fill(DataMatrix(truth.schema, truth.values, mask)).values
+        completed[completed[:, 3] == 0, 3] = 1
+        ext = DataMatrix(truth.schema, completed, np.zeros_like(mask))
+        write_csv(ext, ext_dir / "mcar@0.3_rep000.csv")
+        assert read_csv(ext_dir / "mcar@0.3_rep000.csv").schema[3].levels == ("b", "c")
+        (row,) = run_benchmark(spec).rows
+        assert row.mean_rmse == rmse(truth.values, completed, mask, schema=truth.schema)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            # the truth's columns in another order
+            (lambda text: [",".join(line.split(",")[::-1]) for line in text],
+             r"repeat 0 has columns \['c', 'x2', 'x1', 'x0'\], expected the truth's"),
+            # a level the truth lacks
+            (lambda text: [text[0], *(line.replace(",b", ",z") for line in text[1:])],
+             r"repeat 0, column 'c' has level 'z', which the truth lacks"),
+            # a continuous column where the truth's is coded
+            (lambda text: [text[0], *(line[:-1] + str("abc".index(line[-1])) for line in text[1:])],
+             r"repeat 0, column 'c' is continuous, but the truth's is categorical"),
+        ],
+        ids=["column_order", "unknown_level", "kind"],
+    )
+    def test_file_off_the_truths_columns_rejected(self, tmp_path, edit, message):
+        ext_dir = tmp_path / "ext"
+        ext_dir.mkdir()
+        spec, truth = self._spec(tmp_path, ext_dir)
+        text = (tmp_path / "truth.csv").read_text().splitlines()
+        (ext_dir / "mcar@0.3_rep000.csv").write_text("\n".join(edit(text)) + "\n")
+        with pytest.raises(DataError, match="external method 'ext': " + message):
             run_benchmark(spec)

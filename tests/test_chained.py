@@ -160,7 +160,7 @@ class TestConvergenceGamma:
 class TestSweep:
     def test_no_missing_returns_input(self):
         dm = matrix_from_array(np.random.default_rng(1).normal(size=(30, 3)))
-        (out,), _ = sweep(dm.values[None], dm, _trainable_columns(dm), TINY_TRAIN, [0], ())
+        (out,), _ = sweep(dm.values[None], dm, _trainable_columns(dm), TINY_TRAIN, [0], 0)
         assert np.array_equal(out, dm.values)
 
     def test_single_missing_column_trains_one_pair(self, monkeypatch):
@@ -179,7 +179,7 @@ class TestSweep:
         # the module attribute sweep looks up, as a tracer wrapping it would see
         monkeypatch.setattr(gcmi.chained, "train_gcin", counting_train_gcin)
         filled = initial_fill(dm).values
-        (out,), _ = sweep(filled[None], dm, _trainable_columns(dm), TINY_TRAIN, [0], ())
+        (out,), _ = sweep(filled[None], dm, _trainable_columns(dm), TINY_TRAIN, [0], 0)
         # one fit, on the observed cells of column 1
         assert len(targets) == 1
         assert np.array_equal(targets[0], X[None, 10:, 1])
@@ -189,25 +189,43 @@ class TestSweep:
         # the sweep encodes once and then re-encodes each refit column's
         # missing rows; the categorical and binary columns go first
         dm, _ = mixed_matrix(seed=6)
-        refit = gcmi.chained._refit_column
+        order = [3, 2, 0, 1]
+        completion = initial_fill(dm).values  # follows the imputations written back
+        fit_of = {gcmi.chained.derive_seed(0, 0, j): j for j in order}
+        impute_of = {gcmi.chained.derive_seed(seed, 3): j for seed, j in fit_of.items()}
+        train_gcin, impute_column = gcmi.chained.train_gcin, gcmi.chained.impute_column
         seen = []
 
-        def checked(values, encoded, dm_, j, train, seeds, start):
-            # one completion, and one encoding, per chain of the group
-            assert len(values) == len(encoded) == len(seeds) == 1
-            assert np.array_equal(encoded[0], encode_columns(values[0], dm_.schema))
-            seen.append(j)
-            return refit(values, encoded, dm_, j, train, seeds, start)
+        def cond(j, rows):
+            # column j's conditioning on ``rows``: the other columns' encoding
+            sl = gcmi.chained.column_slices(dm.schema)[j]
+            encoded = encode_columns(completion, dm.schema)[rows]
+            return np.delete(encoded, np.arange(sl.start, sl.stop), axis=1)
 
-        monkeypatch.setattr(gcmi.chained, "_refit_column", checked)
+        def checked_train(X_cond, x_target, kind, cfg, seeds, **kwargs):
+            (j,) = [fit_of[seed] for seed in seeds]
+            assert np.array_equal(X_cond[0], cond(j, ~dm.mask[:, j]))
+            seen.append(j)
+            return train_gcin(X_cond, x_target, kind, cfg, seeds, **kwargs)
+
+        def checked_impute(pair, X_cond_mis, seed):
+            j = impute_of[seed]
+            assert np.array_equal(X_cond_mis, cond(j, dm.mask[:, j]))
+            imputed = impute_column(pair, X_cond_mis, seed)
+            completion[dm.mask[:, j], j] = imputed
+            return imputed
+
+        monkeypatch.setattr(gcmi.chained, "train_gcin", checked_train)
+        monkeypatch.setattr(gcmi.chained, "impute_column", checked_impute)
         assert all(dm.mask[:, j].any() for j in range(4))
-        sweep(initial_fill(dm).values[None], dm, [3, 2, 0, 1], TINY_TRAIN, [0], ())
-        assert seen == [3, 2, 0, 1]
+        (out,), _ = sweep(initial_fill(dm).values[None], dm, order, TINY_TRAIN, [0], 0)
+        assert seen == order
+        assert np.array_equal(out, completion)
 
     def test_sequential_and_snapshot_both_complete(self):
         dm, _ = mixed_matrix(seed=5)
         filled = initial_fill(dm).values
-        (out,), _ = sweep(filled[None], dm, _trainable_columns(dm), TINY_TRAIN, [0], ())
+        (out,), _ = sweep(filled[None], dm, _trainable_columns(dm), TINY_TRAIN, [0], 0)
         assert not np.isnan(out).any()
         assert np.array_equal(out[~dm.mask], filled[~dm.mask])
 
@@ -391,6 +409,7 @@ class TestDualCriterion:
             # two chains in one group: the first leaves, the second runs on
             ([STOPS, RUNS_ON], 5, [(4, "both_stabilized", 3), (5, "max_iters", 5)]),
         ],
+        ids=["stop", "tie", "cap", "inf", "nan", "group"],
     )
     def test_stop_and_kept_sweep(self, monkeypatch, scripts, cap, expected):
         dm, _ = mixed_matrix(seed=6)
