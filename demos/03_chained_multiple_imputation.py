@@ -33,7 +33,7 @@ schema = [
     ColumnSchema("flag", "binary", ("off", "on")),
     ColumnSchema("grade", "categorical", ("low", "mid", "high")),
 ]
-dm = DataMatrix(schema, np.where(mask, np.nan, values), mask)
+dm = DataMatrix(schema, np.where(mask, np.nan, values))
 print(f"table: {n} rows, 5 columns, {mask.mean():.0%} cells missing")
 
 cfg = GcmiConfig(

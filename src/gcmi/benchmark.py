@@ -172,31 +172,20 @@ def _load_truth(spec: BenchmarkSpec, repeat: int) -> DataMatrix:
 
 
 def _external_result(method: MethodSpec, mech_label: str, repeat: int, dm_truth: DataMatrix) -> np.ndarray:
-    """The external method's completion of one repeat, in the truth's level
-    codes: its file must have the truth's header, in order, and each coded
-    column only levels of the truth's column."""
+    """The external method's completion of one repeat, read against the
+    truth's schema (see ``read_csv``), so in the truth's level codes."""
     path = Path(method.path) / f"{mech_label}_rep{repeat:03d}.csv"
     if not path.exists():
         raise DataError(f"external method {method.name!r}: missing results file for repeat {repeat}: {path}")
-    ext = read_csv(path)
     where = f"external method {method.name!r}: repeat {repeat}"
-    names, truth_names = [c.name for c in ext.schema], [c.name for c in dm_truth.schema]
-    if names != truth_names:
-        raise DataError(f"{where} has columns {names}, expected the truth's {truth_names}")
-    if ext.values.shape != dm_truth.values.shape:
-        raise DataError(f"{where} has shape {ext.values.shape}, expected {dm_truth.values.shape}")
+    try:
+        ext = read_csv(path, schema=dm_truth.schema)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
+    if ext.n_rows != dm_truth.n_rows:
+        raise DataError(f"{where} has {ext.n_rows} rows, expected {dm_truth.n_rows}")
     if ext.mask.any():
         raise DataError(f"{where} still contains missing cells")
-    for j, (col, truth_col) in enumerate(zip(ext.schema, dm_truth.schema)):
-        at = f"{where}, column {col.name!r}"
-        if (col.kind == "continuous") != (truth_col.kind == "continuous"):
-            raise DataError(f"{at} is {col.kind}, but the truth's is {truth_col.kind}")
-        if col.kind != "continuous":
-            unknown = [lev for lev in col.levels if lev not in truth_col.levels]
-            if unknown:
-                raise DataError(f"{at} has level {unknown[0]!r}, which the truth lacks")
-            codes = np.array([truth_col.levels.index(lev) for lev in col.levels], dtype=float)
-            ext.values[:, j] = codes[ext.values[:, j].astype(int)]
     return ext.values
 
 
@@ -217,11 +206,7 @@ def _run_repeat(
         if not mask.any():
             out.extend((m.name, mech.label, 0.0) for m in spec.methods)
             continue
-        amputed = DataMatrix(
-            list(truth.schema),
-            np.where(mask, np.nan, truth.values),
-            mask,
-        )
+        amputed = DataMatrix(list(truth.schema), np.where(mask, np.nan, truth.values))
         for method in spec.methods:
             if method.kind == "mean":
                 imputed = initial_fill(amputed).values

@@ -132,7 +132,7 @@ class PooledEstimate:
 
 def initial_fill(dm: DataMatrix) -> DataMatrix:
     """Complete a matrix with observed means (continuous) / modes (coded)."""
-    out = dm.copy()
+    values = dm.values.copy()
     for j, col in enumerate(dm.schema):
         miss = dm.mask[:, j]
         if not miss.any():
@@ -145,9 +145,8 @@ def initial_fill(dm: DataMatrix) -> DataMatrix:
         else:
             counts = np.bincount(observed.astype(int), minlength=len(col.levels))
             fill = float(np.argmax(counts))  # ties break to the smallest code
-        out.values[miss, j] = fill
-    out.mask = np.zeros_like(dm.mask)
-    return out
+        values[miss, j] = fill
+    return DataMatrix(list(dm.schema), values)
 
 
 def order_columns(dm: DataMatrix) -> np.ndarray:
@@ -383,7 +382,7 @@ def gcmi_impute(
             for i, (imputed, trace) in enumerate(chains, start=1):
                 values = dm.values.copy()
                 values[dm.mask] = imputed
-                out = DataMatrix(list(dm.schema), values, np.zeros_like(dm.mask))
+                out = DataMatrix(list(dm.schema), values)
                 completed.append(out)
                 traces.append(trace)
                 if out_dir is not None:

@@ -155,7 +155,7 @@ def _cmd_ampute(args, cfg: RunConfig) -> int:
                 f"{input_path}: {spec.label} deletes every cell of column {col.name!r}; "
                 "no files written"
             )
-    amputed = DataMatrix(list(dm.schema), np.where(mask, np.nan, dm.values), mask)
+    amputed = DataMatrix(list(dm.schema), np.where(mask, np.nan, dm.values))
     out = _out_dir(cfg)
     values_path = out / f"{job.out_prefix}_values.csv"
     mask_path = out / f"{job.out_prefix}_mask.csv"

@@ -3,8 +3,9 @@ writers, and the one-hot encoding the per-column models condition on.
 
 Values are stored as a float64 (n, P) array: continuous cells hold raw
 values, binary and categorical cells hold integer level codes (the level
-strings live on the column's schema), and missing cells hold NaN alongside
-a boolean mask (True = missing).
+strings live on the column's schema), and missing cells hold NaN.  A
+matrix's boolean mask (True = missing) is its NaN cells, computed once
+when the matrix is built.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import io
 import itertools
 import logging
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,24 +54,22 @@ class ColumnSchema:
 
 @dataclass
 class DataMatrix:
-    """(n, P) cell values plus missingness mask and per-column schema."""
+    """(n, P) cell values and per-column schema; NaN cells are the missing
+    ones, and ``mask`` (True = missing) holds them, computed once here."""
 
     schema: list[ColumnSchema]
     values: np.ndarray
-    mask: np.ndarray
+    mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.values.ndim != 2 or self.values.shape != self.mask.shape:
-            raise ShapeError("values and mask must be 2-D arrays of identical shape")
+        if self.values.ndim != 2:
+            raise ShapeError(f"values must be a 2-D array, got shape {self.values.shape}")
         if self.values.shape[1] != len(self.schema):
             raise ShapeError(
                 f"{len(self.schema)} schema columns but values have {self.values.shape[1]}"
             )
-        nan_cells = np.isnan(self.values)
-        if np.any(nan_cells & ~self.mask):
-            raise DataError("NaN cell marked as observed; mask inconsistent with values")
+        self.mask = np.isnan(self.values)
         for j, col in enumerate(self.schema):
             if col.kind in ("binary", "categorical"):
                 observed = self.values[~self.mask[:, j], j]
@@ -93,7 +92,7 @@ class DataMatrix:
         return self.mask.mean(axis=0)
 
     def copy(self) -> "DataMatrix":
-        return DataMatrix(list(self.schema), self.values.copy(), self.mask.copy())
+        return DataMatrix(list(self.schema), self.values.copy())
 
 
 def matrix_from_array(
@@ -110,16 +109,17 @@ def matrix_from_array(
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError(f"expected a 2-D array, got shape {X.shape}")
-    p = X.shape[1]
-    mask = np.isnan(X) if mask is None else np.asarray(mask, dtype=bool)
-    if mask.shape != X.shape:
-        raise ShapeError("mask shape must match the value array")
-    if names is None:
-        names = [f"X{j + 1}" for j in range(p)]
     values = X.copy()
-    values[mask] = np.nan
-    schema = [ColumnSchema(name, "continuous") for name in names]
-    return DataMatrix(schema, values, mask)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != X.shape:
+            raise ShapeError("mask shape must match the value array")
+        if np.any(np.isnan(X) & ~mask):
+            raise DataError("NaN cell marked as observed; mask inconsistent with values")
+        values[mask] = np.nan
+    if names is None:
+        names = [f"X{j + 1}" for j in range(X.shape[1])]
+    return DataMatrix([ColumnSchema(name, "continuous") for name in names], values)
 
 
 def _start_line(records: list[list[str]], first: int, i: int) -> int:
@@ -136,75 +136,76 @@ def _parse_column(
     name: str,
     tokens: list[str],
     miss: np.ndarray,
-    hint: str | None,
+    col: ColumnSchema | None,
     line_of: Callable[[int], int],
 ) -> tuple[ColumnSchema, np.ndarray]:
     """Schema and values of one column whose observed cells are ``~miss``.
 
-    A column is continuous when every observed token parses as a float
-    (one ``np.array(..., dtype=float)`` attempt), otherwise coded by its
-    sorted distinct tokens; ``hint`` overrides the inference.  A message
-    about row ``i`` names the file line ``line_of(i)``.
+    Parsed against ``col`` when given: a continuous column's observed
+    tokens must be finite numbers, a coded column's among its levels.
+    Without it a column is continuous when every observed token parses as
+    a float (one ``np.array(..., dtype=float)`` attempt), otherwise coded
+    by its sorted distinct tokens.  A message about row ``i`` names the
+    file line ``line_of(i)``.
     """
-    if hint not in (None, "", *KINDS):
-        raise DataError(
-            f"{path}: column {name!r} has unknown kind {hint!r} in schema_hints; "
-            f"expected one of {', '.join(KINDS)}"
-        )
     values = np.full(len(tokens), np.nan)
     observed = [tok for tok, m in zip(tokens, miss.tolist()) if not m]
-    if not observed and hint != "categorical":
-        kind = hint or "continuous"
-        return ColumnSchema(name, kind, ("0", "1") if kind == "binary" else ()), values
-    parsed = None
-    if hint in (None, "", "continuous"):
+    if col is None or col.kind == "continuous":
         try:
-            parsed = np.array(observed, dtype=float)
+            values[~miss] = np.array(observed, dtype=float)
         except ValueError:
-            if hint == "continuous":
-                for tok in observed:
-                    try:
-                        float(tok)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: column {name!r} hinted continuous but {tok!r} is not numeric"
-                        ) from None
-    if parsed is not None:
-        values[~miss] = parsed
-        bad = np.flatnonzero(~np.isfinite(values) & ~miss)
-        if bad.size:
-            i = int(bad[0])
+            for i in np.flatnonzero(~miss).tolist() if col is not None else ():
+                try:
+                    float(tokens[i])
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {line_of(i)}, column {name!r}: "
+                        f"non-numeric value {tokens[i]!r}"
+                    ) from None
+        else:
+            bad = np.flatnonzero(~np.isfinite(values) & ~miss)
+            if bad.size:
+                i = int(bad[0])
+                raise DataError(
+                    f"{path}: line {line_of(i)}, column {name!r}: "
+                    f"non-finite value {tokens[i]!r}"
+                )
+            return col or ColumnSchema(name, "continuous"), values
+    if col is None:
+        levels = tuple(sorted(set(observed)))
+        if len(levels) < 2:
             raise DataError(
-                f"{path}: line {line_of(i)}, column {name!r}: "
-                f"non-finite value {tokens[i]!r}"
+                f"{path}: column {name!r} has {len(levels)} distinct level(s); "
+                "a binary or categorical column needs at least 2"
             )
-        return ColumnSchema(name, "continuous"), values
-    levels = tuple(sorted(set(observed)))
-    kind = hint or ("binary" if len(levels) == 2 else "categorical")
-    if kind == "binary" and len(levels) != 2:
-        raise DataError(f"{path}: column {name!r} hinted binary but has {len(levels)} levels")
-    if len(levels) < 2:
+        col = ColumnSchema(name, "binary" if len(levels) == 2 else "categorical", levels)
+    code = {lev: i for i, lev in enumerate(col.levels)}
+    values[~miss] = list(map(code.get, observed))  # an unknown level's None reads as NaN
+    unknown = np.flatnonzero(np.isnan(values) & ~miss)
+    if unknown.size:
+        i = int(unknown[0])
         raise DataError(
-            f"{path}: column {name!r} has {len(levels)} distinct level(s); "
-            "a binary or categorical column needs at least 2"
+            f"{path}: line {line_of(i)}, column {name!r}: "
+            f"{tokens[i]!r} is not one of the levels {list(col.levels)}"
         )
-    col = ColumnSchema(name, kind, levels)
-    code = {lev: i for i, lev in enumerate(levels)}
-    values[~miss] = list(map(code.__getitem__, observed))
     return col, values
 
 
 def read_csv(
     path: str | Path,
-    schema_hints: dict[str, str] | None = None,
+    schema: list[ColumnSchema] | None = None,
     missing_tokens: tuple[str, ...] = DEFAULT_MISSING_TOKENS,
 ) -> DataMatrix:
     """Parse a headed CSV file into a DataMatrix.
 
     Empty cells and the tokens in ``missing_tokens`` read as missing.
-    Column kinds are inferred (numeric-parseable -> continuous, two
-    distinct non-numeric levels -> binary, otherwise categorical) unless
-    ``schema_hints`` maps a column name to an explicit kind.
+    Without ``schema``, column kinds are inferred: numeric-parseable ->
+    continuous, two distinct non-numeric levels -> binary, otherwise
+    categorical, with the levels in sorted order.  With it, the file is
+    parsed against it: the header must list its names, in order, a
+    continuous column's observed cells must be finite numbers, and a
+    coded column's observed cells take the codes of their levels, of
+    which they may hold any subset.
 
     The file is UTF-8, with or without a byte-order mark.  Blank lines end
     a file of several columns; in a one-column file they are missing cells.
@@ -212,7 +213,6 @@ def read_csv(
     a quoted field that spans lines moves down from its row number.
     """
     path = Path(path)
-    hints = schema_hints or {}
     missing = set(missing_tokens) | {""}
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -223,36 +223,41 @@ def read_csv(
                 raise DataError(f"{path}: file is empty") from None
             header = [h.strip() for h in header]
             p = len(header)
+            names = None if schema is None else [c.name for c in schema]
+            if names is not None and header != names:
+                pairs = zip([*header, None], [*names, None])
+                j = next(j for j, (got, want) in enumerate(pairs) if got != want)
+                raise DataError(
+                    f"{path}: line 1, column {j + 1}: header {header}, expected {names}"
+                )
             first = reader.line_num + 1  # the line the first record starts on
             records = list(reader)
-            line_of = functools.partial(_start_line, records, first)
-            while p > 1 and records and not records[-1]:
-                records.pop()  # blank lines that end the file
-            rows: list[list[str]] = []
-            for i, row in enumerate(records):
-                if not row and p == 1:
-                    row = [""]  # blank line in a one-column file is a missing cell
-                if len(row) != p:
-                    raise DataError(
-                        f"{path}: line {line_of(i)} has {len(row)} fields, expected {p}"
-                    )
-                rows.append(row)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not readable as text: {exc}") from None
-    if not rows:
+    line_of = functools.partial(_start_line, records, first)
+    while p > 1 and records and not records[-1]:
+        records.pop()  # blank lines that end the file
+    if p == 1:
+        records = [row or [""] for row in records]  # a blank line is a missing cell
+    ragged = next((i for i, row in enumerate(records) if len(row) != p), None)
+    if ragged is not None:
+        raise DataError(
+            f"{path}: line {line_of(ragged)} has {len(records[ragged])} fields, expected {p}"
+        )
+    if not records:
         raise DataError(f"{path}: no data rows")
 
-    n = len(rows)
+    n = len(records)
     values = np.empty((n, p))
-    mask = np.empty((n, p), dtype=bool)
-    schema: list[ColumnSchema] = []
-    for j, (name, column) in enumerate(zip(header, zip(*rows))):
+    columns: list[ColumnSchema] = []
+    for j, (name, column) in enumerate(zip(header, zip(*records))):
         tokens = list(map(str.strip, column))
-        mask[:, j] = list(map(missing.__contains__, tokens))
-        col, values[:, j] = _parse_column(path, name, tokens, mask[:, j], hints.get(name), line_of)
-        schema.append(col)
+        miss = np.fromiter(map(missing.__contains__, tokens), dtype=bool, count=n)
+        col = None if schema is None else schema[j]
+        col, values[:, j] = _parse_column(path, name, tokens, miss, col, line_of)
+        columns.append(col)
 
-    dm = DataMatrix(schema, values, mask)
+    dm = DataMatrix(columns, values)
     logger.info(
         "read %s: %d rows, %d columns, missing fractions %s",
         path,

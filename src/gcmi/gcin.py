@@ -153,7 +153,6 @@ class GcinPair:
 
     generator: Mlp
     discriminator: Mlp
-    column_kind: str
     cond_shift: np.ndarray
     cond_scale: np.ndarray
     target_shift: float
@@ -163,10 +162,18 @@ class GcinPair:
         cond_width, gen = self.cond_shift.size, self.generator
         if gen.input_dim <= cond_width:
             raise ShapeError("generator input width must exceed the conditioning width")
-        if self.column_kind != "categorical" and gen.output_dim != 1:
-            raise ShapeError(f"a {self.column_kind} generator must be one wide")
+        if gen.output_activation == "identity" and gen.output_dim != 1:
+            raise ShapeError("a continuous (identity-head) generator must be one wide")
         if self.discriminator.input_dim != cond_width + gen.output_dim:
             raise ShapeError("discriminator input width != conditioning width + target width")
+
+    @property
+    def column_kind(self) -> str:
+        """Read off the generator: an identity head is continuous, a
+        one-wide sigmoid binary, a sigmoid per level categorical."""
+        if self.generator.output_activation == "identity":
+            return "continuous"
+        return "binary" if self.generator.output_dim == 1 else "categorical"
 
     @property
     def noise_dim(self) -> int:
@@ -214,6 +221,8 @@ def _encode_target(x_target: np.ndarray, kind: str, n_levels: int | None):
     if np.any(codes != x_target) or codes.min() < 0:
         raise ValueError("categorical targets must be non-negative integer codes")
     levels = int(n_levels) if n_levels is not None else int(codes.max()) + 1
+    if levels < 2:  # a one-wide sigmoid head is a binary column's
+        raise ValueError("a categorical target needs at least 2 levels")
     if codes.max() >= levels:
         raise ValueError("categorical code out of range for declared level count")
     enc = np.zeros((codes.size, levels))
@@ -439,8 +448,7 @@ def train_gcin(
                 mlp_new(width + t_width, hidden, 1, disc_head, seed=disc_seed, dtype=TRAIN_DTYPE)
             )
         elif (
-            warm.column_kind == kind
-            and warm.cond_shift.shape == (width,)
+            warm.cond_shift.shape == (width,)
             and _fits_layers(warm.generator, [width + k, *hidden, t_width], gen_head)
             and _fits_layers(warm.discriminator, [width + t_width, *hidden, 1], disc_head)
         ):
@@ -529,7 +537,7 @@ def train_gcin(
     nets = [net or (gen.member(a), disc.member(a)) for a, net in enumerate(nets)]
 
     return [
-        (GcinPair(g, d, kind, *norm), trace) for (g, d), norm, trace in zip(nets, norms, traces)
+        (GcinPair(g, d, *norm), trace) for (g, d), norm, trace in zip(nets, norms, traces)
     ]
 
 

@@ -265,7 +265,7 @@ class TestCriterion7ChainedLoopContracts:
         values = np.column_stack(columns)
         mask = rng.random((n, p)) < rng.uniform(0.0, 0.5)
         mask[rng.integers(0, n)] = False  # keep every column partly observed
-        return DataMatrix(schema, np.where(mask, np.nan, values), mask), values
+        return DataMatrix(schema, np.where(mask, np.nan, values)), values
 
     def test_contracts_on_100_random_inputs(self):
         start = time.perf_counter()

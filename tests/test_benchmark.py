@@ -1,6 +1,7 @@
 """Baseline imputation, masked-cell RMSE, and the Monte Carlo harness."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -284,7 +285,7 @@ def mixed_truth_csv(path, n=60, seed=0):
     c = np.digitize(x[:, 0] + rng.normal(size=n), [-0.5, 0.5]).astype(float)
     schema = [ColumnSchema(f"x{i}", "continuous") for i in range(3)]
     schema.append(ColumnSchema("c", "categorical", ("a", "b", "c")))
-    write_csv(DataMatrix(schema, np.column_stack([x, c]), np.zeros((n, 4), bool)), path)
+    write_csv(DataMatrix(schema, np.column_stack([x, c])), path)
     return read_csv(path)
 
 
@@ -354,26 +355,57 @@ class TestExternalScoring:
         ext_dir.mkdir()
         spec, truth = self._spec(tmp_path, ext_dir)
         mask = repeat_mask(spec, truth, 0, 0)
-        completed = initial_fill(DataMatrix(truth.schema, truth.values, mask)).values
+        amputed = DataMatrix(truth.schema, np.where(mask, np.nan, truth.values))
+        completed = initial_fill(amputed).values
         completed[completed[:, 3] == 0, 3] = 1
-        ext = DataMatrix(truth.schema, completed, np.zeros_like(mask))
+        ext = DataMatrix(truth.schema, completed)
         write_csv(ext, ext_dir / "mcar@0.3_rep000.csv")
         assert read_csv(ext_dir / "mcar@0.3_rep000.csv").schema[3].levels == ("b", "c")
         (row,) = run_benchmark(spec).rows
         assert row.mean_rmse == rmse(truth.values, completed, mask, schema=truth.schema)
+
+    def test_coded_column_holding_one_level_scored(self, tmp_path):
+        # a mask that deletes both "yes" cells of b: its mean/mode fill
+        # writes every cell of b as "no", one of the truth's two levels
+        n = 40
+        b = np.zeros(n)
+        b[[3, 17]] = 1.0
+        schema = [ColumnSchema("x", "continuous"), ColumnSchema("b", "binary", ("no", "yes"))]
+        truth_path = tmp_path / "truth.csv"
+        x = np.random.default_rng(0).normal(size=n)
+        write_csv(DataMatrix(schema, np.column_stack([x, b])), truth_path)
+        truth = read_csv(truth_path)
+        ext_dir = tmp_path / "ext"
+        ext_dir.mkdir()
+        methods = [MethodSpec("mean"), MethodSpec("external", "ext", str(ext_dir))]
+        mcar = AmputationSpec("mcar", rate=0.5)
+        for seed in range(200):
+            spec = tiny_spec(
+                data=str(truth_path), mechanisms=[mcar], methods=methods, mc_repeats=1, seed=seed
+            )
+            mask = repeat_mask(spec, truth, 0, 0)
+            if mask[b == 1, 1].all() and not mask[:, 0].all():
+                break
+        else:
+            pytest.fail("no seed deletes both 'yes' cells")
+        fill = initial_fill(DataMatrix(schema, np.where(mask, np.nan, truth.values)))
+        write_csv(fill, ext_dir / f"{mcar.label}_rep000.csv")
+        mean_row, ext_row = run_benchmark(spec).rows
+        assert (mean_row.method, ext_row.method) == ("mean", "ext")
+        assert ext_row.mean_rmse == mean_row.mean_rmse
 
     @pytest.mark.parametrize(
         "edit,message",
         [
             # the truth's columns in another order
             (lambda text: [",".join(line.split(",")[::-1]) for line in text],
-             r"repeat 0 has columns \['c', 'x2', 'x1', 'x0'\], expected the truth's"),
+             r"line 1, column 1: header \['c', 'x2', 'x1', 'x0'\], expected \['x0', 'x1', 'x2', 'c'\]"),
             # a level the truth lacks
             (lambda text: [text[0], *(line.replace(",b", ",z") for line in text[1:])],
-             r"repeat 0, column 'c' has level 'z', which the truth lacks"),
+             r"line \d+, column 'c': 'z' is not one of the levels \['a', 'b', 'c'\]"),
             # a continuous column where the truth's is coded
             (lambda text: [text[0], *(line[:-1] + str("abc".index(line[-1])) for line in text[1:])],
-             r"repeat 0, column 'c' is continuous, but the truth's is categorical"),
+             r"line 2, column 'c': '\d' is not one of the levels \['a', 'b', 'c'\]"),
         ],
         ids=["column_order", "unknown_level", "kind"],
     )
@@ -382,6 +414,8 @@ class TestExternalScoring:
         ext_dir.mkdir()
         spec, truth = self._spec(tmp_path, ext_dir)
         text = (tmp_path / "truth.csv").read_text().splitlines()
-        (ext_dir / "mcar@0.3_rep000.csv").write_text("\n".join(edit(text)) + "\n")
-        with pytest.raises(DataError, match="external method 'ext': " + message):
+        path = ext_dir / "mcar@0.3_rep000.csv"
+        path.write_text("\n".join(edit(text)) + "\n")
+        prefix = re.escape(f"external method 'ext': repeat 0: {path}: ")
+        with pytest.raises(DataError, match=prefix + message):
             run_benchmark(spec)

@@ -56,7 +56,7 @@ def mixed_matrix(n=40, seed=0, miss=0.25):
         ColumnSchema("b", "binary", ("lo", "hi")),
         ColumnSchema("c", "categorical", ("a", "b", "c")),
     ]
-    return DataMatrix(schema, np.where(mask, np.nan, values), mask), values
+    return DataMatrix(schema, np.where(mask, np.nan, values)), values
 
 
 class TestInitialFill:
@@ -71,15 +71,13 @@ class TestInitialFill:
     def test_categorical_mode(self):
         schema = [ColumnSchema("c", "categorical", ("a", "b", "z"))]
         values = np.array([[0.0], [0.0], [np.nan]])
-        mask = np.array([[False], [False], [True]])
-        filled = initial_fill(DataMatrix(schema, values, mask))
+        filled = initial_fill(DataMatrix(schema, values))
         assert filled.values[2, 0] == 0.0
 
     def test_mode_tie_breaks_to_smallest_code(self):
         schema = [ColumnSchema("c", "categorical", ("a", "b", "z"))]
         values = np.array([[2.0], [1.0], [2.0], [1.0], [np.nan]])
-        mask = np.array([[False]] * 4 + [[True]])
-        filled = initial_fill(DataMatrix(schema, values, mask))
+        filled = initial_fill(DataMatrix(schema, values))
         assert filled.values[4, 0] == 1.0
 
     def test_complete_matrix_unchanged(self):
@@ -296,10 +294,7 @@ class TestGcmiImpute:
 
     def test_entirely_missing_column_rejected(self):
         values = np.column_stack([np.ones(5), np.full(5, np.nan)])
-        mask = np.column_stack([np.zeros(5, dtype=bool), np.ones(5, dtype=bool)])
-        dm = DataMatrix(
-            [ColumnSchema("a", "continuous"), ColumnSchema("b", "continuous")], values, mask
-        )
+        dm = DataMatrix([ColumnSchema("a", "continuous"), ColumnSchema("b", "continuous")], values)
         with pytest.raises(UnimputableColumnError, match="b"):
             gcmi_impute(dm, tiny_config())
 

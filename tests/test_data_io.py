@@ -94,38 +94,42 @@ class TestReadCsv:
         dm = read_csv(write(tmp_path, "a\n1\nNaN\nNA\n\n2\n"))
         assert dm.mask[:, 0].tolist() == [False, True, True, True, False]
 
-    def test_hints_override_inference(self, tmp_path):
-        dm = read_csv(write(tmp_path, "a\n0\n1\n0\n"), schema_hints={"a": "binary"})
-        assert dm.schema[0].kind == "binary"
-        assert dm.schema[0].levels == ("0", "1")
-
-    def test_binary_hint_with_wrong_cardinality_rejected(self, tmp_path):
-        with pytest.raises(DataError, match="3 levels"):
-            read_csv(write(tmp_path, "a\nx\ny\nz\n"), schema_hints={"a": "binary"})
+    def test_schema_overrides_inference(self, tmp_path):
+        schema = [ColumnSchema("a", "binary", ("0", "1"))]
+        dm = read_csv(write(tmp_path, "a\n0\n1\n0\n"), schema=schema)
+        assert dm.schema == schema
+        assert dm.values[:, 0].tolist() == [0.0, 1.0, 0.0]
 
     @pytest.mark.parametrize(
-        "text,hints,levels",
+        "text,message",
         [
-            ("a,b\n1,x\n2,x\n3,\n4,x\n", None, 1),
-            ("a,b\n1,7\n2,7\n", {"b": "categorical"}, 1),
-            ("a,b\n1,\n2,NA\n", {"b": "categorical"}, 0),
+            ("b,a\n1,x\n", "line 1, column 1: header ['b', 'a'], expected ['a', 'b']"),
+            ("a,b\n1,x\n2,z\n", "line 3, column 'b': 'z' is not one of the levels ['x', 'y']"),
+            ("a,b\n1,x\n\"two\nlines\",y\n", "line 3, column 'a': non-numeric value 'two\\nlines'"),
         ],
+        ids=["column_order", "unknown_level", "not_numeric"],
     )
-    def test_coded_column_with_fewer_than_two_levels_rejected(self, tmp_path, text, hints, levels):
+    def test_file_off_the_schema_rejected(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        schema = [ColumnSchema("a", "continuous"), ColumnSchema("b", "binary", ("x", "y"))]
+        with pytest.raises(DataError) as err:
+            read_csv(path, schema=schema)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_unknown_kind_rejected(self):
+        # a schema's kinds come from ColumnSchema, which refuses any other
+        with pytest.raises(ValueError, match="unknown column kind 'ordinal'"):
+            ColumnSchema("b", "ordinal")
+
+    @pytest.mark.parametrize("text", ["a,b\n1,x\n2,x\n3,\n4,x\n", "b\nx\n\nx\n"])
+    def test_coded_column_with_fewer_than_two_levels_rejected(self, tmp_path, text):
         path = write(tmp_path, text)
         with pytest.raises(DataError) as err:
-            read_csv(path, hints)
-        message = str(err.value)
-        assert str(path) in message
-        assert "column 'b'" in message
-        assert f"has {levels} distinct level(s)" in message
-
-    def test_unknown_hint_kind_rejected(self, tmp_path):
-        path = write(tmp_path, "a,b\n1,x\n2,y\n")
-        with pytest.raises(DataError, match="column 'b' has unknown kind 'ordinal'") as err:
-            read_csv(path, {"b": "ordinal"})
-        assert str(path) in str(err.value)
-
+            read_csv(path)
+        assert str(err.value) == (
+            f"{path}: column 'b' has 1 distinct level(s); "
+            "a binary or categorical column needs at least 2"
+        )
 
     @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "Infinity"])
     def test_non_finite_continuous_cell_rejected(self, tmp_path, token):
@@ -203,8 +207,7 @@ def _try_float(token):
         return None
 
 
-def reference_read_csv(path, schema_hints=None, missing_tokens=DEFAULT_MISSING_TOKENS):
-    hints = schema_hints or {}
+def reference_read_csv(path, schema=None, missing_tokens=DEFAULT_MISSING_TOKENS):
     missing = set(missing_tokens) | {""}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -213,6 +216,13 @@ def reference_read_csv(path, schema_hints=None, missing_tokens=DEFAULT_MISSING_T
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        if schema is not None:
+            names = [col.name for col in schema]
+            for j in range(max(len(header), len(names))):
+                if j >= min(len(header), len(names)) or header[j] != names[j]:
+                    raise DataError(
+                        f"{path}: line 1, column {j + 1}: header {header}, expected {names}"
+                    )
         records, lines = [], []  # each record and the line it starts on
         end = reader.line_num
         for row in reader:
@@ -235,54 +245,44 @@ def reference_read_csv(path, schema_hints=None, missing_tokens=DEFAULT_MISSING_T
     n, p = len(rows), len(header)
     values = np.full((n, p), np.nan)
     mask = np.zeros((n, p), dtype=bool)
-    schema = []
+    columns = []
     for j, name in enumerate(header):
         col_tokens = [row[j] for row in rows]
         observed = [tok for tok in col_tokens if tok not in missing]
-        if hints.get(name) not in (None, "", *KINDS):
-            raise DataError(
-                f"{path}: column {name!r} has unknown kind {hints[name]!r} in schema_hints; "
-                f"expected one of {', '.join(KINDS)}"
-            )
-        if not observed and hints.get(name) != "categorical":
-            kind = hints.get(name) or "continuous"
-            schema.append(ColumnSchema(name, kind, ("0", "1") if kind == "binary" else ()))
-            mask[:, j] = True
-            continue
-        kind = hints.get(name)
-        if not kind:
-            if all(_try_float(tok) is not None for tok in observed):
-                kind = "continuous"
-            else:
-                kind = "binary" if len(set(observed)) == 2 else "categorical"
-        if kind == "continuous":
-            for tok in observed:
-                if _try_float(tok) is None:
-                    raise DataError(
-                        f"{path}: column {name!r} hinted continuous but {tok!r} is not numeric"
-                    )
-            levels = ()
+        if schema is not None:
+            col_schema = schema[j]
+            kind, levels = col_schema.kind, col_schema.levels
+        elif all(_try_float(tok) is not None for tok in observed):
+            kind, levels = "continuous", ()
             col_schema = ColumnSchema(name, "continuous")
         else:
             levels = tuple(sorted(set(observed)))
-            if kind == "binary" and len(levels) != 2:
-                raise DataError(
-                    f"{path}: column {name!r} hinted binary but has {len(levels)} levels"
-                )
             if len(levels) < 2:
                 raise DataError(
                     f"{path}: column {name!r} has {len(levels)} distinct level(s); "
                     "a binary or categorical column needs at least 2"
                 )
+            kind = "binary" if len(levels) == 2 else "categorical"
             col_schema = ColumnSchema(name, kind, levels)
+        if kind == "continuous":
+            for i, tok in enumerate(col_tokens):
+                if tok not in missing and _try_float(tok) is None:
+                    raise DataError(
+                        f"{path}: line {lines[i]}, column {name!r}: non-numeric value {tok!r}"
+                    )
         code = {lev: float(i) for i, lev in enumerate(levels)}
         for i, tok in enumerate(col_tokens):
             if tok in missing:
                 mask[i, j] = True
             elif kind == "continuous":
                 values[i, j] = float(tok)
-            else:
+            elif tok in code:
                 values[i, j] = code[tok]
+            else:
+                raise DataError(
+                    f"{path}: line {lines[i]}, column {name!r}: "
+                    f"{tok!r} is not one of the levels {list(levels)}"
+                )
         if kind == "continuous":
             bad = np.flatnonzero(~np.isfinite(values[:, j]) & ~mask[:, j])
             if bad.size:
@@ -290,8 +290,8 @@ def reference_read_csv(path, schema_hints=None, missing_tokens=DEFAULT_MISSING_T
                 raise DataError(
                     f"{path}: line {lines[i]}, column {name!r}: non-finite value {col_tokens[i]!r}"
                 )
-        schema.append(col_schema)
-    return DataMatrix(schema, values, mask)
+        columns.append(col_schema)
+    return DataMatrix(columns, values)
 
 
 def assert_same_matrix(got, want):
@@ -320,15 +320,14 @@ def mixed_matrix(n, seed=0, levels=("a,b", 'say "hi"', "two\nlines", " padded ")
             rng.integers(0, len(levels), n),
         ]
     ).astype(float)
-    mask = rng.random(values.shape) < 0.2
-    values[mask] = np.nan
+    values[rng.random(values.shape) < 0.2] = np.nan
     schema = [
         ColumnSchema("x", "continuous"),
         ColumnSchema("y, \"quoted\"", "continuous"),
         ColumnSchema("flag\nname", "binary", ("no", "yes, sir")),
         ColumnSchema(" region ", "categorical", levels),
     ]
-    return DataMatrix(schema, values, mask)
+    return DataMatrix(schema, values)
 
 
 class TestWriterMatchesReference:
@@ -351,16 +350,16 @@ class TestWriterMatchesReference:
     def test_one_column_with_missing_cells(self, tmp_path, kind):
         levels = ("no", "yes") if kind == "binary" else ()
         values = np.array([[1.0], [np.nan], [0.0], [np.nan]])
-        dm = DataMatrix([ColumnSchema("", kind, levels)], values, np.isnan(values))
+        dm = DataMatrix([ColumnSchema("", kind, levels)], values)
         assert_same_bytes(tmp_path, dm)
 
     def test_one_column_with_empty_level(self, tmp_path):
         values = np.array([[0.0], [1.0], [np.nan]])
-        dm = DataMatrix([ColumnSchema("c", "binary", ("", "y"))], values, np.isnan(values))
+        dm = DataMatrix([ColumnSchema("c", "binary", ("", "y"))], values)
         assert_same_bytes(tmp_path, dm)
 
     def test_no_columns(self, tmp_path):
-        dm = DataMatrix([], np.zeros((3, 0)), np.zeros((3, 0), dtype=bool))
+        dm = DataMatrix([], np.zeros((3, 0)))
         assert_same_bytes(tmp_path, dm)
 
     @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
@@ -380,14 +379,13 @@ class TestWriterMatchesReference:
                 rng.integers(0, 3, n),
             ]
         ).astype(float)
-        mask = rng.random(values.shape) < 0.2
-        values[mask] = np.nan
+        values[rng.random(values.shape) < 0.2] = np.nan
         schema = [ColumnSchema(f"X{j}", "continuous") for j in range(5)] + [
             ColumnSchema("owner", "binary", ("no", "yes")),
             ColumnSchema("region", "categorical", ("east", "north", "south", "west")),
             ColumnSchema("tier", "categorical", ("gold", "silver", "bronze")),
         ]
-        dm = DataMatrix(schema, values, mask)
+        dm = DataMatrix(schema, values)
         tracemalloc.start()
         try:
             write_csv(dm, tmp_path / "big.csv")
@@ -428,11 +426,11 @@ class TestSharedObservedText:
         ).astype(float)
         mask = rng.random(truth.shape) < rate
         mask[:, 0] = False
-        source = DataMatrix(schema, np.where(mask, np.nan, truth), mask)
+        source = DataMatrix(schema, np.where(mask, np.nan, truth))
         fills = np.column_stack([rng.choice(floats, (n, 3)), truth[:, 3:]])
         completion = np.where(mask, fills, truth)
         observed = ObservedText(source)
-        for dm in (source, DataMatrix(schema, completion, np.zeros_like(mask))):
+        for dm in (source, DataMatrix(schema, completion)):
             with tempfile.TemporaryDirectory() as tmp:
                 plain, shared = Path(tmp, "plain.csv"), Path(tmp, "shared.csv")
                 write_csv(dm, plain)
@@ -476,14 +474,38 @@ READ_CASES = {
     "no_rows": "a,b\n",
     "empty": "",
     "single_level_text": "a,b\nx,1\nx,2\n",
+    "schema_one_level": "a,b\n1,y\n2,\n3,y\n",
+    "schema_numeric_levels": "a\n10\n\n2\n10\n",
+    "schema_header_order": "b,a\nx,1\n",
+    "schema_header_short": "a,b\n1,x\n",
+    "schema_header_long": "a,b\n1,x\n",
+    "schema_non_finite_after_non_numeric": "a,b\ninf,x\nfoo,y\n",
+    "schema_ragged": "a,b\n1,x\n2\n",
+    "schema_no_rows": "a,b\n\n",
 }
 
-READ_HINTS = {
-    "hinted_binary": {"a": "binary"},
-    "hinted_continuous": {"a": "continuous"},
-    "hinted_categorical_all_missing": {"a": "categorical"},
-    "hinted_continuous_not_numeric": {"a": "continuous"},
-    "hinted_binary_three_levels": {"a": "binary"},
+def _schema(*kinds):
+    """Columns a, b, ... of the given kinds; a binary column's levels are
+    x/y, a categorical one's x/y/z."""
+    levels = {"continuous": (), "binary": ("x", "y"), "categorical": ("x", "y", "z")}
+    return [ColumnSchema(name, kind, levels[kind]) for name, kind in zip("abc", kinds)]
+
+
+# cases read against a schema: the kinds it declares, not inferred ones
+READ_SCHEMAS = {
+    "hinted_binary": [ColumnSchema("a", "binary", ("0", "1")), ColumnSchema("b", "continuous")],
+    "hinted_continuous": _schema("continuous", "binary"),
+    "hinted_categorical_all_missing": _schema("categorical", "continuous"),
+    "hinted_continuous_not_numeric": _schema("continuous", "binary"),
+    "hinted_binary_three_levels": _schema("binary", "continuous"),
+    "schema_one_level": _schema("continuous", "categorical"),
+    "schema_numeric_levels": [ColumnSchema("a", "categorical", ("1", "2", "10"))],
+    "schema_header_order": _schema("continuous", "binary"),
+    "schema_header_short": _schema("continuous", "binary", "binary"),
+    "schema_header_long": _schema("continuous"),
+    "schema_non_finite_after_non_numeric": _schema("continuous", "binary"),
+    "schema_ragged": _schema("continuous", "binary"),
+    "schema_no_rows": _schema("continuous", "binary"),
 }
 
 
@@ -491,15 +513,15 @@ class TestReaderMatchesReference:
     @pytest.mark.parametrize("case", sorted(READ_CASES))
     def test_same_matrix_or_same_error(self, tmp_path, case):
         path = write(tmp_path, READ_CASES[case])
-        hints = READ_HINTS.get(case)
+        schema = READ_SCHEMAS.get(case)
         try:
-            want = reference_read_csv(path, hints)
+            want = reference_read_csv(path, schema)
         except ValueError as exc:
             with pytest.raises(type(exc)) as err:
-                read_csv(path, hints)
+                read_csv(path, schema)
             assert str(err.value) == str(exc)
         else:
-            assert_same_matrix(read_csv(path, hints), want)
+            assert_same_matrix(read_csv(path, schema), want)
 
     def test_custom_missing_tokens(self, tmp_path):
         path = write(tmp_path, "a,b\n1,-\n?,2\n3,4\n")
@@ -526,7 +548,7 @@ def mixed_matrices(draw):
     """Small mixed matrices that reading gives back unchanged: coded
     columns list their levels sorted and use every one of them."""
     n = draw(st.integers(1, 7))
-    schema, columns, masks = [], [], []
+    schema, columns = [], []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(KINDS))
         n_levels = {"continuous": 0, "binary": 2, "categorical": draw(st.integers(3, 4))}[kind]
@@ -547,8 +569,7 @@ def mixed_matrices(draw):
         col[miss] = np.nan
         schema.append(ColumnSchema(draw(_text), kind, levels))
         columns.append(col)
-        masks.append(miss)
-    return DataMatrix(schema, np.column_stack(columns), np.column_stack(masks))
+    return DataMatrix(schema, np.column_stack(columns))
 
 
 class TestWriteReadProperty:
@@ -559,18 +580,30 @@ class TestWriteReadProperty:
         assert_same_bytes(tmp_path, dm)
         assert_same_matrix(read_csv(tmp_path / "new.csv"), dm)
 
+    @given(mixed_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_against_the_schema(self, tmp_path_factory, dm):
+        # two coded columns inference could not read back: one whose
+        # observed cells hold a single level, one with no observed cell
+        rows = np.arange(dm.n_rows)
+        schema = dm.schema + [
+            ColumnSchema("one", "binary", ("no", "yes")),
+            ColumnSchema("none", "categorical", ("p", "q", "r")),
+        ]
+        one, none = np.where(rows % 2, np.nan, 1.0), np.full(rows.size, np.nan)
+        values = np.column_stack([dm.values, one, none])
+        dm = DataMatrix(schema, values)
+        path = tmp_path_factory.mktemp("schema") / "m.csv"
+        write_csv(dm, path)
+        assert_same_matrix(read_csv(path, schema=schema), dm)
+        assert_same_matrix(reference_read_csv(path, schema), dm)
+
 
 class TestDataMatrix:
-    def test_mask_nan_consistency_enforced(self):
-        values = np.array([[np.nan, 1.0]])
-        with pytest.raises(DataError):
-            DataMatrix([ColumnSchema("a", "continuous"), ColumnSchema("b", "continuous")],
-                       values, np.zeros((1, 2), dtype=bool))
-
     def test_out_of_range_codes_rejected(self):
         schema = [ColumnSchema("a", "binary", ("no", "yes"))]
         with pytest.raises(DataError):
-            DataMatrix(schema, np.array([[2.0]]), np.zeros((1, 1), dtype=bool))
+            DataMatrix(schema, np.array([[2.0]]))
 
     def test_matrix_from_array_shape_checks(self):
         with pytest.raises(ShapeError):

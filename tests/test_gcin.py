@@ -1121,7 +1121,7 @@ class TestImputeColumn:
         n, width, noise = 40_000, 7, 8
         gen = mlp_new(width + noise, [200, 100], 1, "identity", 1, dtype=TRAIN_DTYPE)
         disc = mlp_new(width + 1, [200, 100], 1, "scaled_sigmoid_0_2", 2, dtype=TRAIN_DTYPE)
-        pair = GcinPair(gen, disc, "continuous", np.zeros(width), np.ones(width), 0, 1)
+        pair = GcinPair(gen, disc, np.zeros(width), np.ones(width), 0, 1)
         X = np.random.default_rng(3).normal(size=(n, width))
         tracemalloc.start()
         try:
@@ -1196,7 +1196,7 @@ class TestImputeColumn:
         gen.biases[-1][:] = 0.3
         disc = mlp_new(4, [4], 1, "scaled_sigmoid_0_2", 2, dtype=np.float32)
         shift = 1e6 + 0.123456789
-        pair = GcinPair(gen, disc, "continuous", np.zeros(3), np.ones(3), shift, 0.5)
+        pair = GcinPair(gen, disc, np.zeros(3), np.ones(3), shift, 0.5)
         imputed = impute_column(pair, np.zeros((5, 3)), seed=0)
         assert imputed.dtype == np.float64
         assert np.all(imputed == float(np.float32(0.3)) * 0.5 + shift)
