@@ -6,6 +6,7 @@
 import numpy as np
 
 from gcmi import (
+    ColumnSchema,
     DiscreteDist,
     TrainConfig,
     chi2_generator_objective,
@@ -22,8 +23,11 @@ X = rng.normal(size=(n, 4))
 y = 0.8 * X[:, 0] - 0.5 * X[:, 1] + 0.4 * rng.normal(size=n)
 
 # train_gcin fits a group of pairs in lock-step, one per seed, each member on
-# its own (n, width) conditioning and (n,) target; here a group of one
-[(pair, trace)] = train_gcin([X], [y], "continuous", TrainConfig(max_epochs=2000), [1])
+# its own (n, width) conditioning and (n,) target; here a group of one.  The
+# target's ColumnSchema gives the fit its head: an identity head for a
+# continuous column
+col = ColumnSchema("y", "continuous")
+[(pair, trace)] = train_gcin([X], [y], col, TrainConfig(max_epochs=2000), [1])
 
 print("cycles trained:", len(trace))
 print("discriminator loss:  first %.3f -> last %.3f   (balanced game = 1.0)"

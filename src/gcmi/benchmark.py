@@ -87,7 +87,13 @@ class MethodSpec:
 
 @dataclass
 class BenchmarkSpec:
-    """Monte Carlo experiment grid: data x mechanisms x methods."""
+    """Monte Carlo experiment grid: data x mechanisms x methods.
+
+    ``gcmi.seed`` and ``gcmi.workers`` are not read: the gcmi run of
+    repeat r under mechanism i takes its seed at ``(300, r, i)`` under
+    ``seed`` and runs on one worker, and ``workers`` runs repeats in
+    parallel.
+    """
 
     data: SyntheticSpec | str | Path
     mechanisms: list[AmputationSpec] = field(default_factory=list)
@@ -148,19 +154,14 @@ class BenchmarkTable:
 
 def _pool_completed(result) -> np.ndarray:
     """Collapse M completed datasets to one matrix: cell means for
-    continuous columns, majority level elsewhere."""
+    continuous columns, majority level elsewhere (a tie to the smallest
+    code, as in ``initial_fill``)."""
     stack = np.stack([dm.values for dm in result.completed])
-    schema = result.completed[0].schema
     out = stack.mean(axis=0)
-    for j, col in enumerate(schema):
-        if col.kind == "continuous":
-            continue
-        codes = stack[:, :, j].astype(int)
-        n_levels = max(len(col.levels), 2)
-        counts = np.zeros((codes.shape[1], n_levels))
-        for m in range(codes.shape[0]):
-            counts[np.arange(codes.shape[1]), codes[m]] += 1
-        out[:, j] = np.argmax(counts, axis=1).astype(float)
+    for j, col in enumerate(result.completed[0].schema):
+        if col.kind != "continuous":
+            votes = stack[:, :, j, None] == np.arange(len(col.levels))  # (M, n, levels)
+            out[:, j] = votes.sum(axis=0).argmax(axis=1)
     return out
 
 

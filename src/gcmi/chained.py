@@ -253,10 +253,9 @@ def sweep(
         fits = train_gcin(
             cond_obs,
             current[:, ~miss, j],
-            col.kind,
+            col,
             train,
             fit_seeds,
-            n_levels=len(col.levels) if col.kind == "categorical" else None,
             start=None if start is None else start[j],
         )
         pairs[j] = [pair for pair, _ in fits]

@@ -52,6 +52,15 @@ class ColumnSchema:
         return len(self.levels) if self.kind == "categorical" else 1
 
 
+def check_codes(codes: np.ndarray, col: ColumnSchema) -> None:
+    """Raise ``DataError`` unless each of ``codes`` codes one of the coded
+    column ``col``'s levels: an integer in [0, len(col.levels))."""
+    if codes.size and (
+        np.any(codes != np.round(codes)) or codes.min() < 0 or codes.max() >= len(col.levels)
+    ):
+        raise DataError(f"column {col.name!r} has codes outside its declared levels")
+
+
 @dataclass
 class DataMatrix:
     """(n, P) cell values and per-column schema; NaN cells are the missing
@@ -71,14 +80,8 @@ class DataMatrix:
             )
         self.mask = np.isnan(self.values)
         for j, col in enumerate(self.schema):
-            if col.kind in ("binary", "categorical"):
-                observed = self.values[~self.mask[:, j], j]
-                if observed.size and (
-                    np.any(observed != np.round(observed))
-                    or observed.min() < 0
-                    or observed.max() >= len(col.levels)
-                ):
-                    raise DataError(f"column {col.name!r} has codes outside its declared levels")
+            if col.kind != "continuous":
+                check_codes(self.values[~self.mask[:, j], j], col)
 
     @property
     def n_rows(self) -> int:

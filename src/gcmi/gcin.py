@@ -14,10 +14,11 @@ those rows sit that epoch out.  With ``batch_size`` at or above the row
 count every update takes every row.  A fit builds the (cond | target | 1)
 rows once, and a minibatch is one gather from them.
 
-Column kinds: continuous targets use an identity head on standardised
-values, binary targets a sigmoid head on {0, 1} codes, and categorical
-targets a group of sigmoid heads over one-hot levels whose probabilities
-are renormalised at sampling time.
+Column kinds, read off the target's ``ColumnSchema``: continuous targets
+use an identity head on standardised values, binary targets a sigmoid
+head on {0, 1} codes, and categorical targets a sigmoid head per declared
+level over their one-hot encoding (``data.encode_columns``), renormalised
+at sampling time.
 
 Both networks train in float32 (``TRAIN_DTYPE``): the standardisation is
 fitted in float64 and the standardised conditioning and target are cast
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import KINDS
+from .data import ColumnSchema, check_codes, encode_columns
 from .errors import ConfigError, InsufficientDataError, NumericError, ShapeError
 from .losses import (
     GEN_TARGET,
@@ -179,11 +180,6 @@ class GcinPair:
     def noise_dim(self) -> int:
         return self.generator.input_dim - self.cond_shift.size
 
-    @property
-    def n_levels(self) -> int:
-        # a categorical generator has one output per level
-        return {"continuous": 1, "binary": 2}.get(self.column_kind, self.generator.output_dim)
-
 
 def scale_architecture(n_samples: int, n_features: int) -> list[int]:
     """Dataset-adaptive hidden sizes: [100] up to 20k rows, [200, 100] for
@@ -206,28 +202,15 @@ def _standardize_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shift, scale
 
 
-def _encode_target(x_target: np.ndarray, kind: str, n_levels: int | None):
-    """Encodes the 1-D float target; returns (encoded (n, width) array,
-    shift, scale)."""
-    if kind == "continuous":
+def _encode_target(x_target: np.ndarray, col: ColumnSchema):
+    """Encodes the 1-D float target of column ``col``; returns (encoded
+    (n, col.width) array, shift, scale)."""
+    if col.kind == "continuous":
         shift, scale = _standardize_fit(x_target[:, None])
         enc = (x_target[:, None] - shift) / scale
         return enc, float(shift[0]), float(scale[0])
-    if kind == "binary":
-        if not np.all((x_target == 0.0) | (x_target == 1.0)):
-            raise ValueError("binary targets must be coded 0/1")
-        return x_target[:, None], 0.0, 1.0
-    codes = x_target.astype(int)
-    if np.any(codes != x_target) or codes.min() < 0:
-        raise ValueError("categorical targets must be non-negative integer codes")
-    levels = int(n_levels) if n_levels is not None else int(codes.max()) + 1
-    if levels < 2:  # a one-wide sigmoid head is a binary column's
-        raise ValueError("a categorical target needs at least 2 levels")
-    if codes.max() >= levels:
-        raise ValueError("categorical code out of range for declared level count")
-    enc = np.zeros((codes.size, levels))
-    enc[np.arange(codes.size), codes] = 1.0
-    return enc, 0.0, 1.0
+    check_codes(x_target, col)
+    return encode_columns(x_target[:, None], [col]), 0.0, 1.0
 
 
 class _Workspace:
@@ -359,28 +342,28 @@ def _batches(rng: np.random.Generator, n: int, batch: int) -> Iterator[np.ndarra
 def train_gcin(
     X_cond: np.ndarray,
     x_target: np.ndarray,
-    kind: str,
+    col: ColumnSchema,
     cfg: TrainConfig,
     seeds: list[int],
-    n_levels: int | None = None,
     start: list[GcinPair] | None = None,
 ) -> list[tuple[GcinPair, TrainTrace]]:
     """Fit K generator/discriminator pairs in lock-step, one per seed.
 
     ``X_cond`` holds each member's (n_obs, width) conditioning matrix, so
-    it is (K, n_obs, width), and ``x_target`` its observed column, (K,
-    n_obs): raw values for continuous, 0/1 codes for binary, integer codes
-    for categorical.  All members train with ``cfg``; member a is
-    deterministic given its seed ``s = seeds[a]``, which addresses its
-    three streams (see ``seeding``): the generator's initial weights
-    from ``spawn_rng(s)``, the discriminator's from ``mlp_new`` seeded
-    with ``derive_seed(s, 1)``, and the minibatches and noise from
-    ``spawn_rng(s, 2)``.  Returns the K (pair, trace) results, in order.
-    The pairs' networks are float32 (``TRAIN_DTYPE``); their
-    normalisation stays float64.
+    it is (K, n_obs, width), and ``x_target`` its observed cells of column
+    ``col``, (K, n_obs): raw values, or codes of ``col``'s levels
+    (``data.check_codes``).  ``col`` gives the head and target width, one
+    output per declared level of a categorical column.  All members train
+    with ``cfg``; member a is deterministic given its seed ``s =
+    seeds[a]``, which addresses its three streams (see ``seeding``): the
+    generator's initial weights from ``spawn_rng(s)``, the
+    discriminator's from ``mlp_new`` seeded with ``derive_seed(s, 1)``,
+    and the minibatches and noise from ``spawn_rng(s, 2)``.  Returns the
+    K (pair, trace) results, in order.  The pairs' networks are float32
+    (``TRAIN_DTYPE``); their normalisation stays float64.
 
     With ``start``, one pair per member fitted earlier for this column
-    (the same kind, conditioning width and networks), the fit is warm:
+    (the same column, conditioning width and networks), the fit is warm:
     each member trains on from a copy of its pair's weights, keeps that
     pair's conditioning normalisation (the target's is fitted as from
     scratch; a chain's observed cells never move), starts Adam afresh
@@ -395,8 +378,6 @@ def train_gcin(
     losses unchecked and its gradients zeroed, until the last one stops.
     So each member's result is bit for bit its fit in a group of one.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown column kind {kind!r}")
     cfg.validate()
     X_cond = np.asarray(X_cond, dtype=float)
     x_target = np.asarray(x_target, dtype=float)
@@ -422,14 +403,12 @@ def train_gcin(
 
     k = cfg.noise_dim
     hidden = scale_architecture(n_obs, width + 1)
-    gen_head = "identity" if kind == "continuous" else "sigmoid"
+    gen_head = "identity" if col.kind == "continuous" else "sigmoid"
     disc_head = "scaled_sigmoid_0_2"
     batch = min(cfg.batch_size, n_obs)
     budget = cfg.max_epochs if start is None else -(-cfg.max_epochs // WARM_START_DIVISOR)
-    targets = [_encode_target(x_t, kind, n_levels) for x_t in x_target]
-    t_width = targets[0][0].shape[1]
-    if any(target[0].shape[1] != t_width for target in targets):
-        raise ShapeError("a group's members need one level count")
+    targets = [_encode_target(x_t, col) for x_t in x_target]
+    t_width = col.width
     # each member's observed rows as the discriminator sees real ones: (cond | target | 1)
     rows = np.ones((len(seeds), n_obs, width + t_width + 1), dtype=TRAIN_DTYPE)
     # per member: its pair's (cond_shift, cond_scale, target_shift, target_scale),
@@ -504,7 +483,7 @@ def train_gcin(
         for j in range(n_gen):
             draw()
             scores, _, grads = _gen_grads(
-                gen, disc, ws, cfg.acc_penalty_weight, kind, pen_terms[:, j]
+                gen, disc, ws, cfg.acc_penalty_weight, col.kind, pen_terms[:, j]
             )
             if done:
                 grads.flat[done] = 0.0

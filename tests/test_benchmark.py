@@ -64,6 +64,33 @@ class TestMeanImpute:
         assert initial_fill(dm).values[1, 0] == 5.0
 
 
+class TestPoolCompleted:
+    def test_cell_means_and_majority_levels(self):
+        from types import SimpleNamespace
+
+        from gcmi.benchmark import _pool_completed
+
+        schema = [
+            ColumnSchema("x", "continuous"),
+            ColumnSchema("b", "binary", ("no", "yes")),
+            ColumnSchema("c", "categorical", ("p", "q", "r")),
+        ]
+        # per row: the M = 4 completions' values of x, b and c
+        cells = [
+            ([1.0, 2.0, 3.0, 6.0], [1, 1, 0, 1], [2, 2, 1, 0]),
+            ([0.0, 0.0, 0.0, 0.5], [1, 1, 0, 0], [0, 1, 1, 0]),  # 2-2 ties
+            ([-1.0, 1.0, -1.0, 1.0], [0, 1, 0, 1], [2, 1, 2, 1]),  # 2-2 ties
+            ([4.0, 4.0, 4.0, 4.0], [1, 1, 1, 1], [1, 1, 1, 1]),
+            ([2.0, 0.0, 0.0, 0.0], [0, 0, 0, 1], [0, 2, 1, 2]),
+        ]
+        stack = np.array(cells, dtype=float).transpose(2, 0, 1)  # (M, n, p)
+        result = SimpleNamespace(completed=[DataMatrix(schema, values) for values in stack])
+        pooled = _pool_completed(result)
+        # ties go to the smallest code, as initial_fill's mode does
+        expected = [[3.0, 1, 2], [0.125, 0, 0], [0.0, 0, 1], [4.0, 1, 1], [0.5, 0, 2]]
+        assert pooled.tolist() == expected
+
+
 class TestRmse:
     def test_perfect_imputation_zero(self):
         X = np.random.default_rng(0).normal(size=(10, 3))

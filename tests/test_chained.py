@@ -200,11 +200,11 @@ class TestSweep:
             encoded = encode_columns(completion, dm.schema)[rows]
             return np.delete(encoded, np.arange(sl.start, sl.stop), axis=1)
 
-        def checked_train(X_cond, x_target, kind, cfg, seeds, **kwargs):
+        def checked_train(X_cond, x_target, col, cfg, seeds, **kwargs):
             (j,) = [fit_of[seed] for seed in seeds]
             assert np.array_equal(X_cond[0], cond(j, ~dm.mask[:, j]))
             seen.append(j)
-            return train_gcin(X_cond, x_target, kind, cfg, seeds, **kwargs)
+            return train_gcin(X_cond, x_target, col, cfg, seeds, **kwargs)
 
         def checked_impute(pair, X_cond_mis, seed):
             j = impute_of[seed]

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from gcmi import (
+    ColumnSchema,
     ConfigError,
+    DataError,
+    DataMatrix,
     InsufficientDataError,
     ShapeError,
     TrainConfig,
@@ -50,10 +53,17 @@ from gcmi.seeding import derive_seed, spawn_rng
 FAST = TrainConfig(max_epochs=150, batch_size=64, noise_dim=4)
 
 
-def fit_one(X, y, kind, cfg, seed=0, n_levels=None, start=None):
+def column(kind, n_levels=None):
+    """The target column ``y`` of ``kind``; a categorical one declares
+    ``n_levels`` levels."""
+    levels = {"continuous": 0, "binary": 2}.get(kind, n_levels)
+    return ColumnSchema("y", kind, tuple(map(str, range(levels))))
+
+
+def fit_one(X, y, col, cfg, seed=0, start=None):
     """``train_gcin`` of one member: the (pair, trace) of a group of one,
     warm from the pair ``start`` when given."""
-    (fit,) = train_gcin([X], [y], kind, cfg, [seed], n_levels, None if start is None else [start])
+    (fit,) = train_gcin([X], [y], col, cfg, [seed], None if start is None else [start])
     return fit
 
 
@@ -218,7 +228,7 @@ class TestTrainGcin:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(300, 4))
         y = np.full(300, 3.0)
-        pair, _ = fit_one(X, y, "continuous", TrainConfig(max_epochs=300), seed=5)
+        pair, _ = fit_one(X, y, column("continuous"), TrainConfig(max_epochs=300), seed=5)
         imputed = impute_column(pair, rng.normal(size=(200, 4)), seed=1)
         assert abs(imputed.mean() - 3.0) < 0.05
 
@@ -227,7 +237,7 @@ class TestTrainGcin:
         n = 1000
         X = rng.normal(size=(n, 5))
         y = 0.9 * X[:, 0] + 0.1 * rng.normal(size=n)
-        pair, _ = fit_one(X, y, "continuous", TrainConfig(max_epochs=400), seed=8)
+        pair, _ = fit_one(X, y, column("continuous"), TrainConfig(max_epochs=400), seed=8)
         X_held = rng.normal(size=(400, 5))
         y_held = 0.9 * X_held[:, 0] + 0.1 * rng.normal(size=400)
         imputed = impute_column(pair, X_held, seed=2)
@@ -239,27 +249,27 @@ class TestTrainGcin:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(60, 3))
         y = X.sum(axis=1)
-        _, t1 = fit_one(X, y, "continuous", FAST)
-        _, t2 = fit_one(X, y, "continuous", FAST)
+        _, t1 = fit_one(X, y, column("continuous"), FAST)
+        _, t2 = fit_one(X, y, column("continuous"), FAST)
         assert t1.gen_loss == t2.gen_loss
         assert t1.disc_loss == t2.disc_loss
         assert t1.acc_penalty == t2.acc_penalty
 
     def test_insufficient_rows_rejected(self):
         with pytest.raises(InsufficientDataError):
-            fit_one(np.zeros((1, 3)), np.zeros(1), "continuous", FAST)
+            fit_one(np.zeros((1, 3)), np.zeros(1), column("continuous"), FAST)
 
     def test_missing_conditioning_rejected(self):
         X = np.random.default_rng(0).normal(size=(30, 3))
         X[0, 0] = np.nan
         with pytest.raises(ValueError):
-            fit_one(X, np.zeros(30), "continuous", FAST)
+            fit_one(X, np.zeros(30), column("continuous"), FAST)
 
     def test_binary_target_trains_and_samples_codes(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(200, 3))
         y = (X[:, 0] > 0).astype(float)
-        pair, _ = fit_one(X, y, "binary", TrainConfig(max_epochs=200), seed=13)
+        pair, _ = fit_one(X, y, column("binary"), TrainConfig(max_epochs=200), seed=13)
         imputed = impute_column(pair, rng.normal(size=(50, 3)), seed=3)
         assert set(np.unique(imputed)) <= {0.0, 1.0}
 
@@ -267,21 +277,51 @@ class TestTrainGcin:
         rng = np.random.default_rng(17)
         X = rng.normal(size=(200, 3))
         y = rng.integers(0, 3, size=200).astype(float)
-        pair, _ = fit_one(X, y, "categorical", FAST, n_levels=3)
+        pair, _ = fit_one(X, y, column("categorical", 3), FAST)
         imputed = impute_column(pair, rng.normal(size=(80, 3)), seed=4)
         assert set(np.unique(imputed)) <= {0.0, 1.0, 2.0}
         assert pair.generator.output_dim == 3
 
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            fit_one(np.zeros((20, 3)), np.zeros(20), "ordinal", FAST)
+    def test_categorical_head_has_every_declared_level(self):
+        # the observed codes never reach the top level; the column still
+        # declares four, and the head has one output per level
+        rng = np.random.default_rng(43)
+        X = rng.normal(size=(120, 3))
+        y = (X[:, 0] > 0).astype(float)
+        pair, _ = fit_one(X, y, column("categorical", 4), FAST)
+        assert pair.generator.output_dim == 4
+        assert pair.column_kind == "categorical"
+        imputed = impute_column(pair, rng.normal(size=(200, 3)), seed=5)
+        assert set(np.unique(imputed)) <= {0.0, 1.0, 2.0, 3.0}
+
+    @pytest.mark.parametrize(
+        "kind,bad",
+        [
+            ("binary", 2.0),
+            ("binary", 0.5),
+            ("binary", -1.0),
+            ("categorical", 3.0),  # len(levels)
+            ("categorical", 1.5),
+            ("categorical", -1.0),
+        ],
+    )
+    def test_code_outside_the_levels_rejected_as_by_a_data_matrix(self, kind, bad):
+        col = column(kind, 3)
+        X = np.random.default_rng(0).normal(size=(30, 3))
+        y = np.arange(30) % 2.0
+        y[4] = bad
+        message = "^column 'y' has codes outside its declared levels$"
+        with pytest.raises(DataError, match=message):
+            DataMatrix([col], y[:, None])
+        with pytest.raises(DataError, match=message):
+            fit_one(X, y, col, FAST)
 
     def test_list_target_fits_as_its_array(self):
         rng = np.random.default_rng(23)
         X = rng.normal(size=(60, 3))
         y = X.sum(axis=1)
-        from_list, list_trace = fit_one(X.tolist(), y.tolist(), "continuous", FAST)
-        from_array, array_trace = fit_one(X, y, "continuous", FAST)
+        from_list, list_trace = fit_one(X.tolist(), y.tolist(), column("continuous"), FAST)
+        from_array, array_trace = fit_one(X, y, column("continuous"), FAST)
         assert from_list.generator.params.tobytes() == from_array.generator.params.tobytes()
         assert list_trace == array_trace
 
@@ -289,7 +329,7 @@ class TestTrainGcin:
     def test_target_of_wrong_shape_rejected(self, bad):
         X = np.random.default_rng(0).normal(size=(60, 3))
         with pytest.raises(ShapeError):
-            fit_one(X, bad, "continuous", FAST)
+            fit_one(X, bad, column("continuous"), FAST)
 
     @pytest.mark.parametrize(
         "kind,bad",
@@ -306,7 +346,7 @@ class TestTrainGcin:
         y = np.zeros(30)
         y[4] = bad
         with pytest.raises(ValueError, match="x_target must not contain"):
-            fit_one(X, y, kind, FAST)
+            fit_one(X, y, column(kind, 3), FAST)
 
     def test_diverging_training_raises_numeric_error(self):
         from gcmi import NumericError
@@ -315,7 +355,7 @@ class TestTrainGcin:
         X = rng.normal(size=(40, 3))
         absurd = TrainConfig(max_epochs=60, lr_generator=1e150, batch_size=16)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
-            fit_one(X, X.sum(axis=1), "continuous", absurd)
+            fit_one(X, X.sum(axis=1), column("continuous"), absurd)
 
 
 class _RecordingRng:
@@ -664,7 +704,7 @@ class TestTrainGcinMatchesReferenceLoop:
         if hidden is not None:
             monkeypatch.setattr(gcmi.gcin, "scale_architecture", lambda n, features: hidden)
         X, y, cfg, seed = _reference_case(kind, n_rows)
-        pair, trace = fit_one(X, y, kind, cfg, seed, n_levels)
+        pair, trace = fit_one(X, y, column(kind, n_levels), cfg, seed)
         gen, disc, ref_trace = reference_train(X, y, kind, cfg, seed, n_levels)
         assert len(trace) == 4
         for trained, reference in ((pair.generator, gen), (pair.discriminator, disc)):
@@ -711,12 +751,12 @@ class TestGroupFits:
     )
 
     @staticmethod
-    def _assert_members_are_lone_fits(X, y, kind, cfg, seeds, n_levels=None, start=None):
-        fits = train_gcin(X, y, kind, cfg, seeds, n_levels, start)
+    def _assert_members_are_lone_fits(X, y, col, cfg, seeds, start=None):
+        fits = train_gcin(X, y, col, cfg, seeds, start)
         assert len(fits) == len(seeds)
         for a, ((pair, trace), x_c, x_t, seed) in enumerate(zip(fits, X, y, seeds)):
             warm = None if start is None else start[a]
-            lone, lone_trace = fit_one(x_c, x_t, kind, cfg, seed, n_levels, warm)
+            lone, lone_trace = fit_one(x_c, x_t, col, cfg, seed, warm)
             for got, want in (
                 (pair.generator, lone.generator),
                 (pair.discriminator, lone.discriminator),
@@ -725,11 +765,7 @@ class TestGroupFits:
                 assert got.params.tobytes() == want.params.tobytes()
             assert pair.cond_shift.tobytes() == lone.cond_shift.tobytes()
             assert pair.cond_scale.tobytes() == lone.cond_scale.tobytes()
-            assert (pair.target_shift, pair.target_scale, pair.n_levels) == (
-                lone.target_shift,
-                lone.target_scale,
-                lone.n_levels,
-            )
+            assert (pair.target_shift, pair.target_scale) == (lone.target_shift, lone.target_scale)
             assert trace == lone_trace
         return fits
 
@@ -741,7 +777,8 @@ class TestGroupFits:
         if hidden is not None:
             monkeypatch.setattr(gcmi.gcin, "scale_architecture", lambda n, features: hidden)
         X, y = _group_case(kind)
-        fits = self._assert_members_are_lone_fits(X, y, kind, self.CFG, [3, 1, 4], n_levels)
+        col = column(kind, n_levels)
+        fits = self._assert_members_are_lone_fits(X, y, col, self.CFG, [3, 1, 4])
         # every returned network owns its buffer: none views the stack's
         nets = [net for pair, _ in fits for net in (pair.generator, pair.discriminator)]
         assert all(net.params.flags.owndata for net in nets)
@@ -757,7 +794,7 @@ class TestGroupFits:
             return step(mlp, grads, state)
 
         monkeypatch.setattr(gcmi.gcin, "adam_step", recorded)
-        fits = self._assert_members_are_lone_fits(X, y, "continuous", cfg, range(10, 14))
+        fits = self._assert_members_are_lone_fits(X, y, column("continuous"), cfg, range(10, 14))
         cycles = [len(trace) for _, trace in fits]
         # every member stopped early, and not all at one cycle
         assert max(cycles) < cfg.max_epochs // cfg.gen_iters_per_cycle
@@ -786,7 +823,7 @@ class TestGroupFits:
             return scores, grads
 
         monkeypatch.setattr(gcmi.gcin, "_disc_grads", poisoned)
-        self._assert_members_are_lone_fits(X, y, "continuous", cfg, range(10, 14))
+        self._assert_members_are_lone_fits(X, y, column("continuous"), cfg, range(10, 14))
         assert calls[0] == max(cycles) * cfg.disc_iters_per_cycle
 
     @pytest.mark.parametrize(
@@ -799,12 +836,11 @@ class TestGroupFits:
         # its normalisation is refitted to the same numbers; the start pairs
         # are copied, never changed
         X, y = _group_case(kind)
-        start = [pair for pair, _ in train_gcin(X, y, kind, self.CFG, [3, 1, 4], n_levels)]
+        col = column(kind, n_levels)
+        start = [pair for pair, _ in train_gcin(X, y, col, self.CFG, [3, 1, 4])]
         before = [(p.generator.params.copy(), p.discriminator.params.copy()) for p in start]
         X_next = X + 0.1 * np.random.default_rng(41).normal(size=X.shape)
-        fits = self._assert_members_are_lone_fits(
-            X_next, y, kind, self.CFG, [5, 9, 2], n_levels, start
-        )
+        fits = self._assert_members_are_lone_fits(X_next, y, col, self.CFG, [5, 9, 2], start)
         for (pair, trace), old, (gen, disc) in zip(fits, start, before):
             assert old.generator.params.tobytes() == gen.tobytes()
             assert old.discriminator.params.tobytes() == disc.tobytes()
@@ -817,7 +853,7 @@ class TestGroupFits:
 
     def test_warm_fit_runs_a_fifth_of_the_budget_rounded_up(self, monkeypatch):
         X, y = _group_case("continuous", members=1)
-        (start, _) = fit_one(X[0], y[0], "continuous", self.CFG)
+        (start, _) = fit_one(X[0], y[0], column("continuous"), self.CFG)
         steps = []
         step = gcmi.gcin.adam_step
 
@@ -829,24 +865,24 @@ class TestGroupFits:
         for max_epochs, updates in [(30, 6), (31, 7), (4, 1), (1, 1)]:
             steps.clear()
             cfg = replace(self.CFG, max_epochs=max_epochs, early_stop_patience=1000)
-            fit_one(X[0], y[0], "continuous", cfg, 7, start=start)
+            fit_one(X[0], y[0], column("continuous"), cfg, 7, start=start)
             assert -(-max_epochs // gcmi.gcin.WARM_START_DIVISOR) == updates
             assert steps.count("identity") == updates
 
     def test_start_needs_one_fitting_pair_per_member(self):
         X, y = _group_case("continuous", members=2)
         cfg = self.CFG
-        start = [pair for pair, _ in train_gcin(X, y, "continuous", cfg, [3, 1])]
+        start = [pair for pair, _ in train_gcin(X, y, column("continuous"), cfg, [3, 1])]
         with pytest.raises(ShapeError, match="one start pair per member"):
-            train_gcin(X, y, "continuous", cfg, [3, 1], start=start[:1])
+            train_gcin(X, y, column("continuous"), cfg, [3, 1], start=start[:1])
         with pytest.raises(ShapeError, match="one start pair per member"):
-            train_gcin(X[:1], y[:1], "continuous", cfg, [3], start=start)
-        narrow = fit_one(X[0, :, :3], y[0], "continuous", cfg)[0]
-        binary = fit_one(X[0], (y[0] > 0).astype(float), "binary", cfg)[0]
-        more_noise = fit_one(X[0], y[0], "continuous", replace(cfg, noise_dim=4))[0]
+            train_gcin(X[:1], y[:1], column("continuous"), cfg, [3], start=start)
+        narrow = fit_one(X[0, :, :3], y[0], column("continuous"), cfg)[0]
+        binary = fit_one(X[0], (y[0] > 0).astype(float), column("binary"), cfg)[0]
+        more_noise = fit_one(X[0], y[0], column("continuous"), replace(cfg, noise_dim=4))[0]
         for other in (narrow, binary, more_noise):
             with pytest.raises(ShapeError, match="start pair 1 does not fit"):
-                train_gcin(X, y, "continuous", cfg, [3, 1], start=[start[0], other])
+                train_gcin(X, y, column("continuous"), cfg, [3, 1], start=[start[0], other])
 
     def test_one_seed_per_member(self):
         X, y = _group_case("continuous", members=2)
@@ -856,9 +892,9 @@ class TestGroupFits:
             ([], "at least one member"),
         ]:
             with pytest.raises(ShapeError, match=message):
-                train_gcin(X, y, "continuous", self.CFG, seeds)
+                train_gcin(X, y, column("continuous"), self.CFG, seeds)
         with pytest.raises(ShapeError, match="at least one member"):
-            train_gcin(X[:0], y[:0], "continuous", self.CFG, [])
+            train_gcin(X[:0], y[:0], column("continuous"), self.CFG, [])
 
     def test_one_input_row_per_member(self):
         X, y = _group_case("continuous", members=2)
@@ -868,7 +904,7 @@ class TestGroupFits:
             (X[0], y[0]),  # a group needs the leading axis
         ]:
             with pytest.raises(ShapeError):
-                train_gcin(X_cond, x_target, "continuous", self.CFG, [3, 1])
+                train_gcin(X_cond, x_target, column("continuous"), self.CFG, [3, 1])
 
 
 class TestFoldedBackward:
@@ -1082,7 +1118,7 @@ class TestTrainingDtype:
         rng = np.random.default_rng(71)
         X = rng.normal(size=(120, 3))
         y = rng.integers(0, 3, size=120).astype(float)
-        pair, _ = fit_one(X, y, "categorical", FAST, n_levels=3)
+        pair, _ = fit_one(X, y, column("categorical", 3), FAST)
         (ws,) = workspaces
         arrays = [pair.generator.params, pair.discriminator.params, *_workspace_arrays(ws)]
         for grads, state in steps:
@@ -1109,7 +1145,7 @@ def noisy_pair():
     rng = np.random.default_rng(19)
     X = rng.normal(size=(400, 3))
     y = X[:, 0] + rng.normal(size=400)  # genuinely noisy conditional
-    pair, _ = fit_one(X, y, "continuous", TrainConfig(max_epochs=300), seed=19)
+    pair, _ = fit_one(X, y, column("continuous"), TrainConfig(max_epochs=300), seed=19)
     return pair
 
 

@@ -54,7 +54,9 @@ def test_train_gcin_steps_adam_through_the_module_attribute(monkeypatch):
     cfg = gcmi.gcin.TrainConfig(
         max_epochs=20, gen_iters_per_cycle=6, disc_iters_per_cycle=4, batch_size=32
     )
-    ((_, trace),) = gcmi.gcin.train_gcin([X], [X.sum(axis=1)], "continuous", cfg, [1])
+    ((_, trace),) = gcmi.gcin.train_gcin(
+        [X], [X.sum(axis=1)], gcmi.ColumnSchema("y", "continuous"), cfg, [1]
+    )
     # cycles of 6, 6, 6 and 2 generator updates, each after 4 discriminator updates
     assert len(trace) == 4
     assert calls == {"gen": 20, "disc": 16}
@@ -80,7 +82,9 @@ def test_group_fit_steps_adam_once_per_update_for_the_whole_group(monkeypatch):
     cfg = gcmi.gcin.TrainConfig(
         max_epochs=20, gen_iters_per_cycle=6, disc_iters_per_cycle=4, batch_size=32
     )
-    fits = gcmi.gcin.train_gcin(X, X.sum(axis=2), "continuous", cfg, [1, 2, 3])
+    fits = gcmi.gcin.train_gcin(
+        X, X.sum(axis=2), gcmi.ColumnSchema("y", "continuous"), cfg, [1, 2, 3]
+    )
     assert [len(trace) for _, trace in fits] == [4, 4, 4]
     assert stacks.count(("scaled_sigmoid_0_2", (3,))) == 16
     assert stacks.count(("identity", (3,))) == 20
