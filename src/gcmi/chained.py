@@ -1,23 +1,25 @@
 """Chained-equation multiple imputation driven by per-column adversarial fits.
 
-Each of M independent chains starts from a mean/mode fill, orders columns
-by ascending missing fraction, and sweeps: for every column with missing
-cells, fit a generator/discriminator pair on the rows where that column is
-observed (conditioning on the current completion of the other columns) and
-regenerate the missing cells.  The first sweep fits every pair from
-scratch; each later one refits a column warm from the pair the same chain
-fitted for it in the first sweep, for a fifth of the update budget
-(``train_gcin``'s ``start``), as the sweeps are iterations of one set of
-conditional models (van Buuren & Groothuis-Oudshoorn 2011).  Starting
-every later sweep from the first sweep's pair, not the last one's, keeps
-each pair's training at 1.2 budgets however many sweeps run: carried
-from sweep to sweep, training piles up, the draws narrow, and the stop
-rule below sees the change between sweeps fall for as long as the cap
-allows.  A dual criterion tracks the relative squared change of
-continuous cells and the change proportion of binary/categorical cells
-between sweeps; the chain continues while either improves and keeps the
-sweep with the smallest combined value.  Estimates from the M completed
-datasets pool with the usual within/between variance decomposition.
+Each of M independent chains starts from a mean/mode fill, orders
+columns by ascending missing fraction, and sweeps: for every column with
+missing cells, fit a generator/discriminator pair on the rows where that
+column is observed (conditioning on the current completion of the other
+columns) and regenerate the missing cells.  The first sweep fits every
+pair from scratch; each later one refits a column warm from the pair the
+same chain fitted for it in the first sweep, for a fifth of the
+generator-update budget (``train_gcin``'s ``start``; a cycle that budget
+cuts short runs its share of discriminator updates, rounded up), as the
+sweeps are iterations of one set of conditional models (van Buuren &
+Groothuis-Oudshoorn 2011).  Starting every later sweep from the first
+sweep's pair, not the last one's, keeps each pair's training at 1.2
+budgets however many sweeps run: carried from sweep to sweep, training
+piles up, the draws narrow, and the stop rule below sees the change
+between sweeps fall for as long as the cap allows.  A dual criterion
+tracks the relative squared change of continuous cells and the change
+proportion of binary/categorical cells between sweeps; the chain
+continues while either improves and keeps the sweep with the smallest
+combined value.  Estimates from the M completed datasets pool with the
+usual within/between variance decomposition.
 
 ``gcmi_impute`` splits the M chains into ``min(workers, M)`` contiguous
 groups, one per process, and runs the chains of a group in lock-step:
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import time
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
@@ -331,6 +334,17 @@ def _manifest_path(out_dir: Path, stem: str) -> Path:
     return out_dir / f"{stem}_manifest.json"
 
 
+def _remove_earlier_run(out_dir: Path, stem: str, m: int) -> None:
+    """Remove the manifest and every table beyond the M-th that an earlier
+    run into ``out_dir`` under ``stem`` left; this run overwrites the rest."""
+    _manifest_path(out_dir, stem).unlink(missing_ok=True)
+    table = re.compile(re.escape(stem) + r"_imp([1-9][0-9]*)\.csv")
+    for path in out_dir.iterdir():
+        match = table.fullmatch(path.name)
+        if match and int(match[1]) > m:
+            path.unlink()
+
+
 def gcmi_impute(
     dm: DataMatrix,
     cfg: GcmiConfig | None = None,
@@ -349,10 +363,10 @@ def gcmi_impute(
     ``{out_dir}/{stem}_imp{i}.csv`` as soon as the groups of chains 1..i
     are done, the tables sharing one formatting of the observed continuous
     cells, and the paths are recorded in ``files``; ``save_result`` with
-    the same directory and stem then writes only the manifest.  A manifest left
-    there by an earlier run is removed first, and if a chain or a write
-    fails, the tables written so far are removed before the error
-    propagates.
+    the same directory and stem then writes only the manifest.  The
+    manifest and the tables beyond the M-th that an earlier run left
+    there are removed first, and if a chain or a write fails, the tables
+    written so far are removed before the error propagates.
     """
     cfg = cfg or GcmiConfig()
     cfg.validate()
@@ -364,7 +378,7 @@ def gcmi_impute(
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _manifest_path(out_dir, stem).unlink(missing_ok=True)
+        _remove_earlier_run(out_dir, stem, cfg.m_imputations)
 
     start = time.perf_counter()
     cols = _trainable_columns(dm)  # the same for every chain

@@ -4,7 +4,10 @@ The generator maps (other columns, Gaussian noise) to a candidate value
 for the target column; the discriminator scores (other columns, value)
 pairs in (0, 2), pushing observed rows toward 2 and generated rows toward
 0.  Training alternates blocks of discriminator and generator updates with
-a supervised accuracy penalty added to the generator objective.
+a supervised accuracy penalty added to the generator objective.  A cycle
+the update budget cuts short runs its share of the discriminator block,
+rounded up, so a fit of any budget keeps the configured ratio of the
+two, up to that rounding.
 
 Every update, of either network, trains on one minibatch of observed
 rows and fresh noise.  The minibatches are consecutive ``batch_size``-row
@@ -39,8 +42,8 @@ So every member's pair and trace are bit for bit its fit in a group of one.
 A fit may start warm, from pairs an earlier fit returned (``start``): it
 keeps each pair's weights and conditioning normalisation, starts Adam
 afresh and runs a ``WARM_START_DIVISOR``-th of the generator-update
-budget.  The chains warm-start every column's fit after their first
-sweep (``chained``).
+budget, with its share of discriminator updates.  The chains warm-start
+every column's fit after their first sweep (``chained``).
 """
 
 from __future__ import annotations
@@ -89,12 +92,15 @@ class TrainConfig:
 
     ``max_epochs`` caps the total number of generator updates of a fit
     from scratch, and a warm fit (``train_gcin``'s ``start``) runs
-    ``ceil(max_epochs / WARM_START_DIVISOR)``, a fifth of it; one cycle
-    runs ``disc_iters_per_cycle`` discriminator updates followed by up to
-    ``gen_iters_per_cycle`` generator updates.  Each update takes the next
-    ``batch_size`` rows of a permutation of the observed rows, redrawn once
-    fewer than ``batch_size`` rows of it remain (all rows when there are
-    no more than ``batch_size``).  A member stops early when its
+    ``ceil(max_epochs / WARM_START_DIVISOR)``, a fifth of it.  A cycle
+    runs ``disc_iters_per_cycle`` discriminator updates followed by
+    ``gen_iters_per_cycle`` generator updates; a last cycle the budget
+    cuts short to n generator updates runs its share of discriminator
+    updates, rounded up: ``ceil(disc_iters_per_cycle * n /
+    gen_iters_per_cycle)``.  Each update takes the next ``batch_size``
+    rows of a permutation of the observed rows, redrawn once fewer than
+    ``batch_size`` rows of it remain (all rows when there are no more
+    than ``batch_size``).  A member stops early when its
     generator total loss has not improved by ``early_stop_tol`` for
     ``early_stop_patience`` consecutive cycles; its pair holds its weights
     at that stop.  The float fields must be finite.
@@ -469,7 +475,10 @@ def train_gcin(
     # a stopped member trains on in the stack on zero gradients, so that
     # nothing it computes after its stop can raise for the group
     while gen_done < budget and len(done) < len(seeds):
-        for j in range(cfg.disc_iters_per_cycle):
+        # a cycle the budget cuts short runs its share of discriminator updates, rounded up
+        n_gen = min(cfg.gen_iters_per_cycle, budget - gen_done)
+        n_disc = -(-cfg.disc_iters_per_cycle * n_gen // cfg.gen_iters_per_cycle)
+        for j in range(n_disc):
             draw()
             fake, _ = _forward_cache(gen, ws.gen_input(), ws.gen_bufs)
             ws.fake_input(fake)
@@ -479,7 +488,6 @@ def train_gcin(
             adam_step(disc, grads, disc_opt)
             disc_scores[:, j] = scores[..., 0]
 
-        n_gen = min(cfg.gen_iters_per_cycle, budget - gen_done)
         for j in range(n_gen):
             draw()
             scores, _, grads = _gen_grads(
@@ -494,7 +502,7 @@ def train_gcin(
         for a, trace in enumerate(traces):
             if nets[a] is not None:
                 continue
-            real, fake = disc_scores[a, :, :batch], disc_scores[a, :, batch:]
+            real, fake = disc_scores[a, :n_disc, :batch], disc_scores[a, :n_disc, batch:]
             cycle_disc = float(np.mean(discriminator_losses(real, fake)))
             cycle_gen = float(np.mean(generator_losses(gen_scores[a, :n_gen])))
             cycle_pen = float(np.mean(np.mean(pen_terms[a, :n_gen], axis=1).astype(float)))

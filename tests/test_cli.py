@@ -165,6 +165,29 @@ class TestImpute:
         assert got.pop("wall_time_s") > 0 and want.pop("wall_time_s") > 0
         assert got == want
 
+    def test_smaller_m_removes_an_earlier_runs_higher_numbered_tables(self, tmp_path):
+        """``--m 4`` and then ``--m 2`` into one directory: the second run
+        leaves its two tables and its manifest, and of the first run's
+        files only those a different stem or name owns."""
+        (tmp_path / "in.csv").write_text(MIXED_CSV)
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"train": TINY_TRAIN, "gcmi": {"max_chain_iters": 1}})
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        kept = ["imputed_imp07.csv", "imputed_imp5.csv.bak", "other_imp9.csv"]
+        for name in kept:
+            (out / name).write_text("x\n")
+        for m in ("4", "2"):
+            code = run(["--config", str(tmp_path / "cfg.json"), "--output-dir", str(out),
+                        "impute", str(tmp_path / "in.csv"), "--m", m])
+            assert code == 0
+        manifest = json.loads((out / "imputed_manifest.json").read_text())
+        assert manifest["files"] == ["imputed_imp1.csv", "imputed_imp2.csv"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*manifest["files"], "imputed_manifest.json", *kept]
+        )
+
     @pytest.mark.parametrize("fail, code", [("chain", 3), ("write", 2)])
     def test_failure_after_a_streamed_table_leaves_no_output(
         self, tmp_path, monkeypatch, fail, code

@@ -2,6 +2,7 @@
 through the composed discriminator-of-generator graph, trained behaviour
 on constant and linear targets, and imputation determinism."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -559,6 +560,17 @@ def _penalty(fake, t, kind):
     return float(np.mean((-t * np.log(p) - (1.0 - t) * np.log(1.0 - p)).sum(axis=1)))
 
 
+def _cycles(cfg):
+    """(discriminator updates, generator updates) of each cycle of a fit
+    from scratch: whole cycles, then one of the generator updates left,
+    after its share of discriminator updates rounded up."""
+    left = cfg.max_epochs
+    while left > 0:
+        n_gen = min(cfg.gen_iters_per_cycle, left)
+        yield math.ceil(cfg.disc_iters_per_cycle * n_gen / cfg.gen_iters_per_cycle), n_gen
+        left -= n_gen
+
+
 def reference_train(
     X, y, kind, cfg, seed, n_levels=None, backward_pass=_ref_backward_folded, dtype=TRAIN_DTYPE
 ):
@@ -567,10 +579,11 @@ def reference_train(
     a ones column, one discriminator pass over the real rows stacked on the
     fake rows, only the generated columns of the discriminator's input
     gradient, and the fold of every one-wide output.  It standardises in
-    float64 and trains in ``dtype`` (noise drawn in it too), runs whole
-    cycles and never stops early.  Returns both nets and the trace, each
-    cycle's mean of the per-update losses: ``discriminator_losses`` and
-    ``generator_losses`` of the scores, and the penalty in ``dtype``."""
+    float64 and trains in ``dtype`` (noise drawn in it too), runs the
+    cycles of ``_cycles`` and never stops early.  Returns both nets and
+    the trace, each cycle's mean of the per-update losses:
+    ``discriminator_losses`` and ``generator_losses`` of the scores, and
+    the penalty in ``dtype``."""
     X = np.asarray(X, dtype=float)
     n, width = X.shape
     cond, target = (a.astype(dtype) for a in _encode(X, y, kind, n_levels))
@@ -579,9 +592,9 @@ def reference_train(
     batch = min(cfg.batch_size, n)
     draw = _sampler(rng, cond, target, batch, cfg.noise_dim)
     trace = TrainTrace()
-    for _ in range(cfg.max_epochs // cfg.gen_iters_per_cycle):
+    for n_disc, n_gen in _cycles(cfg):
         disc_losses, gen_losses, pens = [], [], []
-        for _ in range(cfg.disc_iters_per_cycle):
+        for _ in range(n_disc):
             c, tg, z = draw()
             fake, _ = _ref_forward(gen, with_ones(np.hstack([c, z])))
             d, acts = _ref_forward(disc, stacked(np.hstack([c, tg]), np.hstack([c, fake])))
@@ -589,7 +602,7 @@ def reference_train(
             grads, _ = backward_pass(disc, acts, d, g)
             adam_step(disc, _as_param_grads(grads), disc_opt)
             disc_losses.append(disc_loss(d[:batch], d[batch:]))
-        for _ in range(cfg.gen_iters_per_cycle):
+        for _ in range(n_gen):
             c, tg, z = draw()
             fake, gen_acts = _ref_forward(gen, with_ones(np.hstack([c, z])))
             d_fake, acts = _ref_forward(disc, with_ones(np.hstack([c, fake])))
@@ -627,8 +640,8 @@ def reference_train_separate_passes(X, y, kind, cfg, seed, n_levels=None):
     )
     batch = min(cfg.batch_size, n)
     draw = _sampler(rng, cond, target, batch, cfg.noise_dim)
-    for _ in range(cfg.max_epochs // cfg.gen_iters_per_cycle):
-        for _ in range(cfg.disc_iters_per_cycle):
+    for n_disc, n_gen in _cycles(cfg):
+        for _ in range(n_disc):
             c, t, z = draw()
             real_in = np.hstack([c, t])
             fake_in = np.hstack([c, forward(gen, np.hstack([c, z]))])
@@ -641,7 +654,7 @@ def reference_train_separate_passes(X, y, kind, cfg, seed, n_levels=None):
                 [a + b for a, b in zip(real.d_biases, fake.d_biases)],
             )
             adam_step(disc, summed, disc_opt)
-        for _ in range(cfg.gen_iters_per_cycle):
+        for _ in range(n_gen):
             c, t, z = draw()
             gen_in = np.hstack([c, z])
             fake = forward(gen, gen_in)
@@ -710,6 +723,35 @@ class TestTrainGcinMatchesReferenceLoop:
         for trained, reference in ((pair.generator, gen), (pair.discriminator, disc)):
             assert trained.params.tobytes() == reference.params.tobytes()
         assert trace == ref_trace
+
+    def test_cut_short_last_cycle_runs_its_share_of_discriminator_updates(self, monkeypatch):
+        # 130 generator updates: cycles of 50, 50 and 30, after 10, 10 and
+        # ceil(10 * 30 / 50) = 6 discriminator updates, alone and in a group
+        X, y, _, seed = _reference_case("continuous", 300)
+        cfg = replace(FAST, max_epochs=130, early_stop_patience=1000)
+        assert list(_cycles(cfg)) == [(10, 50), (10, 50), (6, 30)]
+        gen, disc, ref_trace = reference_train(X, y, "continuous", cfg, seed)
+        assert len(ref_trace) == 3
+        heads = []
+        step = gcmi.gcin.adam_step
+
+        def counted(mlp, grads, state):
+            heads.append(mlp.output_activation)
+            return step(mlp, grads, state)
+
+        monkeypatch.setattr(gcmi.gcin, "adam_step", counted)
+        fits = [fit_one(X, y, column("continuous"), cfg, seed)]
+        assert heads.count("scaled_sigmoid_0_2") == 26
+        assert heads.count("identity") == 130
+        # members 0 and 2 are the reference's fit; member 1 differs in rows and seed
+        group = train_gcin(
+            [X, X[::-1], X], [y, y[::-1], y], column("continuous"), cfg, [seed, seed + 1, seed]
+        )
+        fits += group[::2]
+        for pair, trace in fits:
+            for trained, reference in ((pair.generator, gen), (pair.discriminator, disc)):
+                assert trained.params.tobytes() == reference.params.tobytes()
+            assert trace == ref_trace
 
     @pytest.mark.parametrize("kind,n_levels,n_rows", REFERENCE_CASES)
     def test_formed_delta_order_within_reassociation(self, kind, n_levels, n_rows):
@@ -848,7 +890,8 @@ class TestGroupFits:
             assert pair.cond_shift.tobytes() == old.cond_shift.tobytes()
             assert pair.cond_scale.tobytes() == old.cond_scale.tobytes()
             assert (pair.target_shift, pair.target_scale) == (old.target_shift, old.target_scale)
-            # ceil(30 / 5) = 6 generator updates: cycles of 5 and 1
+            # ceil(30 / 5) = 6 generator updates: cycles of 5 and 1, after 3
+            # and ceil(3 * 1 / 5) = 1 discriminator updates
             assert len(trace) == 2
 
     def test_warm_fit_runs_a_fifth_of_the_budget_rounded_up(self, monkeypatch):
