@@ -92,7 +92,9 @@ class BenchmarkSpec:
     ``gcmi.seed`` and ``gcmi.workers`` are not read: the gcmi run of
     repeat r under mechanism i takes its seed at ``(300, r, i)`` under
     ``seed`` and runs on one worker, and ``workers`` runs repeats in
-    parallel.
+    parallel.  Nor are ``data.seed`` (a synthetic truth) and each
+    mechanism's ``seed``: repeat r draws its truth with the seed at
+    ``(100, r)`` and mechanism i's mask with the seed at ``(200, r, i)``.
     """
 
     data: SyntheticSpec | str | Path
@@ -115,9 +117,13 @@ class BenchmarkSpec:
 
 @dataclass
 class BenchmarkRow:
+    """One method under one mechanism.  The RMSE figures and ``n_repeats``
+    cover the scored repeats, those in which the mechanism deleted a cell;
+    with none, the mean is NaN and sd and se are 0."""
+
     method: str
     mechanism: str
-    rate: float  # share of cells the mechanism deleted, mean over repeats
+    rate: float  # share of cells the mechanism deleted, mean over all repeats
     mean_rmse: float
     sd_rmse: float
     se_rmse: float
@@ -126,7 +132,8 @@ class BenchmarkRow:
 
 @dataclass
 class BenchmarkTable:
-    """Aggregated results plus the per-repeat raw values."""
+    """Aggregated results plus the per-repeat raw values, indexed by
+    repeat; a repeat in which the mechanism deleted no cell reads NaN."""
 
     rows: list[BenchmarkRow]
     raw: dict[tuple[str, str], list[float]]
@@ -204,8 +211,8 @@ def _run_repeat(
         mech_seed = derive_seed(spec.seed, 200, repeat, i)
         mask = ampute(truth.values, replace(mech, seed=mech_seed))
         deleted[mech.label] = float(mask.mean())
-        if not mask.any():
-            out.extend((m.name, mech.label, 0.0) for m in spec.methods)
+        if not mask.any():  # nothing to score: NaN keeps the repeat's place in ``raw``
+            out.extend((m.name, mech.label, np.nan) for m in spec.methods)
             continue
         amputed = DataMatrix(list(truth.schema), np.where(mask, np.nan, truth.values))
         for method in spec.methods:
@@ -249,6 +256,7 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkTable:
     for method in spec.methods:
         for mech in spec.mechanisms:
             values = np.array(raw[(method.name, mech.label)])
+            values = values[~np.isnan(values)]  # the scored repeats
             n = values.size
             sd = float(values.std(ddof=1)) if n > 1 else 0.0
             rows.append(
@@ -256,7 +264,7 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkTable:
                     method=method.name,
                     mechanism=mech.label,
                     rate=float(np.mean(deleted[mech.label])),
-                    mean_rmse=float(values.mean()),
+                    mean_rmse=float(values.mean()) if n else float("nan"),
                     sd_rmse=sd,
                     se_rmse=sd / np.sqrt(n) if n > 1 else 0.0,
                     n_repeats=n,

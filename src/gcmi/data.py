@@ -64,7 +64,8 @@ def check_codes(codes: np.ndarray, col: ColumnSchema) -> None:
 @dataclass
 class DataMatrix:
     """(n, P) cell values and per-column schema; NaN cells are the missing
-    ones, and ``mask`` (True = missing) holds them, computed once here."""
+    ones, and ``mask`` (True = missing) holds them, computed once here.
+    Every other cell must be finite."""
 
     schema: list[ColumnSchema]
     values: np.ndarray
@@ -79,6 +80,14 @@ class DataMatrix:
                 f"{len(self.schema)} schema columns but values have {self.values.shape[1]}"
             )
         self.mask = np.isnan(self.values)
+        infinite = np.isinf(self.values)
+        if infinite.any():
+            j = int(infinite.any(axis=0).argmax())
+            i = int(infinite[:, j].argmax())
+            raise DataError(
+                f"column {self.schema[j].name!r}: non-finite value {self.values[i, j]} "
+                f"in row {i} (counted from 0)"
+            )
         for j, col in enumerate(self.schema):
             if col.kind != "continuous":
                 check_codes(self.values[~self.mask[:, j], j], col)

@@ -39,14 +39,20 @@ on a stream that is already taken.
 Trailing zeros in a path do not change the stream (numpy pads a short
 seed with zeros), so ``(s)``, ``(s, 0)`` and ``(s, 0, 0)`` are one
 address; no two consumers under one seed above differ only by them.
+
+``parallel_map`` is the one process pool: it runs the chains' groups of
+``gcmi_impute`` and the repeats of ``run_benchmark``, and yields results
+in task order.  It hands out the tasks from its own loop: a worker freed
+by a finished task gets the next one while the consumer waits for a
+result, never while the consumer is busy between results.
 """
 
 from __future__ import annotations
 
-import functools
-import threading
+import itertools
+from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 import numpy as np
 
@@ -71,12 +77,14 @@ def parallel_map(fn, tasks: list[tuple], workers: int) -> Iterator:
     Runs on a pool of ``min(workers, len(tasks))`` processes when that is
     more than one, and serially otherwise; the pool starts all its workers
     at the first task, so it never gets more than there are tasks.  The
-    pool is handed one task per worker, and the next task whenever one
-    finishes (whether or not the consumer has taken the results before
-    it), so at most ``workers`` tasks are ever handed on and not done.
-    When the consumer stops early (closes the generator, say after a
-    failed write), no further task starts; those already running finish
-    first.
+    generator hands out the tasks itself: one per worker at the start,
+    and, while it waits for the next result in task order, the next task
+    to each worker whose task has finished.  So at most ``workers`` tasks
+    are ever handed out and not done, and a worker freed while the
+    consumer is busy between results waits for the consumer's next
+    request.  When the consumer stops early (closes the generator, say
+    after a failed write), no further task starts; those already running
+    finish first.
     """
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -84,41 +92,18 @@ def parallel_map(fn, tasks: list[tuple], workers: int) -> Iterator:
             yield fn(*task)
         return
     pool = ProcessPoolExecutor(max_workers=workers)
-    results = [Future() for _ in tasks]
-    queued = iter(enumerate(tasks))
-    lock = threading.Lock()
-    stopped = False
-
-    def start_next() -> None:
-        # called once per worker, then from each finished task's callback
-        with lock:
-            if stopped:
-                return
-            i, task = next(queued, (None, None))
-            if task is None:
-                return
-            try:
-                future = pool.submit(fn, *task)
-            except BrokenExecutor as exc:  # a worker died: report it in task order
-                results[i].set_exception(exc)
-                return
-        future.add_done_callback(functools.partial(finish, i))
-
-    def finish(i: int, done: Future) -> None:
-        start_next()  # first, so the freed worker never waits on the consumer
-        if done.cancelled():  # only at shutdown, once the consumer has stopped
-            return
-        if done.exception() is None:
-            results[i].set_result(done.result())
-        else:
-            results[i].set_exception(done.exception())
-
+    queued = iter(tasks)
+    futures, running = deque(), set()  # handed out and not yielded; not done
     try:
-        for _ in range(workers):
-            start_next()
-        for result in results:
-            yield result.result()
+        for _ in tasks:
+            while True:
+                running = {f for f in running if not f.done()}
+                for task in itertools.islice(queued, workers - len(running)):
+                    futures.append(pool.submit(fn, *task))
+                    running.add(futures[-1])
+                if futures[0].done():
+                    break
+                wait(running, return_when=FIRST_COMPLETED)
+            yield futures.popleft().result()
     finally:
-        with lock:
-            stopped = True
         pool.shutdown(cancel_futures=True)

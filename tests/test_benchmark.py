@@ -202,6 +202,39 @@ class TestRunBenchmark:
         assert row.sd_rmse == pytest.approx(np.sqrt(var))
         assert row.se_rmse == pytest.approx(np.sqrt(var / len(values)))
 
+    def test_repeats_with_nothing_deleted_are_not_scored(self, tmp_path):
+        # 40 cells at MCAR 0.05: some repeats delete none, and an RMSE of 0
+        # there would pull the mean down.  Each keeps its index in raw as NaN
+        spec = tiny_spec(
+            data=SyntheticSpec(n=20, p=2),
+            mechanisms=[AmputationSpec("mcar", rate=0.05)],
+            mc_repeats=40,
+            seed=1,
+        )
+        table = run_benchmark(spec)
+        row = table.rows[0]
+        raw = np.array(table.raw[(row.method, row.mechanism)])
+        assert raw.size == 40
+        unscored = np.isnan(raw)
+        assert 0 < unscored.sum() < 40
+        scored = raw[~unscored]
+        assert np.all(scored > 0)
+        assert row.n_repeats == scored.size
+        assert row.mean_rmse == float(scored.mean())
+        assert row.sd_rmse == float(scored.std(ddof=1))
+        assert row.se_rmse == pytest.approx(row.sd_rmse / np.sqrt(scored.size))
+        table.dump_raw_csv(tmp_path / "raw.csv")
+        lines = (tmp_path / "raw.csv").read_text().splitlines()[1:]
+        assert [line.endswith(",nan") for line in lines] == unscored.tolist()
+
+    def test_row_with_no_scored_repeat(self):
+        # a rate of 0 deletes nothing in any repeat; any numpy warning fails
+        table = run_benchmark(tiny_spec(mechanisms=[AmputationSpec("mcar", rate=0.0)]))
+        row = table.rows[0]
+        assert np.isnan(row.mean_rmse)
+        assert (row.sd_rmse, row.se_rmse, row.n_repeats, row.rate) == (0.0, 0.0, 0, 0.0)
+        assert np.isnan(table.raw[(row.method, row.mechanism)]).all()
+
     def test_workers_do_not_change_results(self):
         serial = run_benchmark(tiny_spec(workers=1))
         parallel = run_benchmark(tiny_spec(workers=2))

@@ -605,6 +605,18 @@ class TestDataMatrix:
         with pytest.raises(DataError):
             DataMatrix(schema, np.array([[2.0]]))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_cell_rejected_naming_column_and_row(self, value):
+        X = np.zeros((8, 3))
+        X[5, 1] = X[7, 1] = X[6, 2] = value
+        with pytest.raises(DataError, match=rf"column 'X2': non-finite value {value} in row 5 "):
+            matrix_from_array(X)
+        schema = [ColumnSchema(name, "continuous") for name in "abc"]
+        with pytest.raises(DataError, match="column 'b'"):
+            DataMatrix(schema, X)
+        # a masked cell is missing, whatever it held
+        assert matrix_from_array(X, mask=np.isinf(X)).mask.sum() == 3
+
     def test_matrix_from_array_shape_checks(self):
         with pytest.raises(ShapeError):
             matrix_from_array(np.zeros(3))

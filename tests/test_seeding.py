@@ -1,17 +1,21 @@
 """The seed tree and the one process pool.
 
 Seeds: only ``gcmi.seeding`` builds a generator, and no two generators of
-a run start from the same state.  Pool: results in task order as they
-arrive, freed workers fed without waiting for the consumer, and no queued
-task started once the consumer stops."""
+a run start from the same state.  Pool: only ``gcmi.seeding`` builds one;
+results come in task order, a worker freed by a finished task gets the
+next one while the consumer waits for a result, no queued task starts
+once the consumer stops, and ``gcmi_impute`` never hands the pool more
+tasks than workers."""
 
 import ast
 import time
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gcmi.chained
 from gcmi import GcmiConfig, gcmi_impute
 from gcmi.seeding import parallel_map
 
@@ -33,6 +37,9 @@ _BUILDERS = {
     "SFC64",
 }
 
+# names that start a process, a thread or a pool of either
+_POOLS = {"ProcessPoolExecutor", "ThreadPoolExecutor", "Pool", "Process", "Thread"}
+
 
 def _name(node):
     """The last identifier of a name or attribute chain, else ''."""
@@ -50,6 +57,14 @@ def _violations(path):
     return out
 
 
+def _pool_calls(path):
+    return [
+        f"{path.name}:{node.lineno}: starts {_name(node.func)}"
+        for node in ast.walk(ast.parse(path.read_text(), path.name))
+        if isinstance(node, ast.Call) and _name(node.func) in _POOLS
+    ]
+
+
 def test_only_the_seeding_module_builds_generators():
     # every other module takes its generators from spawn_rng and hands on
     # derive_seed of an address: a seed made by arithmetic can land on
@@ -57,6 +72,18 @@ def test_only_the_seeding_module_builds_generators():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "seeding.py")
     assert modules
     assert [v for path in modules for v in _violations(path)] == []
+
+
+def test_only_the_seeding_module_starts_workers():
+    # every worker runs under parallel_map, which alone keeps results in
+    # task order and bounds the tasks handed out; naming an executor's
+    # exception (cli catches BrokenExecutor) starts nothing
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "seeding.py")
+    assert modules
+    assert [v for path in modules for v in _pool_calls(path)] == []
+    # the guard sees the one pool there is
+    seeding = [v.split(": ")[1] for v in _pool_calls(SRC / "seeding.py")]
+    assert seeding == ["starts ProcessPoolExecutor"]
 
 
 def test_no_two_generators_of_a_run_start_alike(monkeypatch):
@@ -111,10 +138,34 @@ def test_consumer_stopping_early_starts_no_queued_task(tmp_path, workers):
     assert sorted(p.name for p in tmp_path.iterdir()) == started
 
 
-def test_freed_workers_do_not_wait_for_the_consumer(tmp_path):
-    tasks = [(tmp_path, k, 0.2) for k in range(4)]
+def test_freed_workers_are_fed_while_the_consumer_waits(tmp_path):
+    # task 0 outlasts the others: while the consumer waits for it, each
+    # worker that finishes a short task takes the next one
+    tasks = [(tmp_path, k, 0.6 if k == 0 else 0.1) for k in range(4)]
     results = parallel_map(_started, tasks, 2)
     assert next(results) == 0
-    time.sleep(0.5)  # a slow consumer: the two freed workers took tasks 2 and 3
     assert len(list(tmp_path.iterdir())) == 4
     assert list(results) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("m,workers", list(product([1, 2, 5], [1, 2, 4])))
+def test_gcmi_impute_hands_the_pool_no_more_tasks_than_workers(monkeypatch, m, workers):
+    # parallel_map feeds a freed worker only while its consumer waits for
+    # a result, and gcmi_impute's consumer writes a table between results:
+    # it keeps no worker idle by handing out all its work at the start
+    calls = []
+    real = gcmi.chained.parallel_map
+
+    def recorded(fn, tasks, n_workers):
+        calls.append((len(tasks), n_workers))
+        return real(fn, tasks, n_workers)
+
+    monkeypatch.setattr(gcmi.chained, "parallel_map", recorded)
+    dm, _ = mixed_matrix(n=40, seed=2)
+    cfg = GcmiConfig(m_imputations=m, max_chain_iters=1, train=TINY_TRAIN, seed=3, workers=workers)
+    result = gcmi_impute(dm, cfg)
+    assert len(result.completed) == m
+    assert len(calls) == 1
+    n_tasks, n_workers = calls[0]
+    assert n_workers == workers
+    assert 1 <= n_tasks <= workers
