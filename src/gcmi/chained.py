@@ -6,10 +6,10 @@ missing cells, fit a generator/discriminator pair on the rows where that
 column is observed (conditioning on the current completion of the other
 columns) and regenerate the missing cells.  The first sweep fits every
 pair from scratch; each later one refits a column warm from the pair the
-same chain fitted for it in the first sweep, for a fifth of the
-generator-update budget (``train_gcin``'s ``start``; a cycle that budget
-cuts short runs its share of discriminator updates, rounded up), as the
-sweeps are iterations of one set of conditional models (van Buuren &
+same chain fitted for it in the first sweep (``train_gcin``'s
+``start``) for a fifth of the budget, ``ceil(max_epochs /
+WARM_START_DIVISOR)`` generator updates (``sweep``), as the sweeps are
+iterations of one set of conditional models (van Buuren &
 Groothuis-Oudshoorn 2011).  Starting every later sweep from the first
 sweep's pair, not the last one's, keeps each pair's training at 1.2
 budgets however many sweeps run: carried from sweep to sweep, training
@@ -38,7 +38,7 @@ import logging
 import re
 import time
 from contextlib import closing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +64,9 @@ logger = logging.getLogger(__name__)
 
 # Columns with fewer observed rows than this fall back to the initial fill.
 MIN_ROWS_FOR_TRAINING = 10
+
+# A warm fit runs ceil(max_epochs / WARM_START_DIVISOR) generator updates.
+WARM_START_DIVISOR = 5
 
 
 @dataclass
@@ -231,10 +234,12 @@ def sweep(
     fresh imputations are written back before the next column trains.
     Column j is fitted on its observed rows with one ``train_gcin`` call
     for all K chains, chain k's pair with the fit seed
-    ``s = derive_seed(seeds[k], index, j)``: from scratch without
-    ``start``, and with it warm from ``start[j][k]``, the pair the
-    chain's first sweep returned.  Chain k then imputes j's missing rows
-    with its pair and the seed ``derive_seed(s, 3)`` (see ``seeding``).
+    ``s = derive_seed(seeds[k], index, j)``: from scratch with ``train``
+    without ``start``, and with it warm from ``start[j][k]``, the pair
+    the chain's first sweep returned, for ``ceil(train.max_epochs /
+    WARM_START_DIVISOR)`` generator updates.  Chain k then imputes j's
+    missing rows with its pair and the seed ``derive_seed(s, 3)`` (see
+    ``seeding``).
     The completions are encoded once per sweep; after each column only
     that column's slice of its missing rows is encoded again.  Each
     chain's result is bit for bit its sweep in a group of one.
@@ -246,6 +251,8 @@ def sweep(
     encoded = encode_columns(current.reshape(-1, n_cols), dm.schema).reshape(n_chains, n_rows, -1)
     slices = column_slices(dm.schema)
     chains = np.arange(n_chains)
+    if start is not None:
+        train = replace(train, max_epochs=-(-train.max_epochs // WARM_START_DIVISOR))
     pairs = {}
     for j in cols:
         col, miss, sl = dm.schema[j], dm.mask[:, j], slices[j]
@@ -334,14 +341,21 @@ def _manifest_path(out_dir: Path, stem: str) -> Path:
     return out_dir / f"{stem}_manifest.json"
 
 
+def is_run_file(name: str, stem: str, after: int = 0) -> bool:
+    """Whether the file ``name`` is the manifest of a run under ``stem`` or
+    one of its tables ``{stem}_imp{i}.csv`` numbered above ``after``; with
+    the default, any file such a run writes or removes in its directory."""
+    if name == _manifest_path(Path(), stem).name:
+        return True
+    table = re.fullmatch(re.escape(stem) + r"_imp([1-9][0-9]*)\.csv", name)
+    return table is not None and int(table[1]) > after
+
+
 def _remove_earlier_run(out_dir: Path, stem: str, m: int) -> None:
     """Remove the manifest and every table beyond the M-th that an earlier
     run into ``out_dir`` under ``stem`` left; this run overwrites the rest."""
-    _manifest_path(out_dir, stem).unlink(missing_ok=True)
-    table = re.compile(re.escape(stem) + r"_imp([1-9][0-9]*)\.csv")
     for path in out_dir.iterdir():
-        match = table.fullmatch(path.name)
-        if match and int(match[1]) > m:
+        if is_run_file(path.name, stem, after=m):
             path.unlink()
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmark import run_benchmark
-from .chained import gcmi_impute, save_result
+from .chained import gcmi_impute, is_run_file, save_result
 from .config import RunConfig, load_config, parse_config
 from .data import (
     DataMatrix,
@@ -173,6 +173,9 @@ def _cmd_impute(args, cfg: RunConfig) -> int:
     input_path = _resolve_input(args.input, job.input, cfg)
     if not input_path:
         raise UsageError("impute needs an input CSV (argument or config impute.input)")
+    path = input_path.resolve()
+    if path.parent == Path(cfg.output_dir).resolve() and is_run_file(path.name, job.out_prefix):
+        raise UsageError(f"impute input {input_path} is a file this run writes or removes")
     dm = read_csv(input_path)
     out = _out_dir(cfg)
     # each table is written as its chain finishes; the manifest comes last

@@ -40,10 +40,9 @@ the stack, unrecorded and on zero gradients, until the last one stops.
 So every member's pair and trace are bit for bit its fit in a group of one.
 
 A fit may start warm, from pairs an earlier fit returned (``start``): it
-keeps each pair's weights and conditioning normalisation, starts Adam
-afresh and runs a ``WARM_START_DIVISOR``-th of the generator-update
-budget, with its share of discriminator updates.  The chains warm-start
-every column's fit after their first sweep (``chained``).
+keeps each pair's weights and conditioning normalisation and starts Adam
+afresh.  The chains warm-start every column's fit after their first
+sweep, with a smaller budget in the config they pass (``chained``).
 """
 
 from __future__ import annotations
@@ -82,18 +81,14 @@ _MIN_SCALE = 1e-9
 # The dtype every generator/discriminator pair is built, trained and run in.
 TRAIN_DTYPE = np.float32
 
-# A warm fit runs ceil(max_epochs / WARM_START_DIVISOR) generator updates.
-WARM_START_DIVISOR = 5
-
 
 @dataclass
 class TrainConfig:
     """Hyperparameters of an adversarial fit, shared by every member of a group.
 
-    ``max_epochs`` caps the total number of generator updates of a fit
-    from scratch, and a warm fit (``train_gcin``'s ``start``) runs
-    ``ceil(max_epochs / WARM_START_DIVISOR)``, a fifth of it.  A cycle
-    runs ``disc_iters_per_cycle`` discriminator updates followed by
+    ``max_epochs`` caps the total number of generator updates of a fit,
+    cold or warm (``train_gcin``'s ``start``).  A cycle runs
+    ``disc_iters_per_cycle`` discriminator updates followed by
     ``gen_iters_per_cycle`` generator updates; a last cycle the budget
     cuts short to n generator updates runs its share of discriminator
     updates, rounded up: ``ceil(disc_iters_per_cycle * n /
@@ -372,10 +367,10 @@ def train_gcin(
     (the same column, conditioning width and networks), the fit is warm:
     each member trains on from a copy of its pair's weights, keeps that
     pair's conditioning normalisation (the target's is fitted as from
-    scratch; a chain's observed cells never move), starts Adam afresh
-    and runs ``ceil(cfg.max_epochs / WARM_START_DIVISOR)`` generator
-    updates.  The seed still drives the minibatches and the noise; the
-    two initialisation streams are not drawn.  ``start`` is not changed.
+    scratch; a chain's observed cells never move) and starts Adam
+    afresh; it runs the budget of ``cfg`` as a cold fit does.  The seed
+    still drives the minibatches and the noise; the two initialisation
+    streams are not drawn.  ``start`` is not changed.
 
     Each member keeps its own standardisation, initialisation, random
     stream, losses and early stop, and every update runs one stacked pass
@@ -412,7 +407,6 @@ def train_gcin(
     gen_head = "identity" if col.kind == "continuous" else "sigmoid"
     disc_head = "scaled_sigmoid_0_2"
     batch = min(cfg.batch_size, n_obs)
-    budget = cfg.max_epochs if start is None else -(-cfg.max_epochs // WARM_START_DIVISOR)
     targets = [_encode_target(x_t, col) for x_t in x_target]
     t_width = col.width
     # each member's observed rows as the discriminator sees real ones: (cond | target | 1)
@@ -460,7 +454,7 @@ def train_gcin(
     # reduced once a cycle row by row into the same per-update losses that
     # the loss functions give
     disc_scores = np.empty((len(seeds), cfg.disc_iters_per_cycle, 2 * batch))
-    gen_scores = np.empty((len(seeds), min(cfg.gen_iters_per_cycle, budget), batch))
+    gen_scores = np.empty((len(seeds), min(cfg.gen_iters_per_cycle, cfg.max_epochs), batch))
     pen_terms = np.empty(gen_scores.shape, dtype=TRAIN_DTYPE)
     best_total = [np.inf] * len(seeds)
     stall = [0] * len(seeds)
@@ -474,9 +468,9 @@ def train_gcin(
 
     # a stopped member trains on in the stack on zero gradients, so that
     # nothing it computes after its stop can raise for the group
-    while gen_done < budget and len(done) < len(seeds):
+    while gen_done < cfg.max_epochs and len(done) < len(seeds):
         # a cycle the budget cuts short runs its share of discriminator updates, rounded up
-        n_gen = min(cfg.gen_iters_per_cycle, budget - gen_done)
+        n_gen = min(cfg.gen_iters_per_cycle, cfg.max_epochs - gen_done)
         n_disc = -(-cfg.disc_iters_per_cycle * n_gen // cfg.gen_iters_per_cycle)
         for j in range(n_disc):
             draw()

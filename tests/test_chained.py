@@ -343,26 +343,31 @@ class TestWarmStarts:
             for s in range(cfg.max_chain_iters)
             for j in cols
         }
-        calls = []  # (chains, sweep, column, start, returned pairs) per group fit
+        calls = []  # (chains, sweep, column, config, start, returned pairs) per group fit
         train_gcin = gcmi.chained.train_gcin
 
         def recording(*args, start=None, **kwargs):
             fits = train_gcin(*args, start=start, **kwargs)
             chains, sweeps, columns = zip(*(fit_of[seed] for seed in args[4]))
             assert len(set(sweeps)) == len(set(columns)) == 1
-            calls.append((chains, sweeps[0], columns[0], start, [pair for pair, _ in fits]))
+            pairs = [pair for pair, _ in fits]
+            calls.append((chains, sweeps[0], columns[0], args[3], start, pairs))
             return fits
 
         monkeypatch.setattr(gcmi.chained, "train_gcin", recording)
         result = gcmi_impute(dm, cfg)
+        # a warm fit runs ceil(30 / 5) = 6 generator updates, all else as configured
+        warm_train = replace(cfg.train, max_epochs=6)
         returned = {}
-        for chains, s, j, start, pairs in calls:
+        for chains, s, j, train, start, pairs in calls:
             assert list(chains) == sorted(chains)  # the group's members in chain order
             if s == 0:
                 assert start is None
+                assert train == cfg.train
             else:
                 assert len(start) == len(chains)
                 assert all(got is returned[c, 0, j] for c, got in zip(chains, start))
+                assert train == warm_train
             returned.update({(c, s, j): pair for c, pair in zip(chains, pairs)})
         # each chain fitted every column once in each of its sweeps
         sweeps = [len(trace) for trace in result.traces]
@@ -373,6 +378,16 @@ class TestWarmStarts:
         # third sweep, where the first sweep's pairs and the last one's differ
         assert len(set(sweeps)) > 1 and min(sweeps) > 1 and max(sweeps) > 2
         assert len({len(chains) for chains, *_ in calls}) > 1
+
+        # the warm budget is a fifth of the configured one, rounded up
+        first = {j: [returned[0, 0, j]] for j in cols}
+        completed = result.completed[0].values[None]
+        for max_epochs, warm_epochs in [(30, 6), (31, 7), (4, 1), (1, 1)]:
+            train = replace(cfg.train, max_epochs=max_epochs)
+            for start, want in [(None, max_epochs), (first, warm_epochs)]:
+                calls.clear()
+                sweep(completed, dm, cols, train, chain_seeds[:1], 1, start)
+                assert [call[3] for call in calls] == [replace(train, max_epochs=want)] * len(cols)
 
 
 class TestDualCriterion:

@@ -188,6 +188,45 @@ class TestImpute:
             [*manifest["files"], "imputed_manifest.json", *kept]
         )
 
+    @pytest.mark.parametrize(
+        "name, given",
+        [
+            ("imputed_imp3.csv", "path"),  # above --m 2: the run would remove it
+            ("imputed_imp1.csv", "path"),  # table 1 would overwrite it
+            ("imputed_manifest.json", "path"),
+            ("imputed_imp2.csv", "dotted"),  # out/../out/imputed_imp2.csv
+            ("imputed_imp1.csv", "config"),  # impute.input, against --output-dir
+        ],
+    )
+    def test_input_among_the_runs_own_files_is_refused(self, tmp_path, capsys, name, given):
+        """An input that is one of the files the run writes or removes in
+        its output directory exits 1 with one line naming it, and the
+        directory is left as it was; under another stem the same file is
+        an ordinary input."""
+        out = tmp_path / "out"
+        out.mkdir()
+        for other in ("imputed_imp1.csv", "imputed_imp4.csv", "imputed_manifest.json"):
+            (out / other).write_text("x\n")
+        (out / name).write_text(MIXED_CSV)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg = {"train": TINY_TRAIN, "gcmi": {"max_chain_iters": 1}}
+        argv = ["--config", str(tmp_path / "cfg.json"), "--output-dir", str(out), "impute"]
+        if given == "config":
+            cfg["impute"] = {"input": name}
+        else:
+            argv.append(str(out / ".." / "out" / name if given == "dotted" else out / name))
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert run([*argv, "--m", "2"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and name in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+        assert run([*argv, "--m", "2", "--out-prefix", "other"]) == 0
+        assert (out / name).read_text() == MIXED_CSV
+        assert sorted(set(p.name for p in out.iterdir()) - set(before)) == [
+            "other_imp1.csv", "other_imp2.csv", "other_manifest.json"
+        ]
+
     @pytest.mark.parametrize("fail, code", [("chain", 3), ("write", 2)])
     def test_failure_after_a_streamed_table_leaves_no_output(
         self, tmp_path, monkeypatch, fail, code

@@ -873,16 +873,17 @@ class TestGroupFits:
     )
     def test_warm_members_equal_lone_warm_fits(self, kind, n_levels):
         # a second sweep: each member trains on from its first fit's pair, on
-        # conditioning that moved, for a fifth of the budget with its pair's
-        # conditioning normalisation; the observed target did not move, so
-        # its normalisation is refitted to the same numbers; the start pairs
-        # are copied, never changed
+        # conditioning that moved, for the warm budget the chains pass, with
+        # its pair's conditioning normalisation; the observed target did not
+        # move, so its normalisation is refitted to the same numbers; the
+        # start pairs are copied, never changed
         X, y = _group_case(kind)
         col = column(kind, n_levels)
         start = [pair for pair, _ in train_gcin(X, y, col, self.CFG, [3, 1, 4])]
         before = [(p.generator.params.copy(), p.discriminator.params.copy()) for p in start]
         X_next = X + 0.1 * np.random.default_rng(41).normal(size=X.shape)
-        fits = self._assert_members_are_lone_fits(X_next, y, col, self.CFG, [5, 9, 2], start)
+        warm_cfg = replace(self.CFG, max_epochs=6)
+        fits = self._assert_members_are_lone_fits(X_next, y, col, warm_cfg, [5, 9, 2], start)
         for (pair, trace), old, (gen, disc) in zip(fits, start, before):
             assert old.generator.params.tobytes() == gen.tobytes()
             assert old.discriminator.params.tobytes() == disc.tobytes()
@@ -890,11 +891,11 @@ class TestGroupFits:
             assert pair.cond_shift.tobytes() == old.cond_shift.tobytes()
             assert pair.cond_scale.tobytes() == old.cond_scale.tobytes()
             assert (pair.target_shift, pair.target_scale) == (old.target_shift, old.target_scale)
-            # ceil(30 / 5) = 6 generator updates: cycles of 5 and 1, after 3
-            # and ceil(3 * 1 / 5) = 1 discriminator updates
+            # 6 generator updates: cycles of 5 and 1, after 3 and
+            # ceil(3 * 1 / 5) = 1 discriminator updates
             assert len(trace) == 2
 
-    def test_warm_fit_runs_a_fifth_of_the_budget_rounded_up(self, monkeypatch):
+    def test_a_fit_runs_its_configs_budget_cold_or_warm(self, monkeypatch):
         X, y = _group_case("continuous", members=1)
         (start, _) = fit_one(X[0], y[0], column("continuous"), self.CFG)
         steps = []
@@ -905,12 +906,15 @@ class TestGroupFits:
             return step(mlp, grads, state)
 
         monkeypatch.setattr(gcmi.gcin, "adam_step", counted)
-        for max_epochs, updates in [(30, 6), (31, 7), (4, 1), (1, 1)]:
-            steps.clear()
+        # cycles of 5 generator updates after 3 discriminator updates; a
+        # cut-short cycle of n runs ceil(3 * n / 5) of them
+        for max_epochs, disc_updates in [(30, 18), (31, 19), (4, 3), (1, 1)]:
             cfg = replace(self.CFG, max_epochs=max_epochs, early_stop_patience=1000)
-            fit_one(X[0], y[0], column("continuous"), cfg, 7, start=start)
-            assert -(-max_epochs // gcmi.gcin.WARM_START_DIVISOR) == updates
-            assert steps.count("identity") == updates
+            for warm in (None, start):
+                steps.clear()
+                fit_one(X[0], y[0], column("continuous"), cfg, 7, start=warm)
+                assert steps.count("identity") == max_epochs
+                assert steps.count("scaled_sigmoid_0_2") == disc_updates
 
     def test_start_needs_one_fitting_pair_per_member(self):
         X, y = _group_case("continuous", members=2)
